@@ -281,16 +281,32 @@ func BenchmarkAblationLazyVsDense(b *testing.B) {
 }
 
 // BenchmarkBoundsComputation measures step 2 (maximal backward/forward
-// retiming) alone — the paper reports it as a few percent of total runtime.
+// retiming) alone — the paper reports it as a few percent of total runtime —
+// on the register-dominated mapped C6 and on the deep 32×300 pipeline, whose
+// 5.76M possible unit steps the multi-layer sweeps cover in ~38k moves.
 func BenchmarkBoundsComputation(b *testing.B) {
-	c := genCircuit(b, 6) // register-dominated: worst case for bounds
-	mapped := mapBaseline(b, c)
-	m, err := mcgraph.Build(mapped)
+	deep, err := gen.ScalePipeline(1, 32, 300, gen.ClassMix{Plain: 1, EN: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.ComputeBounds()
+	for _, tc := range []struct {
+		name string
+		c    *netlist.Circuit
+	}{
+		{"C6-mapped", mapBaseline(b, genCircuit(b, 6))},
+		{"pipe32x300", deep},
+	} {
+		m, err := mcgraph.Build(tc.c)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := m.ComputeBoundsCtx(context.Background()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

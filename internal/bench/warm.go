@@ -19,7 +19,7 @@ import (
 type WarmPerf struct {
 	Vertices int   `json:"vertices"`
 	PeriodPS int64 `json:"period_ps"`
-	// BoundsNS is the ComputeBoundsPar + AreaGraphPar model time, measured
+	// BoundsNS is the ComputeBoundsCtx + AreaGraphPar model time, measured
 	// once — it is common to every engine and excluded from the solve walls.
 	BoundsNS  int64   `json:"bounds_ns"`
 	ColdNS    int64   `json:"cold_ns"`
@@ -60,7 +60,7 @@ func MeasureWarmCtx(ctx context.Context) (*WarmPerf, error) {
 		return nil, fmt.Errorf("bench: warm profile: %w", err)
 	}
 	t0 := time.Now()
-	info, err := m.ComputeBoundsPar(ctx, 1)
+	info, err := m.ComputeBoundsCtx(ctx)
 	if err != nil {
 		return nil, err
 	}

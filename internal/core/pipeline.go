@@ -189,10 +189,10 @@ func runBuild(pc *pass.Context[flowState]) error {
 }
 
 // runBounds is step 2: per-vertex retiming bounds by maximal backward and
-// forward retiming — the two sweeps run concurrently under s.workers.
+// forward retiming.
 func runBounds(pc *pass.Context[flowState]) error {
 	s := pc.State
-	info, err := s.m.ComputeBoundsPar(pc.Ctx(), s.workers)
+	info, err := s.m.ComputeBoundsCtx(pc.Ctx())
 	if err != nil {
 		return err
 	}

@@ -70,20 +70,21 @@ func TestScaleLarge(t *testing.T) {
 		rep.PeriodBefore, rep.PeriodAfter, rep.RegsBefore, rep.RegsAfter, rep.Workers)
 }
 
-// TestScaleHuge is the PR8 10⁶-vertex acceptance run, gated behind
-// MCRETIMING_SCALE=1 like TestScaleLarge. It solves minperiod on a
-// million-vertex scale pipeline at the graph level — warm-started, cold, and
-// with the arrival hybrid — and requires all three bit-identical, under a
-// wall-clock budget that keeps the CI scale-smoke job honest.
+// TestScaleHuge is the 10⁶-vertex acceptance run, gated behind
+// MCRETIMING_SCALE=1 like TestScaleLarge. On a million-vertex scale pipeline
+// it runs the delay-independent model half — the §4.1 bounds pass
+// (ComputeBoundsCtx) and the §4.2 sharing graph (AreaGraph) — and then solves
+// minperiod warm-started, cold, and with the arrival hybrid, requiring all
+// three bit-identical, under a wall-clock budget that keeps the CI
+// scale-smoke job honest. The bounds pass moves whole register-layer
+// prefixes per vertex, so its work tracks the vertex and edge count rather
+// than vertices × pipeline depth; its wall time is logged.
 //
 // Two deliberate scopings:
 //
-//   - Graph level (mcgraph.Build → ToGraph → MinPeriod*, nil bounds), not the
-//     full Retime flow: the §5.1 bounds pass (ComputeBoundsPar) is a
-//     unit-step worklist whose work grows with vertex count × pipeline depth,
-//     and at 10⁶ vertices it alone blows any CI budget. The solve core — the
-//     part PR8 scales — is what this test measures; the bounds pass is
-//     tracked as an open item in ROADMAP.md.
+//   - The minperiod solves run on the plain projection (ToGraph, nil bounds),
+//     not the full Retime flow, so the three engines are compared on exactly
+//     the graph the solve core scales over.
 //   - A wide-shallow pipeline (2000×250), not a deep one: SPFA label
 //     displacement grows with pipeline depth under nil bounds, so a 100×5000
 //     pipeline spends minutes per probe moving labels thousands of steps.
@@ -108,8 +109,19 @@ func TestScaleHuge(t *testing.T) {
 	}
 	ctx := context.Background()
 
-	cs0 := graph.ColdStartCount()
 	t0 := time.Now()
+	info, err := m.ComputeBoundsCtx(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	boundsWall := time.Since(t0)
+	if ag, _ := m.AreaGraph(info); ag.NumVertices() < g.NumVertices() {
+		t.Fatalf("sharing graph has %d vertices, fewer than the projection's %d", ag.NumVertices(), g.NumVertices())
+	}
+	modelWall := time.Since(t0)
+
+	cs0 := graph.ColdStartCount()
+	t0 = time.Now()
 	phiW, rW, err := g.MinPeriodLazyEng(ctx, nil, nil, &graph.Engine{Workers: 1, Ladder: graph.NewProbeLadder()})
 	if err != nil {
 		t.Fatal(err)
@@ -140,8 +152,8 @@ func TestScaleHuge(t *testing.T) {
 	}
 
 	total := time.Since(start)
-	t.Logf("huge: %d vertices, phi=%d ps, warm=%v cold=%v arrival=%v total=%v",
-		g.NumVertices(), phiC, warmWall, coldWall, arrWall, total)
+	t.Logf("huge: %d vertices, %d steps possible, bounds=%v bounds+share=%v, phi=%d ps, warm=%v cold=%v arrival=%v total=%v",
+		g.NumVertices(), info.StepsPossible, boundsWall, modelWall, phiC, warmWall, coldWall, arrWall, total)
 	if total > budget {
 		t.Fatalf("10⁶-vertex run took %v, budget %v", total, budget)
 	}

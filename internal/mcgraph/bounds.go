@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"mcretiming/internal/graph"
-	"mcretiming/internal/par"
 	"mcretiming/internal/trace"
 )
 
@@ -16,24 +15,18 @@ type BoundsInfo struct {
 	// corresponding Unbounded flag is set and the count is the cap reached.
 	RMax, RMin                 []int32
 	UnboundedMax, UnboundedMin []bool
-	// Backward is the maximally backward retimed clone (needed by §4.2).
-	Backward *MC
+	// BackwardClasses[e] is the register class sequence of edge e after
+	// maximal backward retiming, source end first — all §4.2 needs of the
+	// maximally backward retimed graph.
+	BackwardClasses [][]ClassID
 	// StepsPossible is Σ_v (r_max + |r_min|): the paper's "#Step" second
 	// number, the total number of valid mc-retiming steps.
 	StepsPossible int64
 }
 
-// ComputeBounds derives the mc-retiming bounds by maximal backward and
-// maximal forward retiming of clones of m (§4.1). Reset values are ignored,
-// exactly as the paper prescribes.
-//
-// Maximal retiming need not terminate when a cycle's register layers stay
-// compatible all the way around (registers can rotate forever). A vertex
-// whose move count exceeds the total number of register instances has
-// necessarily cycled, so it is excluded from further moves and reported
-// unbounded in that direction — "arbitrarily many layers available".
+// ComputeBounds is ComputeBoundsCtx without cancellation.
 func (m *MC) ComputeBounds() *BoundsInfo {
-	info, err := m.ComputeBoundsPar(context.Background(), 1)
+	info, err := m.ComputeBoundsCtx(context.Background())
 	if err != nil {
 		// Unreachable: the background context never cancels and the sweeps
 		// have no other failure mode.
@@ -42,109 +35,256 @@ func (m *MC) ComputeBounds() *BoundsInfo {
 	return info
 }
 
-// ComputeBoundsPar is ComputeBounds with the two independent maximal-retiming
-// sweeps — backward and forward, each on its own clone — running concurrently
-// when workers ≥ 2. The sweeps share nothing, so the result is identical to
-// the serial computation. The context is polled inside each sweep's worklist
-// loop; on cancellation its error is returned.
-func (m *MC) ComputeBoundsPar(ctx context.Context, workers int) (*BoundsInfo, error) {
-	n := len(m.Verts)
+// ComputeBoundsCtx derives the mc-retiming bounds by maximal backward and
+// maximal forward retiming (§4.1). Reset values are ignored, exactly as the
+// paper prescribes, so the sweeps track register classes only and leave m
+// untouched.
+//
+// Maximal retiming need not terminate when a cycle's register layers stay
+// compatible all the way around (registers can rotate forever). A vertex
+// whose move count exceeds the total number of register instances has
+// necessarily cycled, so it is excluded from further moves and reported
+// unbounded in that direction — "arbitrarily many layers available".
+//
+// The context is polled inside each sweep's worklist loop; on cancellation
+// its error is returned. The number of multi-layer moves both sweeps made is
+// reported as the bounds-moves trace counter.
+func (m *MC) ComputeBoundsCtx(ctx context.Context) (*BoundsInfo, error) {
 	cap32 := int32(m.NumRegInstances()) + 1
-
-	bw, fw := m.Clone(), m.Clone()
-	var rmax, rmin []int32
-	var ubMax, ubMin []bool
-	w := par.Workers(workers)
-	err := par.Do(ctx, w,
-		func() (err error) {
-			rmax, ubMax, err = bw.maximalRetime(ctx, true, cap32)
-			return err
-		},
-		func() (err error) {
-			rmin, ubMin, err = fw.maximalRetime(ctx, false, cap32)
-			return err
-		},
-	)
+	bw := newSweep(m, true)
+	rmax, ubMax, err := bw.run(ctx, cap32)
 	if err != nil {
 		return nil, err
 	}
-	if w > 2 {
-		w = 2 // only two sweeps to run
+	fw := newSweep(m, false)
+	rmin, ubMin, err := fw.run(ctx, cap32)
+	if err != nil {
+		return nil, err
 	}
-	trace.From(ctx).Add("bounds-workers", int64(w))
+	trace.From(ctx).Add("bounds-moves", bw.moves+fw.moves)
 
 	info := &BoundsInfo{
-		RMax: rmax, RMin: make([]int32, n),
+		RMax: rmax, RMin: make([]int32, len(m.Verts)),
 		UnboundedMax: ubMax, UnboundedMin: ubMin,
-		Backward: bw,
+		BackwardClasses: make([][]ClassID, len(m.Edges)),
 	}
-	for v := 0; v < n; v++ {
+	for v := range m.Verts {
 		info.RMin[v] = -rmin[v]
 		info.StepsPossible += int64(rmax[v]) + int64(rmin[v])
+	}
+	for e := range bw.seq {
+		info.BackwardClasses[e] = bw.seq[e].live()
 	}
 	return info, nil
 }
 
-// maximalRetime applies valid mc-steps in the given direction until no more
-// apply, capping per-vertex counts, and returns the per-vertex move counts
-// and unbounded flags. The receiver is mutated. The context is polled every
-// few thousand worklist pops; cancellation aborts with its error.
-func (m *MC) maximalRetime(ctx context.Context, backward bool, cap32 int32) (counts []int32, unbounded []bool, err error) {
-	n := len(m.Verts)
-	counts = make([]int32, n)
-	unbounded = make([]bool, n)
+// classFIFO is one edge's register class sequence with its consumed prefix
+// dropped lazily: buf[head:] is live.
+type classFIFO struct {
+	buf  []ClassID
+	head int
+}
 
-	can := m.CanForward
-	step := m.StepForward
-	if backward {
-		can = m.CanBackward
-		step = m.StepBackward
+func (q *classFIFO) live() []ClassID { return q.buf[q.head:] }
+
+// pop drops the k classes at the head. Once the dropped prefix outweighs
+// the live part the live part moves to a right-sized buffer, so a sequence
+// never pins more than about twice its live length.
+func (q *classFIFO) pop(k int) {
+	q.head += k
+	switch live := len(q.buf) - q.head; {
+	case live == 0:
+		q.buf, q.head = nil, 0
+	case q.head >= live:
+		q.buf, q.head = append([]ClassID(nil), q.buf[q.head:]...), 0
 	}
+}
 
-	// Worklist to a fixpoint: a move at v can only enable moves at v itself
-	// or at its direct neighbours (that is where registers appeared), so
-	// after each move v and its neighbours are re-enqueued.
-	inQ := make([]bool, n)
-	queue := make([]graph.VertexID, 0, n)
-	push := func(v graph.VertexID) {
-		if !inQ[v] && !unbounded[v] {
-			inQ[v] = true
-			queue = append(queue, v)
+// sweep is one direction of maximal retiming phrased as a backward sweep:
+// a move at v pops register layers off the heads of v's consumed edges and
+// appends them to the tails of v's produced edges. The backward sweep
+// consumes out-edges, whose heads are their source ends. The forward sweep
+// is the backward sweep of the transposed graph: it consumes in-edges and
+// stores every sequence reversed, sink end first.
+type sweep struct {
+	m                  *MC
+	backward           bool
+	consumed, produced [][]int32 // edge indices per vertex
+	seq                []classFIFO
+	moves              int64
+}
+
+func newSweep(m *MC, backward bool) *sweep {
+	s := &sweep{m: m, backward: backward, seq: make([]classFIFO, len(m.Edges))}
+	s.consumed, s.produced = m.in, m.out
+	if backward {
+		s.consumed, s.produced = m.out, m.in
+	}
+	// One backing array for every initial sequence; capacities are clipped
+	// so an append never spills into the next edge's sequence.
+	all := make([]ClassID, 0, m.NumRegInstances())
+	for i := range m.Edges {
+		regs := m.Edges[i].Regs
+		start := len(all)
+		for j := range regs {
+			r := regs[j]
+			if !backward {
+				r = regs[len(regs)-1-j]
+			}
+			all = append(all, r.Class)
+		}
+		s.seq[i].buf = all[start:len(all):len(all)]
+	}
+	return s
+}
+
+// consumer returns the vertex that pops edge ei's head in this sweep.
+func (s *sweep) consumer(ei int32) graph.VertexID {
+	if s.backward {
+		return s.m.Edges[ei].From
+	}
+	return s.m.Edges[ei].To
+}
+
+// producer returns the vertex that appends to edge ei's tail in this sweep.
+func (s *sweep) producer(ei int32) graph.VertexID {
+	if s.backward {
+		return s.m.Edges[ei].To
+	}
+	return s.m.Edges[ei].From
+}
+
+// canMove reports whether v may ever move: Movable, and no frozen edge on
+// either side (the NoMove rule of CanBackward/CanForward).
+func (s *sweep) canMove(v graph.VertexID) bool {
+	if !s.m.Movable(v) {
+		return false
+	}
+	for _, side := range [2][]int32{s.consumed[v], s.produced[v]} {
+		for _, ei := range side {
+			if s.m.Edges[ei].NoMove {
+				return false
+			}
 		}
 	}
-	for v := 1; v < n; v++ {
-		push(graph.VertexID(v))
+	return true
+}
+
+// layers returns how many register layers v can move at once, at most
+// limit: the longest class prefix that every consumed edge of v carries,
+// position by position.
+func (s *sweep) layers(v graph.VertexID, limit int32) int {
+	cons := s.consumed[v]
+	first := s.seq[cons[0]].live()
+	k := min(int(limit), len(first))
+	for _, ei := range cons[1:] {
+		q := s.seq[ei].live()
+		k = min(k, len(q))
+		for i := 0; i < k; i++ {
+			if q[i] != first[i] {
+				k = i
+				break
+			}
+		}
 	}
-	pops := 0
-	for len(queue) > 0 {
-		if pops++; pops&0xfff == 0 {
+	return k
+}
+
+// order returns the movable vertices in a postorder of the depth-first
+// search that follows each consumed edge to its producer, so that on the
+// acyclic parts of the graph every vertex comes after all the vertices that
+// feed it layers. Back edges of cycles are simply not followed, which keeps
+// the order well defined on any graph.
+func (s *sweep) order(movable []bool) []graph.VertexID {
+	type frame struct {
+		v    graph.VertexID
+		next int
+	}
+	seen := make([]bool, len(movable))
+	order := make([]graph.VertexID, 0, len(movable))
+	var stack []frame
+	for root := range movable {
+		if !movable[root] || seen[root] {
+			continue
+		}
+		seen[root] = true
+		stack = append(stack, frame{v: graph.VertexID(root)})
+		for len(stack) > 0 {
+			f := &stack[len(stack)-1]
+			if cons := s.consumed[f.v]; f.next < len(cons) {
+				w := s.producer(cons[f.next])
+				f.next++
+				if movable[w] && !seen[w] {
+					seen[w] = true
+					stack = append(stack, frame{v: w})
+				}
+				continue
+			}
+			order = append(order, f.v)
+			stack = stack[:len(stack)-1]
+		}
+	}
+	return order
+}
+
+// run moves layers to a fixpoint and returns the per-vertex move counts and
+// unbounded flags.
+//
+// Each pop of v moves k layers at once, k the smallest of the remaining cap,
+// the shortest consumed sequence and the longest class prefix all consumed
+// edges share: exactly the unit steps v would take in a row. Afterwards v is
+// stuck — on a class mismatch only v itself could clear, an empty edge, or
+// the cap — until a producer appends to one of its edges, and appending is
+// what re-enqueues the consumer. Seeding the stack so that producers pop
+// before their consumers lets a layer stream travel a pipeline in one move
+// per vertex instead of one move per layer.
+func (s *sweep) run(ctx context.Context, cap32 int32) (counts []int32, unbounded []bool, err error) {
+	n := len(s.m.Verts)
+	counts = make([]int32, n)
+	unbounded = make([]bool, n)
+	movable := make([]bool, n)
+	for v := range movable {
+		movable[v] = s.canMove(graph.VertexID(v))
+	}
+	order := s.order(movable)
+
+	inQ := make([]bool, n)
+	stack := make([]graph.VertexID, 0, len(order))
+	for i := len(order) - 1; i >= 0; i-- {
+		inQ[order[i]] = true
+		stack = append(stack, order[i])
+	}
+	var prefix []ClassID
+	for pops := 0; len(stack) > 0; pops++ {
+		if pops&0xfff == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, nil, err
 			}
 		}
-		v := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
 		inQ[v] = false
-		if unbounded[v] {
+		k := s.layers(v, cap32-counts[v])
+		if k == 0 {
 			continue
 		}
-		if _, ok := can(v); !ok {
-			continue
+		// Copy the moving layers out first: on a self-loop the consumed
+		// and produced edge are the same sequence.
+		prefix = append(prefix[:0], s.seq[s.consumed[v][0]].live()[:k]...)
+		for _, ei := range s.consumed[v] {
+			s.seq[ei].pop(k)
 		}
-		if _, err := step(v); err != nil {
-			continue
+		for _, ei := range s.produced[v] {
+			s.seq[ei].buf = append(s.seq[ei].buf, prefix...)
+			if u := s.consumer(ei); movable[u] && !inQ[u] && !unbounded[u] {
+				inQ[u] = true
+				stack = append(stack, u)
+			}
 		}
-		counts[v]++
+		s.moves++
+		counts[v] += int32(k)
 		if counts[v] >= cap32 {
 			unbounded[v] = true
-		} else {
-			push(v)
-		}
-		for _, ei := range m.in[v] {
-			push(m.Edges[ei].From)
-		}
-		for _, ei := range m.out[v] {
-			push(m.Edges[ei].To)
 		}
 	}
 	return counts, unbounded, nil

@@ -14,8 +14,9 @@ import (
 // from undercounting incompatible registers.
 //
 // For each multi-fanout vertex u, the register layers of the maximally
-// backward retimed graph (info.Backward) are traversed source→sink; at each
-// layer the largest compatible set is kept and everything else is cut.
+// backward retimed graph (info.BackwardClasses) are traversed source→sink;
+// at each layer the largest compatible set is kept and everything else is
+// cut.
 // For a fanout edge e_i with τ_i registers right of the cut, a zero-delay
 // separation vertex s_i splits e_i; s_i is billed as a single-fanout vertex
 // by the cost model and its backward bound follows Eq. 3:
@@ -41,9 +42,9 @@ func (m *MC) AreaGraph(info *BoundsInfo) (*graph.Graph, *graph.Bounds) {
 
 // AreaGraphPar is AreaGraph with the per-multi-fanout-vertex layer-cut
 // analysis fanned out over a worker pool. Each vertex's analysis reads only
-// the backward-retimed clone and writes τ only for that vertex's own fanout
-// edges, so the writes are disjoint and the result is identical to the
-// serial sweep. Edge emission stays serial to keep vertex/edge numbering
+// the backward-retimed class sequences and writes τ only for that vertex's
+// own fanout edges, so the writes are disjoint and the result is identical
+// to the serial sweep. Edge emission stays serial to keep vertex/edge numbering
 // deterministic.
 func (m *MC) AreaGraphPar(ctx context.Context, info *BoundsInfo, workers int) (*graph.Graph, *graph.Bounds, error) {
 	g := graph.New()
@@ -69,7 +70,7 @@ func (m *MC) AreaGraphPar(ctx context.Context, info *BoundsInfo, workers int) (*
 		}
 	}
 	st, err := par.Run(ctx, par.Workers(workers), len(fanout), func(_, item int) error {
-		m.cutFanout(info.Backward, fanout[item], tau)
+		m.cutFanout(info.BackwardClasses, fanout[item], tau)
 		return nil
 	})
 	if err != nil {
@@ -119,19 +120,19 @@ func (m *MC) AreaGraphPar(ctx context.Context, info *BoundsInfo, workers int) (*
 }
 
 // cutFanout runs the §4.2 layer-cut analysis for one multi-fanout vertex v
-// on the backward-retimed clone bw, writing the non-sharable register counts
-// into tau at v's own out-edge indices only (safe for concurrent callers on
-// distinct vertices).
-func (m *MC) cutFanout(bw *MC, v int32, tau []int32) {
+// on the backward-retimed class sequences bw, writing the non-sharable
+// register counts into tau at v's own out-edge indices only (safe for
+// concurrent callers on distinct vertices).
+func (m *MC) cutFanout(bw [][]ClassID, v int32, tau []int32) {
 	selected := append([]int32(nil), m.out[v]...)
 	for layer := 0; ; layer++ {
 		// Group the selected edges that still have a register at this
 		// layer by the register's class.
 		groups := make(map[ClassID][]int32)
 		for _, ei := range selected {
-			regs := bw.Edges[ei].Regs
+			regs := bw[ei]
 			if layer < len(regs) {
-				groups[regs[layer].Class] = append(groups[regs[layer].Class], ei)
+				groups[regs[layer]] = append(groups[regs[layer]], ei)
 			}
 		}
 		if len(groups) == 0 {
@@ -147,7 +148,7 @@ func (m *MC) cutFanout(bw *MC, v int32, tau []int32) {
 		// Everything selected but outside the winning group is cut at
 		// this layer; its remaining registers are non-sharable.
 		for _, ei := range selected {
-			regs := bw.Edges[ei].Regs
+			regs := bw[ei]
 			if layer >= len(regs) {
 				continue // consumed: sharable in full
 			}
