@@ -50,7 +50,7 @@ func main() {
 	exploreFlag := flag.Bool("explore", false, "with -json: also measure the design-space sweep (cold vs warm vs naive; slow)")
 	explorePoints := flag.Int("explore-points", 6, "points the -explore sweep solves (0 = every candidate period)")
 	enginesFlag := flag.Bool("engines", false, "with -json: also measure sparse vs dense cold solves and the ECO re-prepare path (slow)")
-	warmFlag := flag.Bool("warm", false, "with -json: also measure cold vs warm-started vs arrival minperiod on the 50k-vertex profile")
+	warmFlag := flag.Bool("warm", false, "with -json: also measure cold vs warm-started minperiod on the 50k-vertex profile")
 	gateFlag := flag.String("gate", "", "with -json: committed baseline snapshot to gate against (>10% wall regression or <2x warm speedup fails)")
 	flag.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: mcbench [-table 1|2|3] [-fig1] [-passes] [-j N] [-json out.json [-pr label] [-explore]]")
@@ -149,8 +149,8 @@ exit codes:
 			diverged = diverged || !eng.Identical || !eng.EcoIdentical
 		}
 		if wp := p.Warm; wp != nil {
-			fmt.Fprintf(os.Stderr, "warm   cold   %8.2fms  warm   %8.2fms  arrival %8.2fms  speedup %.2fx  identical=%v  spfa cold starts %d->%d  (%d vertices)\n",
-				float64(wp.ColdNS)/1e6, float64(wp.WarmNS)/1e6, float64(wp.ArrivalNS)/1e6,
+			fmt.Fprintf(os.Stderr, "warm   cold   %8.2fms  warm   %8.2fms  speedup %.2fx  identical=%v  spfa cold starts %d->%d  (%d vertices)\n",
+				float64(wp.ColdNS)/1e6, float64(wp.WarmNS)/1e6,
 				wp.Speedup, wp.Identical, wp.SPFAColdStartsCold, wp.SPFAColdStartsWarm, wp.Vertices)
 			diverged = diverged || !wp.Identical
 		}

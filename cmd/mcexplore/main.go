@@ -67,7 +67,6 @@ func main() {
 	points := flag.Int("points", 0, "cap the number of solved points (0 = all candidate periods)")
 	doMap := flag.Bool("map", false, "map to 4-LUTs before sweeping")
 	jobs := flag.Int("j", 0, "sweep parallelism: periods solved concurrently (0 = GOMAXPROCS; front is identical at any setting)")
-	engineFlag := flag.String("engine", "auto", "solve engine: auto, sparse (matrix-free), or dense (W/D reference; own store keyspace)")
 	timeout := flag.Duration("timeout", 0, "abort the sweep after this long (e.g. 2m; 0 = no limit)")
 	quiet := flag.Bool("q", false, "suppress the per-point progress on stderr")
 	flag.Usage = func() {
@@ -111,9 +110,6 @@ exit codes:
 	}
 
 	opts := mcretiming.ExploreOptions{Parallelism: *jobs, MaxPoints: *points}
-	if opts.Core.Engine, err = mcretiming.ParseEngine(*engineFlag); err != nil {
-		fatal(err)
-	}
 	if *storeDir != "" {
 		if opts.Store, err = mcretiming.OpenStore(*storeDir); err != nil {
 			fatal(err)

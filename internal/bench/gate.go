@@ -55,7 +55,7 @@ func LoadPerf(path string) (*Perf, error) {
 func Gate(cur, base *Perf) (violations, skipped []string) {
 	if cur.Warm != nil {
 		if !cur.Warm.Identical {
-			violations = append(violations, "warm/arrival minperiod result diverged from the cold reference")
+			violations = append(violations, "warm minperiod result diverged from the cold reference")
 		}
 		if cur.Warm.Speedup < gateWarmSpeedup {
 			violations = append(violations, fmt.Sprintf(

@@ -100,3 +100,18 @@ func TestGateWarmWallNotBaselineGated(t *testing.T) {
 		t.Fatalf("violations %v, want none for a noisy-but-structurally-sound warm wall", v)
 	}
 }
+
+// The committed warm-start snapshot predates the removal of its arrival
+// column; it must still load as a gate baseline, warm section intact.
+func TestCommittedWarmSnapshotLoads(t *testing.T) {
+	p, err := LoadPerf("../../BENCH_pr8.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Warm == nil || p.Warm.WarmNS == 0 || p.Warm.ColdNS == 0 {
+		t.Fatalf("warm section lost: %+v", p.Warm)
+	}
+	if v, _ := Gate(p, nil); len(v) != 0 {
+		t.Fatalf("committed snapshot fails the self-relative gate: %v", v)
+	}
+}

@@ -11,23 +11,20 @@ import (
 	"mcretiming/internal/mcgraph"
 )
 
-// WarmPerf is the PR8 warm-start measurement: minperiod on the ≥50k-vertex
-// scale-pipeline profile, solved cold (the PR6 path — every binary-search
-// probe re-seeds SPFA), warm (one probe ladder across the search), and with
-// the arrival hybrid. All three must agree bit for bit; the speedup column is
-// warm vs cold.
+// WarmPerf is the warm-start measurement: minperiod on the ≥50k-vertex
+// scale-pipeline profile, solved cold (every binary-search probe re-seeds
+// SPFA) and warm (one probe ladder across the search, the production path).
+// The two must agree bit for bit; the speedup column is warm vs cold.
 type WarmPerf struct {
 	Vertices int   `json:"vertices"`
 	PeriodPS int64 `json:"period_ps"`
 	// BoundsNS is the ComputeBoundsCtx + AreaGraphPar model time, measured
 	// once — it is common to every engine and excluded from the solve walls.
-	BoundsNS  int64   `json:"bounds_ns"`
-	ColdNS    int64   `json:"cold_ns"`
-	WarmNS    int64   `json:"warm_ns"`
-	ArrivalNS int64   `json:"arrival_ns"`
-	Speedup   float64 `json:"speedup"` // cold / warm
-	// Identical reports the warm and arrival retimings matched the cold
-	// reference exactly.
+	BoundsNS int64   `json:"bounds_ns"`
+	ColdNS   int64   `json:"cold_ns"`
+	WarmNS   int64   `json:"warm_ns"`
+	Speedup  float64 `json:"speedup"` // cold / warm
+	// Identical reports the warm retiming matched the cold reference exactly.
 	Identical bool `json:"identical"`
 	// SPFAColdStarts counts full (cold) SPFA solves per search: the warm
 	// search performs exactly one no matter how many probes it runs; the cold
@@ -47,9 +44,9 @@ const (
 	warmProfileStages = 1200
 )
 
-// MeasureWarmCtx measures cold vs warm vs arrival minperiod on the 50k-class
-// profile. Each engine run is best-of-2 with a private cut pool, so no state
-// leaks between the variants.
+// MeasureWarmCtx measures cold vs warm minperiod on the 50k-class profile.
+// Each run is best-of-2 with a private cut pool, so no state leaks between
+// the variants.
 func MeasureWarmCtx(ctx context.Context) (*WarmPerf, error) {
 	c, err := gen.ScalePipeline(1, warmProfileWidth, warmProfileStages, gen.ClassMix{Plain: 1, EN: 1})
 	if err != nil {
@@ -103,29 +100,11 @@ func MeasureWarmCtx(ctx context.Context) (*WarmPerf, error) {
 	if err != nil {
 		return nil, err
 	}
-	var arr result
-	arrWall, err := bestOf(reps, func() error {
-		phi, r, err := g.MinPeriodArrivalEng(ctx, bounds, nil, &graph.Engine{Workers: 1, Ladder: graph.NewProbeLadder()})
-		if err != nil {
-			return err
-		}
-		arr = result{phi: phi, r: r}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	same := func(a, b result) bool {
-		return a.phi == b.phi && slices.Equal(a.r, b.r)
-	}
-
 	wp.PeriodPS = cold.phi
 	wp.ColdNS = coldWall.Nanoseconds()
 	wp.WarmNS = warmWall.Nanoseconds()
-	wp.ArrivalNS = arrWall.Nanoseconds()
 	wp.Speedup = float64(coldWall) / float64(warmWall)
-	wp.Identical = same(cold, warm) && same(cold, arr)
+	wp.Identical = cold.phi == warm.phi && slices.Equal(cold.r, warm.r)
 	wp.SPFAColdStartsCold = coldStarts
 	wp.SPFAColdStartsWarm = warmStarts
 	return wp, nil

@@ -21,7 +21,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"mcretiming/internal/justify"
@@ -48,79 +47,19 @@ const (
 // conflicts at once.
 const DefaultMaxRetries = 8
 
-// SolveEngine selects the period-constraint machinery of steps 4-5.
-type SolveEngine int
-
-// Engines. The sparse (matrix-free) engine is primary: minperiod by numeric
-// binary search over lazily generated period cuts, minarea by the
-// cutting-plane loop, candidate periods streamed per source — no O(V²) W/D
-// matrices anywhere, which is what lets the flow scale past toy circuits.
-// The dense engine materializes W/D and enumerates every period constraint
-// up front: the reference formulation, demoted to a cross-check. Both
-// produce bit-identical circuits (the equivalence tests pin this down);
-// EngineAuto runs sparse and, when invariant checks are on and the graph is
-// small, re-derives the minimum period densely and fails loudly on any
-// disagreement.
-// EngineArrival is the sparse engine with arrival-time probe certification:
-// each minperiod probe first tries a bounded warm FEAS iteration and only
-// falls back to the exact cutting-plane solve when certification fails. The
-// verdicts and the final retiming are bit-identical to EngineSparse (the
-// minimum feasible period is probe-trajectory-independent and the final
-// labeling is recomputed canonically). EngineAuto selects it above
-// arrivalAutoVertices vertices.
-const (
-	EngineAuto SolveEngine = iota
-	EngineSparse
-	EngineDense
-	EngineArrival
-)
-
-// arrivalAutoVertices is the retiming-graph vertex count above which
-// EngineAuto swaps the minperiod search to the arrival hybrid. Below it the
-// pure warm-started cutting-plane search wins outright; above it the bounded
-// FEAS sweeps amortize against the exact probes they displace.
-const arrivalAutoVertices = 400_000
-
-// String returns the engine's wire/fingerprint token.
-func (e SolveEngine) String() string {
-	switch e {
-	case EngineDense:
-		return "dense"
-	case EngineSparse:
-		return "sparse"
-	case EngineArrival:
-		return "arrival"
-	}
-	return "auto"
-}
-
-// ParseEngine parses a wire/flag engine token ("", "auto", "sparse",
-// "dense", "arrival").
-func ParseEngine(s string) (SolveEngine, error) {
-	switch s {
-	case "", "auto":
-		return EngineAuto, nil
-	case "sparse":
-		return EngineSparse, nil
-	case "dense":
-		return EngineDense, nil
-	case "arrival":
-		return EngineArrival, nil
-	}
-	return EngineAuto, fmt.Errorf("core: unknown engine %q (want auto, sparse, dense or arrival)", s)
-}
-
 // Options configures Retime. The zero value asks for minimum area at the
 // minimum feasible period with all paper mechanisms enabled.
+//
+// Steps 4-5 have a single solve core: the matrix-free minperiod search over
+// lazily generated period cuts, its probes warm-started through one
+// graph.ProbeLadder per solve session, then the cutting-plane minarea loop.
+// The dense W/D formulation and the cold-probe search survive only as
+// reference code for the equivalence tests — except that CheckInvariants
+// re-derives the minimum period densely on graphs of at most 400 vertices
+// and fails the flow on any disagreement.
 type Options struct {
 	Objective    Objective
 	TargetPeriod int64 // picoseconds; used by MinAreaAtPeriod
-
-	// Engine selects the solve core of steps 4-5 (see SolveEngine). The zero
-	// value (EngineAuto) runs the matrix-free sparse engine, cross-checked
-	// against the dense reference on small graphs when invariant checks are
-	// enabled.
-	Engine SolveEngine
 
 	// DisableSharing skips step 3 (the §4.2 separation vertices): the
 	// ablation baseline whose area cost function can undercount.
@@ -141,15 +80,8 @@ type Options struct {
 	// 0 means the default (DefaultMaxRetries, i.e. 8).
 	MaxRetries int
 
-	// ColdProbes disables warm-starting of the feasibility probes (the probe
-	// ladder): every binary-search probe re-seeds and re-solves the full
-	// difference-constraint system, the PR6 behavior. Results are bit-identical
-	// either way — this is the reference/measurement knob the benchmarks and
-	// the warm-equivalence tests use, never a production setting.
-	ColdProbes bool
-
-	// Parallelism is the worker count of the engine's parallel stages: W/D
-	// rows, the two maximal-retiming bounds sweeps, the separation-vertex
+	// Parallelism is the worker count of the engine's parallel stages: the
+	// two maximal-retiming bounds sweeps, the separation-vertex
 	// analysis, the period-cut trace-back, and the per-domain justification
 	// solves. 0 means GOMAXPROCS; 1 forces the serial engine. The result is
 	// bit-identical at every setting — parallel stages write index-owned
@@ -264,10 +196,6 @@ type Report struct {
 	// Workers is the resolved parallelism the run executed with (Options.
 	// Parallelism after GOMAXPROCS resolution).
 	Workers int
-
-	// Engine is the solve engine that produced the result: "sparse" or
-	// "dense" (EngineAuto resolves to "sparse").
-	Engine string
 
 	// PassTimes is the per-pass wall-time breakdown, in pipeline order. The
 	// three coarse aggregates below are sums over it and are kept for

@@ -33,7 +33,7 @@ func reportsMatch(a, b *Report) bool {
 		a.BackwardSteps == b.BackwardSteps && a.ForwardSteps == b.ForwardSteps &&
 		a.JustifyLocal == b.JustifyLocal && a.JustifyGlobal == b.JustifyGlobal &&
 		a.JustifyConflicts == b.JustifyConflicts && a.Retries == b.Retries &&
-		a.Engine == b.Engine && len(a.Degraded) == len(b.Degraded)
+		len(a.Degraded) == len(b.Degraded)
 }
 
 // TestEcoApplyMatchesColdPrepare is Apply's defining contract: the ECO path

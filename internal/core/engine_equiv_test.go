@@ -1,10 +1,13 @@
 package core
 
 import (
+	"context"
+	"fmt"
 	"testing"
 
 	"mcretiming/internal/gen"
 	"mcretiming/internal/netlist"
+	"mcretiming/internal/trace"
 	"mcretiming/internal/xc4000"
 )
 
@@ -29,11 +32,14 @@ func equivCircuits(t *testing.T) []*netlist.Circuit {
 	return append(circuits, gen.Random(42, 300))
 }
 
-// TestEngineEquivalence is the sparse core's correctness anchor: on the
-// golden suite, the matrix-free engine must produce a circuit bit-identical
-// to the dense W/D reference engine — at every parallelism level, for both
-// objectives that exercise the solve core. The engines share relocation and
-// justification, so any divergence localizes to the period/area solvers.
+// TestEngineEquivalence is the solve core's correctness anchor: on the
+// golden suite, the production (matrix-free, warm-started) solve must produce
+// a circuit bit-identical to the dense W/D oracle — at every parallelism
+// level, for both objectives that exercise the solve core. The two share
+// relocation and justification, so any divergence localizes to the
+// period/area solvers. On C2 and C7 the contract extends to the sweep's
+// MinAreaAtPeriod solves at its candidate periods, through both Retime and
+// Prepared.SolveAtPeriod.
 func TestEngineEquivalence(t *testing.T) {
 	for _, c := range equivCircuits(t) {
 		c := c
@@ -49,59 +55,112 @@ func TestEngineEquivalence(t *testing.T) {
 				objectives = objectives[1:]
 			}
 			for _, obj := range objectives {
-				ref, refRep, err := Retime(c, Options{Objective: obj, Engine: EngineDense, Parallelism: 1})
+				assertMatchesDense(t, c, Options{Objective: obj}, fmt.Sprintf("objective %d", obj))
+			}
+			if c.Name != "C2" && c.Name != "C7" {
+				return
+			}
+			prep, err := Prepare(context.Background(), c, Options{Parallelism: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			phis := sweepPeriods(t, prep)
+			if len(phis) == 0 {
+				t.Fatal("no candidate periods above the minimum: the at-period leg would be vacuous")
+			}
+			t.Logf("MinAreaAtPeriod at %v ps", phis)
+			for _, phi := range phis {
+				name := fmt.Sprintf("period %d", phi)
+				refText := assertMatchesDense(t, c, Options{Objective: MinAreaAtPeriod, TargetPeriod: phi}, name)
+				out, _, err := prep.SolveAtPeriod(context.Background(), phi, nil)
 				if err != nil {
-					t.Fatalf("%v dense: %v", obj, err)
+					t.Fatalf("%s SolveAtPeriod: %v", name, err)
 				}
-				if refRep.Engine != "dense" {
-					t.Fatalf("%v dense: Report.Engine = %q", obj, refRep.Engine)
-				}
-				refText := circuitText(t, ref)
-				for _, p := range parallelismLevels() {
-					out, rep, err := Retime(c, Options{Objective: obj, Engine: EngineSparse, Parallelism: p})
-					if err != nil {
-						t.Fatalf("%v sparse j=%d: %v", obj, p, err)
-					}
-					if rep.Engine != "sparse" {
-						t.Fatalf("%v sparse j=%d: Report.Engine = %q", obj, p, rep.Engine)
-					}
-					if got := circuitText(t, out); got != refText {
-						t.Fatalf("%v sparse j=%d: circuit differs from the dense reference", obj, p)
-					}
-					if rep.PeriodAfter != refRep.PeriodAfter || rep.RegsAfter != refRep.RegsAfter ||
-						rep.StepsMoved != refRep.StepsMoved || rep.NumClasses != refRep.NumClasses ||
-						rep.JustifyLocal != refRep.JustifyLocal || rep.JustifyGlobal != refRep.JustifyGlobal {
-						t.Fatalf("%v sparse j=%d: report diverged: %+v vs %+v", obj, p, rep, refRep)
-					}
+				if circuitText(t, out) != refText {
+					t.Fatalf("%s SolveAtPeriod: circuit differs from the dense reference", name)
 				}
 			}
 		})
 	}
 }
 
-// TestEngineAutoMatchesSparse pins EngineAuto to the sparse result (the
-// store's fingerprint folds auto and sparse into one keyspace on the strength
-// of this): auto may add a dense cross-check, but the circuit it returns must
-// be the sparse engine's, bit for bit.
-func TestEngineAutoMatchesSparse(t *testing.T) {
-	for _, c := range equivCircuits(t) {
-		c := c
-		t.Run(c.Name, func(t *testing.T) {
-			t.Parallel()
-			sparse, _, err := Retime(c, Options{Objective: MinAreaAtMinPeriod, Engine: EngineSparse})
-			if err != nil {
-				t.Fatal(err)
-			}
-			auto, rep, err := Retime(c, Options{Objective: MinAreaAtMinPeriod, Engine: EngineAuto})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rep.Engine != "sparse" {
-				t.Fatalf("auto Report.Engine = %q, want sparse", rep.Engine)
-			}
-			if circuitText(t, auto) != circuitText(t, sparse) {
-				t.Fatal("EngineAuto circuit differs from EngineSparse")
-			}
-		})
+// assertMatchesDense solves c under opts with the dense oracle and with the
+// production solve at every parallelism level, requires the circuits and the
+// result columns of the reports to agree, and returns the reference text.
+func assertMatchesDense(t *testing.T, c *netlist.Circuit, opts Options, name string) string {
+	t.Helper()
+	opts.Parallelism = 1
+	refText, refRep := oracleText(t, c, opts, oracleDense)
+	for _, p := range parallelismLevels() {
+		opts.Parallelism = p
+		out, rep, err := Retime(c, opts)
+		if err != nil {
+			t.Fatalf("%s j=%d: %v", name, p, err)
+		}
+		if got := circuitText(t, out); got != refText {
+			t.Fatalf("%s j=%d: circuit differs from the dense reference", name, p)
+		}
+		if rep.PeriodAfter != refRep.PeriodAfter || rep.RegsAfter != refRep.RegsAfter ||
+			rep.StepsMoved != refRep.StepsMoved || rep.NumClasses != refRep.NumClasses ||
+			rep.JustifyLocal != refRep.JustifyLocal || rep.JustifyGlobal != refRep.JustifyGlobal {
+			t.Fatalf("%s j=%d: report diverged: %+v vs %+v", name, p, rep, refRep)
+		}
+	}
+	return refText
+}
+
+// sweepPeriods returns the periods a capped design-space sweep of prep
+// solves beyond its anchor: the candidate periods above the minimum feasible
+// one, subsampled to three evenly spaced values with both ends kept.
+func sweepPeriods(t *testing.T, prep *Prepared) []int64 {
+	t.Helper()
+	if _, _, err := prep.Anchor(context.Background(), nil); err != nil {
+		t.Fatal(err)
+	}
+	cands, err := prep.Candidates(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var above []int64
+	for _, phi := range cands {
+		if phi > prep.MinPeriod() {
+			above = append(above, phi)
+		}
+	}
+	if len(above) <= 3 {
+		return above
+	}
+	n := len(above)
+	return []int64{above[0], above[(n-1)/2], above[n-1]}
+}
+
+// TestDenseCrossCheckUnderInvariants pins the invariant checker's dense
+// minperiod cross-check (this test binary forces checks on): it runs once
+// per minperiod solve on a graph of at most denseCrossCheckMaxV vertices and
+// never above that size, where materializing W/D would defeat the
+// matrix-free search.
+func TestDenseCrossCheckUnderInvariants(t *testing.T) {
+	covered := map[int64]bool{}
+	for _, c := range []*netlist.Circuit{fig1Circuit(t), gen.Random(42, 300), gen.Random(7, 1200)} {
+		prep, err := Prepare(context.Background(), c, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := int64(0)
+		if prep.st.g.NumVertices() <= denseCrossCheckMaxV {
+			want = 1
+		}
+		covered[want] = true
+		rec := trace.NewRecorder()
+		if _, _, err := Retime(c, Options{Objective: MinAreaAtMinPeriod, Trace: rec}); err != nil {
+			t.Fatal(err)
+		}
+		if got := rec.Counter("dense-cross-checks"); got != want {
+			t.Errorf("%s (%d vertices): %d dense cross-checks, want %d",
+				c.Name, prep.st.g.NumVertices(), got, want)
+		}
+	}
+	if !covered[0] || !covered[1] {
+		t.Fatal("circuits do not straddle the cross-check size cap")
 	}
 }

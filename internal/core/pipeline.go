@@ -57,6 +57,17 @@ type flowState struct {
 // loops (lazy cut generation, min-cost-flow augmentation, justification)
 // promptly with the context's error, leaving c unmodified.
 func RetimeCtx(ctx context.Context, c *netlist.Circuit, opts Options) (*netlist.Circuit, *Report, error) {
+	pc := startFlow(ctx, c, opts)
+	if err := pipeline(opts).Run(pc); err != nil {
+		return nil, nil, err
+	}
+	return pc.State.out, pc.State.rep, nil
+}
+
+// startFlow builds a fresh flow state for c under opts and the pass context
+// that runs the pipeline over it: trace sink, resolved parallelism, per-pass
+// wall times folded into the report.
+func startFlow(ctx context.Context, c *netlist.Circuit, opts Options) *pass.Context[flowState] {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -70,10 +81,7 @@ func RetimeCtx(ctx context.Context, c *netlist.Circuit, opts Options) (*netlist.
 	sink.Add("workers", int64(st.workers))
 	pc := pass.NewContext(trace.With(ctx, sink), sink, st)
 	pc.Observe = st.observe
-	if err := pipeline(opts).Run(pc); err != nil {
-		return nil, nil, err
-	}
-	return st.out, st.rep, nil
+	return pc
 }
 
 // pipeline assembles the retiming flow for opts: steps 1-3, then the §5.2
@@ -224,10 +232,7 @@ func runShare(pc *pass.Context[flowState]) error {
 	// probes, the minarea feasibility solves, and the §5.2 retry reruns all
 	// warm-start from the last feasible labeling instead of re-seeding SPFA.
 	// The flow runs its passes sequentially, so the single ladder is safe.
-	s.eng = &graph.Engine{Workers: s.workers, Cache: cache, ColdProbes: s.opts.ColdProbes}
-	if !s.opts.ColdProbes {
-		s.eng.Ladder = graph.NewProbeLadder()
-	}
+	s.eng = &graph.Engine{Workers: s.workers, Cache: cache, Ladder: graph.NewProbeLadder()}
 	s.pool = cache.Pool(s.g)
 	if s.opts.ForwardOnly {
 		for v := range s.bounds.Max {
@@ -243,48 +248,25 @@ func runShare(pc *pass.Context[flowState]) error {
 	return nil
 }
 
-// denseCrossCheckMaxV caps the graph size at which EngineAuto re-derives the
-// minimum period with the dense reference engine when invariant checks are
-// on: past it, materializing W/D would defeat the sparse engine's point.
+// denseCrossCheckMaxV caps the graph size at which the invariant checker
+// re-derives the minimum period with the dense W/D reference: past it,
+// materializing W/D would defeat the matrix-free solve's point.
 const denseCrossCheckMaxV = 400
 
 // runMinPeriod is step 4: the minimum feasible clock period under the
-// bounds — or, for MinAreaAtPeriod, the feasibility probe of the target.
-// The sparse (matrix-free) engine is the primary path; EngineDense selects
-// the W/D reference formulation, and EngineAuto additionally cross-checks
-// the sparse period against it on small graphs under invariant checks.
+// bounds — or, for MinAreaAtPeriod, the feasibility probe of the target —
+// by the warm-started lazy search. Under invariant checks, small graphs also
+// cross-check the period against the dense reference.
 func runMinPeriod(pc *pass.Context[flowState]) error {
 	s := pc.State
-	if s.opts.Engine == EngineDense {
-		return runMinPeriodDense(pc)
-	}
-	// The arrival hybrid decides probes by certified FEAS iteration when it
-	// can; verdicts and retimings are bit-identical to the pure sparse search,
-	// so EngineAuto is free to pick whichever scales better.
-	arrival := s.opts.Engine == EngineArrival ||
-		(s.opts.Engine == EngineAuto && s.g.NumVertices() > arrivalAutoVertices)
-	if arrival {
-		s.rep.Engine = EngineArrival.String()
-	} else {
-		s.rep.Engine = EngineSparse.String()
-	}
 	switch s.opts.Objective {
 	case MinPeriod, MinAreaAtMinPeriod:
-		var (
-			phi int64
-			r   []int32
-			err error
-		)
-		if arrival {
-			phi, r, err = s.g.MinPeriodArrivalEng(pc.Ctx(), s.bounds, s.pool, s.eng)
-		} else {
-			phi, r, err = s.g.MinPeriodLazyEng(pc.Ctx(), s.bounds, s.pool, s.eng)
-		}
+		phi, r, err := s.g.MinPeriodLazyEng(pc.Ctx(), s.bounds, s.pool, s.eng)
 		if err != nil {
 			return err
 		}
 		s.phi, s.r = phi, r
-		if s.opts.Engine == EngineAuto && s.opts.checksEnabled() && s.g.NumVertices() <= denseCrossCheckMaxV {
+		if s.opts.checksEnabled() && s.g.NumVertices() <= denseCrossCheckMaxV {
 			wd, err := s.eng.Cache.WD(pc.Ctx(), s.g, s.workers)
 			if err != nil {
 				return err
@@ -314,34 +296,6 @@ func runMinPeriod(pc *pass.Context[flowState]) error {
 	return nil
 }
 
-// runMinPeriodDense is step 4 on the dense reference engine: W/D from the
-// cache, candidate binary search, full period-constraint enumeration.
-func runMinPeriodDense(pc *pass.Context[flowState]) error {
-	s := pc.State
-	s.rep.Engine = EngineDense.String()
-	wd, err := s.eng.Cache.WD(pc.Ctx(), s.g, s.workers)
-	if err != nil {
-		return err
-	}
-	switch s.opts.Objective {
-	case MinPeriod, MinAreaAtMinPeriod:
-		phi, r, err := s.g.MinPeriod(wd, s.bounds)
-		if err != nil {
-			return err
-		}
-		s.phi, s.r = phi, r
-	case MinAreaAtPeriod:
-		r, ok := s.g.Feasible(s.opts.TargetPeriod, wd, s.bounds)
-		if !ok {
-			return fmt.Errorf("core: target period %d infeasible: %w", s.opts.TargetPeriod, rterr.ErrInfeasiblePeriod)
-		}
-		s.phi, s.r = s.opts.TargetPeriod, r
-	default:
-		return fmt.Errorf("core: unknown objective %d", s.opts.Objective)
-	}
-	return nil
-}
-
 // runMinArea is step 5: minimum shared-register area at the period. For the
 // MinPeriod objective the feasible retiming of step 4 already is the result.
 //
@@ -352,27 +306,6 @@ func runMinPeriodDense(pc *pass.Context[flowState]) error {
 func runMinArea(pc *pass.Context[flowState]) error {
 	s := pc.State
 	if s.opts.Objective == MinPeriod {
-		return nil
-	}
-	if s.opts.Engine == EngineDense {
-		wd, err := s.eng.Cache.WD(pc.Ctx(), s.g, s.workers)
-		if err != nil {
-			return err
-		}
-		r, err := retime.MinAreaDense(s.g, wd, s.phi, s.bounds)
-		if err != nil {
-			if pc.Err() != nil {
-				return err
-			}
-			if errors.Is(err, mcf.ErrInfeasible) {
-				s.rep.Degraded = append(s.rep.Degraded,
-					fmt.Sprintf("minarea at period %d: %v; keeping the feasible minperiod retiming", s.phi, err))
-				pc.Sink.Add("minarea-degraded", 1)
-				return nil
-			}
-			return err
-		}
-		s.r = r
 		return nil
 	}
 	lim := retime.Limits{

@@ -22,7 +22,7 @@ package core
 //     seeded from the anchor snapshot (period cuts are graph-path properties,
 //     valid under any bounds), and inner parallelism pinned to 1 so the
 //     sweep's parallelism lives across points, not inside them. The shared
-//     SolveCache is safe for concurrent use and keeps W/D and the circuit
+//     SolveCache is safe for concurrent use and keeps the circuit
 //     constraints common to all points.
 //
 //   - Candidates returns the distinct D-matrix entries — the only periods at
@@ -36,7 +36,6 @@ import (
 
 	"mcretiming/internal/graph"
 	"mcretiming/internal/netlist"
-	"mcretiming/internal/par"
 	"mcretiming/internal/pass"
 	"mcretiming/internal/trace"
 )
@@ -86,22 +85,11 @@ func (p *Prepared) putLadder(lad *graph.ProbeLadder) { p.ladderSlot.Store(lad) }
 // opts is the option set every subsequent solve inherits (SolveAtPeriod
 // overrides the objective, target period, and parallelism per call).
 func Prepare(ctx context.Context, c *netlist.Circuit, opts Options) (*Prepared, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	sink := opts.Trace
-	if sink == nil {
-		sink = trace.Nop()
-	}
-	st := &flowState{in: c, opts: opts, rep: &Report{}, pool: &graph.CutPool{}}
-	st.workers = par.Workers(opts.Parallelism)
-	st.rep.Workers = st.workers
-	sink.Add("workers", int64(st.workers))
-	pc := pass.NewContext(trace.With(ctx, sink), sink, st)
-	pc.Observe = st.observe
+	pc := startFlow(ctx, c, opts)
 	if err := preparePasses().Run(pc); err != nil {
 		return nil, err
 	}
+	st := pc.State
 	return &Prepared{
 		in:      c,
 		opts:    opts,
@@ -205,20 +193,11 @@ func (p *Prepared) Workers() int { return p.workers }
 // entry, so the feasible period↔area front can only step at these values;
 // probing anything else is provably redundant.
 //
-// The sparse engine streams them per source (graph.CandidatePeriods) with an
-// early cutoff at the largest vertex delay — no feasible period is below it,
-// and the sweep only probes periods above the minimum feasible one, so the
-// pruned tail is unreachable by construction. EngineDense reads them off the
-// cached W/D matrices instead, unpruned; the two lists differ only below the
-// cutoff, which is why the explore store discriminates its keys by engine.
+// They are streamed per source (graph.CandidatePeriods) with an early cutoff
+// at the largest vertex delay — no feasible period is below it, and the sweep
+// only probes periods above the minimum feasible one, so the pruned tail is
+// unreachable by construction. No W/D matrix is materialized.
 func (p *Prepared) Candidates(ctx context.Context) ([]int64, error) {
-	if p.opts.Engine == EngineDense {
-		wd, err := p.cache.WD(ctx, p.st.g, p.workers)
-		if err != nil {
-			return nil, err
-		}
-		return wd.Candidates(), nil
-	}
 	return p.st.g.CandidatePeriods(ctx, p.workers, p.st.g.MaxDelay())
 }
 

@@ -8,48 +8,32 @@ import (
 	"mcretiming/internal/netlist"
 )
 
-// retimeText runs one Retime and returns the output circuit's canonical text
-// plus the result fields that must agree across engines.
-func retimeText(t *testing.T, c *netlist.Circuit, opts Options) (string, *Report) {
-	t.Helper()
-	out, rep, err := Retime(c, opts)
-	if err != nil {
-		t.Fatalf("engine=%v cold=%t: %v", opts.Engine, opts.ColdProbes, err)
-	}
-	return circuitText(t, out), rep
-}
-
-// assertEngineAgreement solves c with the cold sparse reference (the PR6
-// path: no probe ladder, every probe re-seeds SPFA) and requires the
-// warm-started sparse engine and the arrival hybrid to reproduce it byte for
-// byte — circuit text, period, register count, movement counters. When dense
-// is true the dense W/D oracle joins the comparison.
+// assertEngineAgreement solves c with the cold-probe oracle (no probe
+// ladder, every probe re-seeds SPFA) and requires the production
+// warm-started solve to reproduce it byte for byte — circuit text, period,
+// register count, movement counters. When dense is true the dense W/D oracle
+// joins the comparison.
 func assertEngineAgreement(t *testing.T, c *netlist.Circuit, obj Objective, dense bool) {
 	t.Helper()
-	refText, refRep := retimeText(t, c, Options{Objective: obj, Engine: EngineSparse, ColdProbes: true, Parallelism: 1})
-	check := func(name, text string, rep *Report) {
-		t.Helper()
-		if text != refText {
-			t.Fatalf("%s: circuit differs from cold sparse reference", name)
-		}
-		if rep.PeriodAfter != refRep.PeriodAfter || rep.RegsAfter != refRep.RegsAfter ||
-			rep.StepsMoved != refRep.StepsMoved || rep.Retries != refRep.Retries {
-			t.Fatalf("%s: report diverged: period %d/%d regs %d/%d steps %d/%d",
-				name, rep.PeriodAfter, refRep.PeriodAfter, rep.RegsAfter, refRep.RegsAfter,
-				rep.StepsMoved, refRep.StepsMoved)
-		}
+	opts := Options{Objective: obj, Parallelism: 1}
+	refText, refRep := oracleText(t, c, opts, oracleCold)
+	out, warmRep, err := Retime(c, opts)
+	if err != nil {
+		t.Fatalf("warm: %v", err)
 	}
-	warmText, warmRep := retimeText(t, c, Options{Objective: obj, Engine: EngineSparse, Parallelism: 1})
-	check("warm sparse", warmText, warmRep)
-	arrText, arrRep := retimeText(t, c, Options{Objective: obj, Engine: EngineArrival, Parallelism: 1})
-	check("arrival", arrText, arrRep)
-	if arrRep.Engine != "arrival" {
-		t.Fatalf("arrival Report.Engine = %q", arrRep.Engine)
+	if circuitText(t, out) != refText {
+		t.Fatal("warm: circuit differs from the cold reference")
+	}
+	if warmRep.PeriodAfter != refRep.PeriodAfter || warmRep.RegsAfter != refRep.RegsAfter ||
+		warmRep.StepsMoved != refRep.StepsMoved || warmRep.Retries != refRep.Retries {
+		t.Fatalf("warm: report diverged: period %d/%d regs %d/%d steps %d/%d",
+			warmRep.PeriodAfter, refRep.PeriodAfter, warmRep.RegsAfter, refRep.RegsAfter,
+			warmRep.StepsMoved, refRep.StepsMoved)
 	}
 	if dense {
-		denseText, denseRep := retimeText(t, c, Options{Objective: obj, Engine: EngineDense, Parallelism: 1})
+		denseText, denseRep := oracleText(t, c, opts, oracleDense)
 		if denseText != refText {
-			t.Fatal("dense oracle: circuit differs from cold sparse reference")
+			t.Fatal("dense oracle: circuit differs from the cold reference")
 		}
 		if denseRep.PeriodAfter != refRep.PeriodAfter || denseRep.RegsAfter != refRep.RegsAfter {
 			t.Fatalf("dense oracle: period/regs diverged: %d/%d vs %d/%d",
@@ -58,11 +42,11 @@ func assertEngineAgreement(t *testing.T, c *netlist.Circuit, obj Objective, dens
 	}
 }
 
-// TestWarmEquivalenceGolden pins the warm-started probes and the arrival
-// hybrid to the cold sparse reference on the golden trio (mapped C2/C6/C7
-// and the seeded random mix, see equivCircuits). Cold sparse is itself
-// pinned to the dense oracle by TestEngineEquivalence, so agreement here is
-// transitively dense-identical without re-paying the dense solves.
+// TestWarmEquivalenceGolden pins the warm-started probes to the cold
+// reference on the golden trio (mapped C2/C6/C7 and the seeded random mix,
+// see equivCircuits). The production solve is itself pinned to the dense
+// oracle by TestEngineEquivalence, so agreement here is transitively
+// dense-identical without re-paying the dense solves.
 func TestWarmEquivalenceGolden(t *testing.T) {
 	for _, c := range equivCircuits(t) {
 		c := c
@@ -75,9 +59,9 @@ func TestWarmEquivalenceGolden(t *testing.T) {
 
 // TestWarmEquivalenceRandomized is the breadth half of the PR8 equivalence
 // contract: 100+ seeded random circuits mixing every register class, each
-// solved by the cold sparse reference, the warm-started sparse engine, the
-// arrival hybrid, and (every fourth trial, to bound the O(V²) oracle cost)
-// the dense reference — all required byte-identical. Runs under -race in CI,
+// solved by the cold reference, the warm-started production solve, and
+// (every fourth trial, to bound the O(V²) oracle cost) the dense reference —
+// all required byte-identical. Runs under -race in CI,
 // so it also exercises the ladder's single-owner discipline.
 func TestWarmEquivalenceRandomized(t *testing.T) {
 	const trials = 104

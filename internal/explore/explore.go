@@ -8,7 +8,7 @@
 //     matrix (every critical path's delay is a D entry), so those are the
 //     only periods worth probing;
 //   - the model half of the flow (mc-graph, bounds, sharing) and the
-//     graph-keyed solver artifacts (W/D, circuit constraints, period cuts)
+//     graph-keyed solver artifacts (circuit constraints, period cuts)
 //     are period-independent, so core.Prepare runs them once and every
 //     per-period solve reuses them through the shared graph.SolveCache;
 //   - per-period solves are independent given isolated mutable state, so
@@ -44,9 +44,8 @@ import (
 // fingerprintVersion tags the option fingerprint entering every store key.
 // Bump it when solver semantics change enough that stored solutions from
 // older binaries must not be served. v2 added the engine token when the
-// sparse solve core became primary: the candidate list is engine-dependent
-// (the sparse one prunes below the largest vertex delay), so sparse and dense
-// sweeps must never share keys; v1 entries, all dense-produced, are orphaned
+// sparse solve core became primary: its candidate list prunes below the
+// largest vertex delay, so v1 entries, all dense-produced, are orphaned
 // wholesale rather than served against a sparse fingerprint.
 const fingerprintVersion = "explore-fp/v2"
 
@@ -105,7 +104,7 @@ type Solution struct {
 }
 
 // storedCandidates is the store payload of the candidate-period list, so a
-// warm sweep skips the O(V²·E) W/D computation entirely.
+// warm sweep skips the per-source candidate-period pass entirely.
 type storedCandidates struct {
 	BaselinePeriodPS int64   `json:"baseline_period_ps"`
 	Candidates       []int64 `json:"candidates"`
@@ -123,16 +122,10 @@ func newKeys(c *netlist.Circuit, o core.Options) (*keys, error) {
 	if err := blif.Write(&buf, c); err != nil {
 		return nil, fmt.Errorf("explore: serialize circuit: %w", err)
 	}
-	// The engine token folds EngineAuto into "sparse": auto runs the sparse
-	// engine (the cross-check only verifies, never alters the result), so the
-	// two are bit-identical and may share entries. EngineDense gets its own
-	// keyspace — its candidate list and cut generation differ.
-	engine := core.EngineSparse
-	if o.Engine == core.EngineDense {
-		engine = core.EngineDense
-	}
-	fp := fmt.Sprintf("%s engine=%s sharing=%t justify=%t sat=%t fwd=%t retries=%d budgets=%d/%d/%d/%d",
-		fingerprintVersion, engine,
+	// "engine=sparse" names the only solve core. It stays in the text because
+	// v2 stores hold entries keyed with it, and those are still exactly right.
+	fp := fmt.Sprintf("%s engine=sparse sharing=%t justify=%t sat=%t fwd=%t retries=%d budgets=%d/%d/%d/%d",
+		fingerprintVersion,
 		!o.DisableSharing, !o.DisableJustify, o.SATJustify, o.ForwardOnly, o.MaxRetries,
 		o.Budgets.BDDNodes, o.Budgets.SATConflicts, o.Budgets.FlowAugmentations, o.Budgets.MinAreaRounds)
 	return &keys{ckt: buf.Bytes(), fp: []byte(fp)}, nil
@@ -165,15 +158,15 @@ func Sweep(ctx context.Context, c *netlist.Circuit, o Options) (*Front, error) {
 	}
 
 	// Model half: steps 1-3, once. Runs even on a fully warm sweep — it is
-	// cheap next to the solves and the W/D matrices — because the baseline
+	// cheap next to the solves — because the baseline
 	// report and any lazily-needed live solve hang off it.
 	prep, err := core.Prepare(ctx, c, o.Core)
 	if err != nil {
 		return nil, err
 	}
 
-	// Candidate periods: distinct D entries, from the store or the cached
-	// W/D matrices.
+	// Candidate periods: distinct D entries, from the store or streamed from
+	// the solver graph.
 	var cands []int64
 	baseline := prep.BaselinePeriod()
 	var sc storedCandidates
@@ -335,8 +328,8 @@ func Sweep(ctx context.Context, c *netlist.Circuit, o Options) (*Front, error) {
 // selectPeriods returns the candidate periods to solve beyond the anchor:
 // everything strictly above the minimum feasible period (candidates below it
 // are infeasible, and the anchor already covers minPhi itself), subsampled
-// evenly when maxPoints caps the sweep. cands is ascending (wd.Candidates
-// contract) and the result preserves that order.
+// evenly when maxPoints caps the sweep. cands is ascending
+// (Prepared.Candidates contract) and the result preserves that order.
 func selectPeriods(cands []int64, minPhi int64, maxPoints int) []int64 {
 	var phis []int64
 	for _, phi := range cands {

@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"strings"
 	"testing"
 
 	"mcretiming/internal/blif"
@@ -282,6 +281,51 @@ func TestSweepChaosFailpoints(t *testing.T) {
 }
 
 // TestSelectPeriods pins the candidate-filtering and subsampling rules.
+// TestFrontEngineEquivalence extends the engine-equivalence contract to the
+// sweep: every point of the front — computed in parallel on a shared
+// Prepared with warm-started probes — must be byte-identical to a fresh,
+// independent single-point Retime at that point's period. Core's
+// TestEngineEquivalence pins those single-point solves (MinAreaAtMinPeriod
+// and MinAreaAtPeriod at the sweep's candidate periods) to the dense W/D
+// reference, so together the two tests hold the front to the dense engine.
+// C6 is excluded: its single-point solves dominate the package's runtime and
+// TestFrontGolden already checks its anchor against Retime.
+func TestFrontEngineEquivalence(t *testing.T) {
+	for _, i := range []int{2, 7} {
+		i := i
+		t.Run(gen.Profiles[i-1].Name, func(t *testing.T) {
+			t.Parallel()
+			c := mappedProfile(t, i)
+			front := sweep(t, c, Options{Parallelism: 2, MaxPoints: goldenMaxPoints})
+			if len(front.Points) == 0 {
+				t.Fatal("empty front")
+			}
+			for j, p := range front.Points {
+				opts := core.Options{Objective: core.MinAreaAtPeriod, TargetPeriod: p.PeriodPS, Parallelism: 1}
+				if j == 0 {
+					opts = core.Options{Objective: core.MinAreaAtMinPeriod, Parallelism: 1}
+				}
+				out, rep, err := core.Retime(c.Clone(), opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var ref bytes.Buffer
+				if err := blif.Write(&ref, out); err != nil {
+					t.Fatal(err)
+				}
+				if p.Regs != rep.RegsAfter {
+					t.Fatalf("point %d (%d ps): %d regs, single-point Retime found %d",
+						j, p.PeriodPS, p.Regs, rep.RegsAfter)
+				}
+				if p.BLIF != ref.String() {
+					t.Fatalf("point %d (%d ps): sweep netlist differs from single-point Retime",
+						j, p.PeriodPS)
+				}
+			}
+		})
+	}
+}
+
 func TestSelectPeriods(t *testing.T) {
 	cands := []int64{5, 10, 20, 30, 40, 50}
 	got := selectPeriods(cands, 10, 0)
@@ -307,64 +351,60 @@ func TestSelectPeriods(t *testing.T) {
 	}
 }
 
-// TestFrontEngineEquivalence extends the engine-equivalence contract to the
-// sweep: the Pareto front computed by the matrix-free engine must be
-// byte-identical — JSON and per-point netlists — to the dense reference
-// engine's. C6 is excluded: its dense solves cost a minute each and the
-// single-point equivalence test already covers it.
-func TestFrontEngineEquivalence(t *testing.T) {
-	for _, i := range []int{2, 7} {
-		i := i
-		t.Run(gen.Profiles[i-1].Name, func(t *testing.T) {
-			t.Parallel()
-			c := mappedProfile(t, i)
-			dense := sweep(t, c, Options{
-				Core:        core.Options{Engine: core.EngineDense},
-				Parallelism: 2, MaxPoints: goldenMaxPoints,
-			})
-			sparse := sweep(t, c, Options{
-				Core:        core.Options{Engine: core.EngineSparse},
-				Parallelism: 2, MaxPoints: goldenMaxPoints,
-			})
-			if !bytes.Equal(frontJSON(t, dense), frontJSON(t, sparse)) {
-				t.Fatal("sparse front JSON differs from the dense reference")
-			}
-			for j := range dense.Points {
-				if dense.Points[j].BLIF != sparse.Points[j].BLIF {
-					t.Fatalf("point %d (%d ps): sparse netlist differs from dense",
-						j, dense.Points[j].PeriodPS)
-				}
-			}
-		})
+// TestKeysGolden pins the store-key schema for the default options on
+// mapped C2: the fingerprint text and the anchor, candidates and point keys.
+// Stores written by earlier binaries stay warm only while these bytes hold,
+// so a change here is a deliberate schema bump, never a side effect.
+func TestKeysGolden(t *testing.T) {
+	k, err := newKeys(mappedProfile(t, 2), core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const wantFP = "explore-fp/v2 engine=sparse sharing=true justify=true sat=false fwd=false retries=0 budgets=0/0/0/0"
+	if string(k.fp) != wantFP {
+		t.Fatalf("fingerprint = %q, want %q", k.fp, wantFP)
+	}
+	for _, tc := range []struct{ name, got, want string }{
+		{"anchor", k.anchor(), "9956fddea5bdbf3d8cf61073b941c87680c342d7b0efa99a0a8aad07fcf2cff1"},
+		{"candidates", k.candidates(), "ce9baa78513b7463d4e3b22e4426514ae6e8666abb3cb64e780e06cddc9a6885"},
+		{"point 7000", k.point(7000), "31c53f9c0572f6e5d35c372f9c7ad8c7dd6b0bda1a70e2dcaa36f87b04152945"},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("%s key = %s, want %s", tc.name, tc.got, tc.want)
+		}
 	}
 }
 
-// TestKeysEngineDiscrimination pins the store-key schema: dense results live
-// in their own keyspace (their candidate lists differ from sparse below the
-// delay cutoff), while EngineAuto shares the sparse keyspace because auto
-// returns the sparse result bit for bit. A dense entry served against a
-// sparse sweep — or vice versa — would violate the store's "never a wrong
-// answer" contract.
-func TestKeysEngineDiscrimination(t *testing.T) {
+// TestKeysOptionsDiscriminate requires every option that can change a solved
+// point to change the store keys: a sweep under one setting must never be
+// served another setting's entries.
+func TestKeysOptionsDiscriminate(t *testing.T) {
 	c := mappedProfile(t, 2)
-	k := func(e core.SolveEngine) *keys {
-		kk, err := newKeys(c, core.Options{Engine: e})
+	base, err := newKeys(c, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		opts core.Options
+	}{
+		{"sharing", core.Options{DisableSharing: true}},
+		{"justify", core.Options{DisableJustify: true}},
+		{"sat", core.Options{SATJustify: true}},
+		{"fwd", core.Options{ForwardOnly: true}},
+		{"retries", core.Options{MaxRetries: 3}},
+		{"bdd budget", core.Options{Budgets: core.Budgets{BDDNodes: 1000}}},
+		{"sat budget", core.Options{Budgets: core.Budgets{SATConflicts: 1000}}},
+		{"flow budget", core.Options{Budgets: core.Budgets{FlowAugmentations: 1000}}},
+		{"rounds budget", core.Options{Budgets: core.Budgets{MinAreaRounds: 1000}}},
+	} {
+		k, err := newKeys(c, tc.opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return kk
-	}
-	auto, sparse, dense := k(core.EngineAuto), k(core.EngineSparse), k(core.EngineDense)
-	if !bytes.Equal(auto.fp, sparse.fp) {
-		t.Fatalf("auto fingerprint %q != sparse %q: auto must share the sparse keyspace", auto.fp, sparse.fp)
-	}
-	if bytes.Equal(dense.fp, sparse.fp) {
-		t.Fatalf("dense fingerprint %q == sparse: engines would share store entries", dense.fp)
-	}
-	if dense.anchor() == sparse.anchor() || dense.point(7000) == sparse.point(7000) {
-		t.Fatal("dense and sparse store keys collide")
-	}
-	if !strings.Contains(string(sparse.fp), fingerprintVersion) {
-		t.Fatalf("fingerprint %q lost the schema version", sparse.fp)
+		if bytes.Equal(k.fp, base.fp) || k.anchor() == base.anchor() ||
+			k.candidates() == base.candidates() || k.point(7000) == base.point(7000) {
+			t.Errorf("%s: store keys do not change with the option (fingerprint %q)", tc.name, k.fp)
+		}
 	}
 }

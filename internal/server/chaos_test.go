@@ -6,8 +6,8 @@ package server
 //
 //	(a) a panicking job returns 500 while a concurrent job succeeds
 //	(b) a full queue sheds load with 429 + Retry-After and stays bounded
-//	(c) a budget-exceeded job succeeds on a backoff retry with relaxed
-//	    budgets and Report.Degraded set
+//	(c) a budget-exceeded retime or explore job succeeds on a backoff
+//	    retry with relaxed budgets (a retime job records Report.Degraded)
 //	(d) graceful shutdown drains the in-flight job, checkpoints the queued
 //	    ones, and a restarted server resumes them bit-identically
 //
@@ -218,6 +218,65 @@ func TestChaosBudgetRetryExhaustion(t *testing.T) {
 		RetryBase:        5 * time.Millisecond,
 	})
 	status, body := post(t, hs.URL+"/v1/retime?wait=1", retimeRequest{
+		BLIF:       testBLIF(t),
+		Failpoints: "graph.minperiod=error(budget)", // unlimited firings
+	})
+	if status != http.StatusServiceUnavailable {
+		t.Fatalf("status %d, body %v", status, body)
+	}
+	eb := body["error"].(map[string]any)
+	if eb["code"] != "budget_exceeded" {
+		t.Fatalf("code = %v", eb["code"])
+	}
+	if got := body["attempts"].(float64); got != 2 {
+		t.Fatalf("attempts = %v, want 2 (initial + 1 retry)", got)
+	}
+}
+
+// TestChaosBudgetRetryExplore is acceptance (c) for sweeps: an explore job
+// whose first attempt blows a budget retries once on the same ladder and
+// returns the front an undisturbed run returns, byte for byte.
+func TestChaosBudgetRetryExplore(t *testing.T) {
+	in := testBLIF(t)
+	_, control := newTestServer(t, Config{})
+	cStatus, cBody := post(t, control.URL+"/v1/explore?wait=1", retimeRequest{BLIF: in})
+	if cStatus != http.StatusOK {
+		t.Fatalf("control: %d %v", cStatus, cBody)
+	}
+
+	s, hs := newTestServer(t, Config{
+		EnableFailpoints: true,
+		RetryBase:        5 * time.Millisecond,
+	})
+	status, body := post(t, hs.URL+"/v1/explore?wait=1", retimeRequest{
+		BLIF:       in,
+		Failpoints: "graph.minperiod=1*error(budget)", // fires once, then inert
+	})
+	if status != http.StatusOK {
+		t.Fatalf("status %d, body %v", status, body)
+	}
+	if got := body["attempts"].(float64); got != 2 {
+		t.Fatalf("attempts = %v, want 2", got)
+	}
+	if s.retried.Load() != 1 {
+		t.Errorf("retried counter = %d", s.retried.Load())
+	}
+	want, _ := json.Marshal(cBody["result"].(map[string]any)["front"])
+	got, _ := json.Marshal(body["result"].(map[string]any)["front"])
+	if !bytes.Equal(got, want) {
+		t.Fatalf("retried front differs from the undisturbed control:\n%s\nvs\n%s", got, want)
+	}
+}
+
+// TestChaosBudgetRetryExhaustionExplore: an explore job that blows its budget
+// on every attempt fails with budget_exceeded once RetryMax is spent.
+func TestChaosBudgetRetryExhaustionExplore(t *testing.T) {
+	_, hs := newTestServer(t, Config{
+		EnableFailpoints: true,
+		RetryMax:         1,
+		RetryBase:        5 * time.Millisecond,
+	})
+	status, body := post(t, hs.URL+"/v1/explore?wait=1", retimeRequest{
 		BLIF:       testBLIF(t),
 		Failpoints: "graph.minperiod=error(budget)", // unlimited firings
 	})

@@ -15,17 +15,14 @@ import (
 
 // JobOptions is the serializable subset of core.Options a client may set.
 // The zero value asks for minimum area at the minimum feasible period — the
-// same default as the mcretime CLI.
+// same default as the mcretime CLI. Decoding ignores unknown fields, so
+// requests, checkpoints and replicated snapshots that still carry the
+// retired "engine" field run unchanged on the single solve core.
 type JobOptions struct {
 	// Objective: "" or "min-area" (minimum area at minimum period),
 	// "min-period", or "min-area-at-period" (requires TargetPeriodPS).
 	Objective      string `json:"objective,omitempty"`
 	TargetPeriodPS int64  `json:"target_period_ps,omitempty"`
-
-	// Engine: "" or "auto" (sparse, cross-checked on small graphs when
-	// invariant checks are on), "sparse", or "dense" (the W/D reference
-	// formulation).
-	Engine string `json:"engine,omitempty"`
 
 	ForwardOnly     bool `json:"forward_only,omitempty"`
 	DisableSharing  bool `json:"disable_sharing,omitempty"`
@@ -69,11 +66,6 @@ func (o JobOptions) coreOptions() (core.Options, error) {
 			MinAreaRounds:     o.Budgets.MinAreaRounds,
 		},
 	}
-	engine, err := core.ParseEngine(o.Engine)
-	if err != nil {
-		return opts, err
-	}
-	opts.Engine = engine
 	switch o.Objective {
 	case "", "min-area":
 		opts.Objective = core.MinAreaAtMinPeriod
@@ -148,7 +140,6 @@ type ReportSummary struct {
 	JustifyEscalations int      `json:"justify_escalations,omitempty"`
 	Degraded           []string `json:"degraded,omitempty"`
 	Workers            int      `json:"workers"`
-	Engine             string   `json:"engine,omitempty"`
 }
 
 func summarize(rep *core.Report) *ReportSummary {
@@ -164,7 +155,6 @@ func summarize(rep *core.Report) *ReportSummary {
 		JustifyEscalations: rep.JustifyEscalations,
 		Degraded:           rep.Degraded,
 		Workers:            rep.Workers,
-		Engine:             rep.Engine,
 	}
 }
 

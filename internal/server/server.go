@@ -860,47 +860,54 @@ func (s *Server) runRetime(ctx context.Context, blifText string, wireOpts JobOpt
 	if err != nil {
 		return nil, 0, fmt.Errorf("%w: %v", rterr.ErrMalformedInput, err)
 	}
-	maxRetries := s.cfg.RetryMax
-	if maxRetries < 0 {
-		maxRetries = 0
-	}
-	backoff := s.retrySchedule()
-	for attempt := 1; ; attempt++ {
+	var res *Result
+	attempts, err := s.withBudgetRetry(ctx, opts.Budgets, func(attempt int, budgets core.Budgets) error {
 		if onAttempt != nil {
 			onAttempt(attempt)
 		}
 		c, err := blif.Read(strings.NewReader(blifText))
 		if err != nil {
-			return nil, attempt, err
+			return err
 		}
 		rec := trace.NewRecorder()
-		opts.Trace = rec
-		res, err := retimeOnce(ctx, c, opts)
+		opts.Trace, opts.Budgets = rec, budgets
+		res, err = retimeOnce(ctx, c, opts)
 		s.foldCounters(rec)
-		if err == nil {
-			if attempt > 1 {
-				res.Report.Degraded = append(res.Report.Degraded, fmt.Sprintf(
-					"budget exceeded; succeeded on attempt %d with budgets relaxed %d rung(s)",
-					attempt, attempt-1))
-			}
-			return res, attempt, nil
-		}
-		if !errors.Is(err, rterr.ErrBudgetExceeded) || attempt > maxRetries || ctx.Err() != nil {
-			return nil, attempt, err
-		}
-		// Backoff, then climb one rung of the budget ladder.
-		s.retried.Add(1)
-		if werr := backoff.Wait(ctx, attempt-1); werr != nil {
-			return nil, attempt, fmt.Errorf("%w (while backing off after: %v)", werr, err)
-		}
-		opts.Budgets = opts.Budgets.Relaxed()
+		return err
+	})
+	if err != nil {
+		return nil, attempts, err
 	}
+	if attempts > 1 {
+		res.Report.Degraded = append(res.Report.Degraded, fmt.Sprintf(
+			"budget exceeded; succeeded on attempt %d with budgets relaxed %d rung(s)",
+			attempts, attempts-1))
+	}
+	return res, attempts, nil
 }
 
-// retrySchedule is the budget-retry backoff: deterministic (no jitter)
-// exponential growth from RetryBase, matching the original inline loop.
-func (s *Server) retrySchedule() retry.Schedule {
-	return retry.Schedule{Base: s.cfg.RetryBase}
+// withBudgetRetry runs attempt under the budget-relaxing retry ladder shared
+// by retime and explore jobs. Attempt n (from 1) runs with budgets relaxed
+// n-1 rungs (core.Budgets.Relaxed); only ErrBudgetExceeded is retried, after
+// a deterministic exponential backoff from RetryBase, and at most RetryMax
+// times. It returns the number of attempts made and the last attempt's error.
+func (s *Server) withBudgetRetry(ctx context.Context, budgets core.Budgets, attempt func(n int, budgets core.Budgets) error) (int, error) {
+	maxRetries := max(s.cfg.RetryMax, 0)
+	backoff := retry.Schedule{Base: s.cfg.RetryBase}
+	for n := 1; ; n++ {
+		err := attempt(n, budgets)
+		if err == nil {
+			return n, nil
+		}
+		if !errors.Is(err, rterr.ErrBudgetExceeded) || n > maxRetries || ctx.Err() != nil {
+			return n, err
+		}
+		s.retried.Add(1)
+		if werr := backoff.Wait(ctx, n-1); werr != nil {
+			return n, fmt.Errorf("%w (while backing off after: %v)", werr, err)
+		}
+		budgets = budgets.Relaxed()
+	}
 }
 
 // retimeOnce runs one retiming attempt.
@@ -925,16 +932,11 @@ func (s *Server) executeExplore(ctx context.Context, job *Job) error {
 	if err != nil {
 		return fmt.Errorf("%w: %v", rterr.ErrMalformedInput, err)
 	}
-	maxRetries := s.cfg.RetryMax
-	if maxRetries < 0 {
-		maxRetries = 0
-	}
 	var remote func(context.Context, string, int64) (*explore.Solution, error)
 	if s.dispatcher != nil {
 		remote = s.remotePointFn(job.Spec)
 	}
-	backoff := s.retrySchedule()
-	for attempt := 1; ; attempt++ {
+	_, err = s.withBudgetRetry(ctx, opts.Budgets, func(attempt int, budgets core.Budgets) error {
 		s.mu.Lock()
 		job.Attempts = attempt
 		s.mu.Unlock()
@@ -944,7 +946,7 @@ func (s *Server) executeExplore(ctx context.Context, job *Job) error {
 			return err
 		}
 		rec := trace.NewRecorder()
-		opts.Trace = rec // steps 1-3 of the shared prepare stage
+		opts.Trace, opts.Budgets = rec, budgets // steps 1-3 of the shared prepare stage
 		front, err := explore.Sweep(ctx, c, explore.Options{
 			Core:        opts,
 			Parallelism: opts.Parallelism,
@@ -959,21 +961,15 @@ func (s *Server) executeExplore(ctx context.Context, job *Job) error {
 			},
 		})
 		s.foldCounters(rec)
-		if err == nil {
-			s.mu.Lock()
-			job.Result = &Result{Front: front}
-			s.mu.Unlock()
-			return nil
-		}
-		if !errors.Is(err, rterr.ErrBudgetExceeded) || attempt > maxRetries || ctx.Err() != nil {
+		if err != nil {
 			return err
 		}
-		s.retried.Add(1)
-		if werr := backoff.Wait(ctx, attempt-1); werr != nil {
-			return fmt.Errorf("%w (while backing off after: %v)", werr, err)
-		}
-		opts.Budgets = opts.Budgets.Relaxed()
-	}
+		s.mu.Lock()
+		job.Result = &Result{Front: front}
+		s.mu.Unlock()
+		return nil
+	})
+	return err
 }
 
 // foldCounters merges one job run's trace counters into the service totals.

@@ -8,9 +8,11 @@
 // registers moves across a gate only when all its registers are compatible
 // (same class). Per-vertex retiming bounds derived by maximal backward and
 // forward retiming reduce the problem to basic (Leiserson–Saxe) retiming,
-// solved here with lazily generated period constraints and a min-cost-flow
-// minarea engine; equivalent reset states are computed move-by-move with
-// BDD justification.
+// solved here by one path: a minperiod binary search over lazily generated
+// period constraints, its probes warm-started from the previous feasible
+// probe, then a min-cost-flow minarea engine. No O(V²) W/D matrix is built
+// (the dense formulation is kept as a test oracle). Equivalent reset states
+// are computed move-by-move with BDD justification.
 //
 // The package is a façade over the internal packages:
 //
@@ -138,23 +140,6 @@ const (
 
 // PassTime is one pipeline pass's wall-clock time within a Report.
 type PassTime = core.PassTime
-
-// SolveEngine selects the period-constraint machinery (Options.Engine).
-type SolveEngine = core.SolveEngine
-
-// Engines. EngineAuto (the zero value) runs the matrix-free sparse engine,
-// cross-checked against the dense reference on small graphs when invariant
-// checks are enabled; EngineSparse skips the cross-check; EngineDense selects
-// the O(V²) W/D reference formulation.
-const (
-	EngineAuto   = core.EngineAuto
-	EngineSparse = core.EngineSparse
-	EngineDense  = core.EngineDense
-)
-
-// ParseEngine parses an engine flag/wire token ("", "auto", "sparse",
-// "dense").
-func ParseEngine(s string) (SolveEngine, error) { return core.ParseEngine(s) }
 
 // Error taxonomy: every error escaping a public entry point wraps exactly one
 // of these sentinels, so callers classify failures with errors.Is instead of
