@@ -6,7 +6,6 @@ package mcretiming
 
 import (
 	"context"
-	"fmt"
 	"testing"
 
 	"mcretiming/internal/bench"
@@ -60,10 +59,9 @@ func BenchmarkTable1Baseline(b *testing.B) {
 	}
 }
 
-// BenchmarkComputeWD measures the W/D matrix computation on a ≥2000-vertex
-// random profile at engine parallelism 1 and 8. The two variants produce
-// bit-identical matrices; the wall-time gap is the row-sharding speedup,
-// which tracks the cores actually available (GOMAXPROCS).
+// BenchmarkComputeWD measures the dense W/D matrix computation — the
+// reference the test oracles solve against — on a ≥2000-vertex random
+// profile.
 func BenchmarkComputeWD(b *testing.B) {
 	m, err := mcgraph.Build(gen.Random(1, 2600))
 	if err != nil {
@@ -73,57 +71,49 @@ func BenchmarkComputeWD(b *testing.B) {
 	if n := g.NumVertices(); n < 2000 {
 		b.Fatalf("profile has %d vertices, want >= 2000", n)
 	}
-	for _, j := range []int{1, 8} {
-		b.Run(fmt.Sprintf("j%d", j), func(b *testing.B) {
-			ctx := context.Background()
-			b.ReportMetric(float64(g.NumVertices()), "vertices")
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := g.ComputeWDPar(ctx, j); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	ctx := context.Background()
+	b.ReportMetric(float64(g.NumVertices()), "vertices")
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := g.ComputeWD(ctx); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
 // BenchmarkTable2MCRetime measures multiple-class retiming (minarea at best
-// delay) + remap per circuit, reporting the paper's ratio columns. The j1/j8
-// variants run the identical flow at engine parallelism 1 and 8 — same
-// retiming bit for bit, different wall time on multicore hosts.
+// delay) + remap per circuit, reporting the paper's ratio columns.
 func BenchmarkTable2MCRetime(b *testing.B) {
 	for _, p := range gen.Profiles {
-		for _, j := range []int{1, 8} {
-			b.Run(fmt.Sprintf("%s/j%d", p.Name, j), func(b *testing.B) {
-				c, err := p.Build()
+		b.Run(p.Name, func(b *testing.B) {
+			c, err := p.Build()
+			if err != nil {
+				b.Fatal(err)
+			}
+			mapped := mapBaseline(b, c)
+			before, err := xc4000.Report(mapped)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; i < b.N; i++ {
+				retimed, rep, err := core.Retime(mapped, core.Options{Objective: core.MinAreaAtMinPeriod})
 				if err != nil {
 					b.Fatal(err)
 				}
-				mapped := mapBaseline(b, c)
-				before, err := xc4000.Report(mapped)
+				remapped, err := xc4000.Map(retimed)
 				if err != nil {
 					b.Fatal(err)
 				}
-				for i := 0; i < b.N; i++ {
-					retimed, rep, err := core.Retime(mapped, core.Options{Objective: core.MinAreaAtMinPeriod, Parallelism: j})
-					if err != nil {
-						b.Fatal(err)
-					}
-					remapped, err := xc4000.Map(retimed)
-					if err != nil {
-						b.Fatal(err)
-					}
-					after, err := xc4000.Report(remapped)
-					if err != nil {
-						b.Fatal(err)
-					}
-					b.ReportMetric(float64(rep.NumClasses), "classes")
-					b.ReportMetric(float64(rep.StepsMoved), "steps-moved")
-					b.ReportMetric(float64(after.LUTs+after.Carry)/float64(before.LUTs+before.Carry), "Rlut")
-					b.ReportMetric(float64(after.Delay)/float64(before.Delay), "Rdelay")
+				after, err := xc4000.Report(remapped)
+				if err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+				b.ReportMetric(float64(rep.NumClasses), "classes")
+				b.ReportMetric(float64(rep.StepsMoved), "steps-moved")
+				b.ReportMetric(float64(after.LUTs+after.Carry)/float64(before.LUTs+before.Carry), "Rlut")
+				b.ReportMetric(float64(after.Delay)/float64(before.Delay), "Rdelay")
+			}
+		})
 	}
 }
 
@@ -262,7 +252,10 @@ func BenchmarkAblationLazyVsDense(b *testing.B) {
 		b.Fatal(err)
 	}
 	info := m.ComputeBounds()
-	g, bounds := m.AreaGraph(info)
+	g, bounds, err := m.AreaGraph(context.Background(), info)
+	if err != nil {
+		b.Fatal(err)
+	}
 
 	b.Run("dense-WD", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

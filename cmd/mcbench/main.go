@@ -3,20 +3,17 @@
 //
 // Usage:
 //
-//	mcbench [-table 1|2|3] [-fig1] [-passes] [-j N]
+//	mcbench [-table 1|2|3] [-fig1] [-passes]
 //	        [-json out.json [-pr label] [-explore [-explore-points N]] [-engines]]
 //
 // With no flags it runs everything. -passes adds the per-pass runtime
-// breakdown of the retiming pipeline under Table 2. -j sets the engine
-// parallelism of the retiming runs (0 = GOMAXPROCS); results are identical
-// at every setting. -json skips the tables and instead writes a
-// machine-readable performance snapshot — W/D and full-suite wall times at
-// worker counts 1, 2 and GOMAXPROCS, with speedups, a determinism check, and
-// the solve-cache hit/miss counters — seeding the cross-PR benchmark
-// trajectory; -pr labels the snapshot. -explore additionally measures the
-// design-space sweep on the profile circuit (cold sweep vs warm store-served
-// sweep vs naive per-period Retime calls); it solves the profile circuit
-// many times, so expect it to take a while.
+// breakdown of the retiming pipeline under Table 2. -json skips the tables
+// and instead writes a machine-readable performance snapshot — the
+// full-suite wall time and the solve-cache hit/miss counters — seeding the
+// cross-PR benchmark trajectory; -pr labels the snapshot. -explore
+// additionally measures the design-space sweep on the profile circuit (cold
+// sweep vs warm store-served sweep vs naive per-period Retime calls); it
+// solves the profile circuit many times, so expect it to take a while.
 //
 // SIGINT/SIGTERM cancel the run context so a Ctrl-C during the suite exits
 // with code 4 instead of being killed mid-table.
@@ -32,7 +29,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
 
 	"mcretiming/internal/bench"
@@ -44,7 +40,6 @@ func main() {
 	table := flag.Int("table", 0, "print only this table (1, 2 or 3)")
 	fig1 := flag.Bool("fig1", false, "print only the Fig. 1 comparison")
 	passes := flag.Bool("passes", false, "also print the per-pass retiming runtime breakdown")
-	jobs := flag.Int("j", 0, "engine parallelism for the retiming runs (0 = GOMAXPROCS)")
 	jsonOut := flag.String("json", "", "write a performance snapshot (JSON) here instead of printing tables")
 	prLabel := flag.String("pr", "", "label recorded in the -json snapshot")
 	exploreFlag := flag.Bool("explore", false, "with -json: also measure the design-space sweep (cold vs warm vs naive; slow)")
@@ -53,7 +48,7 @@ func main() {
 	warmFlag := flag.Bool("warm", false, "with -json: also measure cold vs warm-started minperiod on the 50k-vertex profile")
 	gateFlag := flag.String("gate", "", "with -json: committed baseline snapshot to gate against (>10% wall regression or <2x warm speedup fails)")
 	flag.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: mcbench [-table 1|2|3] [-fig1] [-passes] [-j N] [-json out.json [-pr label] [-explore]]")
+		fmt.Fprintln(os.Stderr, "usage: mcbench [-table 1|2|3] [-fig1] [-passes] [-json out.json [-pr label] [-explore]]")
 		flag.PrintDefaults()
 		fmt.Fprintln(os.Stderr, `
 exit codes:
@@ -71,11 +66,7 @@ exit codes:
 	defer stop()
 
 	if *jsonOut != "" {
-		counts := []int{1, 2}
-		if gm := runtime.GOMAXPROCS(0); gm != 1 && gm != 2 {
-			counts = append(counts, gm)
-		}
-		p, err := bench.MeasurePerfCtx(ctx, counts)
+		p, err := bench.MeasurePerfCtx(ctx)
 		if err != nil {
 			fatal(err)
 		}
@@ -112,22 +103,9 @@ exit codes:
 		if err := f.Close(); err != nil {
 			fatal(err)
 		}
-		if p.SingleCore() {
-			// Satellite of the determinism contract: on a 1-core host the
-			// speedup columns measure goroutine overhead, not scaling.
-			fmt.Fprintf(os.Stderr, "warning: single-core host (GOMAXPROCS=%d, NumCPU=%d): speedup figures are not meaningful here\n",
-				p.GoMaxProcs, p.NumCPU)
-		}
 		diverged := false
-		for _, pt := range p.WD {
-			fmt.Fprintf(os.Stderr, "wd     j=%-2d %8.2fms  speedup %.2fx  identical=%v\n",
-				pt.Workers, float64(pt.WallNS)/1e6, pt.SpeedupVs1, pt.Identical)
-			diverged = diverged || !pt.Identical
-		}
 		for _, pt := range p.Table2 {
-			fmt.Fprintf(os.Stderr, "table2 j=%-2d %8.2fms  speedup %.2fx  identical=%v\n",
-				pt.Workers, float64(pt.WallNS)/1e6, pt.SpeedupVs1, pt.Identical)
-			diverged = diverged || !pt.Identical
+			fmt.Fprintf(os.Stderr, "table2 %8.2fms\n", float64(pt.WallNS)/1e6)
 		}
 		fmt.Fprintf(os.Stderr, "cache  wd %d/%d  base %d/%d (hits/misses)\n",
 			p.SolveCache.WDHits, p.SolveCache.WDMisses, p.SolveCache.BaseHits, p.SolveCache.BaseMisses)
@@ -154,10 +132,10 @@ exit codes:
 				wp.Speedup, wp.Identical, wp.SPFAColdStartsCold, wp.SPFAColdStartsWarm, wp.Vertices)
 			diverged = diverged || !wp.Identical
 		}
-		// Timing is advisory, determinism is the contract: a parallel run
-		// whose result differs from serial is a hard failure.
+		// Timing is advisory, identity is the contract: a fast path whose
+		// result differs from its reference is a hard failure.
 		if diverged {
-			fatal(fmt.Errorf("parallel result diverged from the serial reference"))
+			fatal(fmt.Errorf("result diverged from its reference"))
 		}
 		if *gateFlag != "" {
 			base, err := bench.LoadPerf(*gateFlag)
@@ -187,7 +165,7 @@ exit codes:
 		bench.PrintFig1(os.Stdout, r)
 		return
 	}
-	rows, err := bench.RunSuiteCtx(ctx, *jobs)
+	rows, err := bench.RunSuiteCtx(ctx)
 	if err != nil {
 		fatal(err)
 	}

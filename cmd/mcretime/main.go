@@ -2,7 +2,7 @@
 //
 // Usage:
 //
-//	mcretime [-minperiod | -period NS] [-o out] [-map] [-verify] [-critical] [-slack N] [-blif] [-trace out.json] [-timeout D] [-j N] in.{mcn,blif}
+//	mcretime [-minperiod | -period NS] [-o out] [-map] [-verify] [-critical] [-slack N] [-blif] [-trace out.json] [-timeout D] in.{mcn,blif}
 //
 // The default objective is minimum area at the minimum feasible period (the
 // paper's "minimal area for best delay"). With -map the input is first
@@ -74,7 +74,6 @@ func main() {
 	showClasses := flag.Bool("classes", false, "print the register class table")
 	traceFile := flag.String("trace", "", "write Chrome trace-event JSON of the retiming pipeline here")
 	timeout := flag.Duration("timeout", 0, "abort retiming after this long (e.g. 30s; 0 = no limit)")
-	jobs := flag.Int("j", 0, "engine parallelism (0 = GOMAXPROCS, 1 = serial; result is identical either way)")
 	flag.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: mcretime [flags] in.{mcn,blif}")
 		flag.PrintDefaults()
@@ -117,7 +116,7 @@ exit codes:
 		}
 	}
 
-	opts := mcretiming.Options{Objective: mcretiming.MinAreaAtMinPeriod, Parallelism: *jobs}
+	opts := mcretiming.Options{Objective: mcretiming.MinAreaAtMinPeriod}
 	switch {
 	case *minperiod:
 		opts.Objective = mcretiming.MinPeriod

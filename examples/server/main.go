@@ -88,10 +88,10 @@ func main() {
 	}
 
 	rep := reply.Result.Report
-	fmt.Fprintf(os.Stderr, "%s: period %.1f -> %.1f ns, FF %.0f -> %.0f (workers %.0f)\n",
+	fmt.Fprintf(os.Stderr, "%s: period %.1f -> %.1f ns, FF %.0f -> %.0f\n",
 		reply.ID,
 		num(rep, "period_before_ps")/1000, num(rep, "period_after_ps")/1000,
-		num(rep, "regs_before"), num(rep, "regs_after"), num(rep, "workers"))
+		num(rep, "regs_before"), num(rep, "regs_after"))
 	fmt.Print(reply.Result.BLIF)
 }
 

@@ -63,23 +63,15 @@ func (r *Row) Rdelay2() float64 { return ratio64(r.Delay2, r.Delay1) }
 func ratio(a, b int) float64     { return float64(a) / float64(b) }
 func ratio64(a, b int64) float64 { return float64(a) / float64(b) }
 
-// RunCircuit executes the full experiment pipeline on one generated circuit
-// at the default engine parallelism (GOMAXPROCS).
+// RunCircuit executes the full experiment pipeline on one generated circuit.
 func RunCircuit(c *netlist.Circuit) (*Row, error) {
-	return RunCircuitPar(c, 0)
+	return RunCircuitCtx(context.Background(), c)
 }
 
-// RunCircuitPar is RunCircuit with both retiming runs at the given engine
-// parallelism (0 = GOMAXPROCS, 1 = serial). Results are identical at every
-// setting; only the timing columns change.
-func RunCircuitPar(c *netlist.Circuit, workers int) (*Row, error) {
-	return RunCircuitCtx(context.Background(), c, workers)
-}
-
-// RunCircuitCtx is RunCircuitPar under a cancellable context: cancellation
+// RunCircuitCtx is RunCircuit under a cancellable context: cancellation
 // (e.g. Ctrl-C in cmd/mcbench) aborts the retiming runs mid-solve and
 // surfaces as a context error instead of the process dying mid-write.
-func RunCircuitCtx(ctx context.Context, c *netlist.Circuit, workers int) (*Row, error) {
+func RunCircuitCtx(ctx context.Context, c *netlist.Circuit) (*Row, error) {
 	row := &Row{Name: c.Name}
 
 	// Table 1 flow: decompose synchronous set/clear (XC4000E registers have
@@ -96,7 +88,7 @@ func RunCircuitCtx(ctx context.Context, c *netlist.Circuit, workers int) (*Row, 
 	row.FF1, row.LUT1, row.Delay1 = st1.FFs, st1.LUTs+st1.Carry, st1.Delay
 
 	// Table 2 flow: "retime" on the mapped netlist, then "remap".
-	retimed, rep, err := core.RetimeCtx(ctx, mapped, core.Options{Objective: core.MinAreaAtMinPeriod, Parallelism: workers})
+	retimed, rep, err := core.RetimeCtx(ctx, mapped, core.Options{Objective: core.MinAreaAtMinPeriod})
 	if err != nil {
 		return nil, fmt.Errorf("%s: retime: %w", c.Name, err)
 	}
@@ -121,7 +113,7 @@ func RunCircuitCtx(ctx context.Context, c *netlist.Circuit, workers int) (*Row, 
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", c.Name, err)
 	}
-	noenRetimed, _, err := core.RetimeCtx(ctx, noen, core.Options{Objective: core.MinAreaAtMinPeriod, Parallelism: workers})
+	noenRetimed, _, err := core.RetimeCtx(ctx, noen, core.Options{Objective: core.MinAreaAtMinPeriod})
 	if err != nil {
 		return nil, fmt.Errorf("%s: no-enable retime: %w", c.Name, err)
 	}
@@ -137,20 +129,14 @@ func RunCircuitCtx(ctx context.Context, c *netlist.Circuit, workers int) (*Row, 
 	return row, nil
 }
 
-// RunSuite executes the pipeline over the whole generated suite at the
-// default engine parallelism.
+// RunSuite executes the pipeline over the whole generated suite.
 func RunSuite() ([]*Row, error) {
-	return RunSuitePar(0)
+	return RunSuiteCtx(context.Background())
 }
 
-// RunSuitePar is RunSuite at the given engine parallelism (see RunCircuitPar).
-func RunSuitePar(workers int) ([]*Row, error) {
-	return RunSuiteCtx(context.Background(), workers)
-}
-
-// RunSuiteCtx is RunSuitePar under a cancellable context; cancellation stops
+// RunSuiteCtx is RunSuite under a cancellable context; cancellation stops
 // between (and inside) circuits with a context error.
-func RunSuiteCtx(ctx context.Context, workers int) ([]*Row, error) {
+func RunSuiteCtx(ctx context.Context) ([]*Row, error) {
 	suite, err := gen.Suite()
 	if err != nil {
 		return nil, err
@@ -160,7 +146,7 @@ func RunSuiteCtx(ctx context.Context, workers int) ([]*Row, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		row, err := RunCircuitCtx(ctx, c, workers)
+		row, err := RunCircuitCtx(ctx, c)
 		if err != nil {
 			return nil, err
 		}

@@ -42,7 +42,7 @@ type EnginePerf struct {
 }
 
 // MeasureEnginesCtx measures the sparse engine against the dense reference on
-// the same ≥2000-vertex random profile the W/D scaling runs on, then the ECO
+// the ≥2000-vertex random profile, then the ECO
 // re-prepare path against a cold prepare. It is the acceptance measurement of
 // the matrix-free solve core: sparse must win the cold solve and Apply must
 // beat a cold Prepare by a wide margin while both stay result-identical.
@@ -99,7 +99,7 @@ func MeasureEnginesCtx(ctx context.Context) (*EnginePerf, error) {
 		return nil, fmt.Errorf("bench: profile circuit has no gates")
 	}
 	edit := core.Edit{Gate: gate.Name, DelayPS: gate.Delay/2 + 1}
-	opts := core.Options{Parallelism: 1}
+	opts := core.Options{}
 
 	base, err := core.Prepare(ctx, c, opts)
 	if err != nil {

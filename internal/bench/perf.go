@@ -17,31 +17,27 @@ import (
 // tracks the benchmark trajectory across PRs.
 const PerfSchema = "mcretiming-perf/v1"
 
-// PerfPoint is one measurement of a stage at one worker count.
+// PerfPoint is one wall-time measurement of a stage. Workers is always 1:
+// the solve is serial. The field stays so snapshots written while the solve
+// still had a worker pool (several points per stage) load and gate the same
+// way — the gate reads their workers=1 point.
 type PerfPoint struct {
-	Workers    int     `json:"workers"`
-	WallNS     int64   `json:"wall_ns"`
-	SpeedupVs1 float64 `json:"speedup_vs_1"`
-	// Identical reports that the result matched the serial (workers=1) run
-	// bit for bit — the engine's core determinism guarantee.
-	Identical bool `json:"identical_to_serial"`
+	Workers int   `json:"workers"`
+	WallNS  int64 `json:"wall_ns"`
 }
 
 // Perf is the machine-readable performance snapshot cmd/mcbench -json writes.
-// GoMaxProcs/NumCPU pin down the host: measured speedup tracks the cores
-// actually available, so a 1-core container reports ~1.0 at every worker
-// count while the determinism column must hold everywhere.
+// GoMaxProcs/NumCPU pin down the host, so the gate compares wall times only
+// between snapshots taken on the same host shape.
 type Perf struct {
 	Schema     string      `json:"schema"`
 	PR         string      `json:"pr,omitempty"`
 	GoMaxProcs int         `json:"gomaxprocs"`
 	NumCPU     int         `json:"numcpu"`
-	WDVertices int         `json:"wd_vertices"`
-	WD         []PerfPoint `json:"wd"`
 	Table2     []PerfPoint `json:"table2"`
 	// SolveCache is the process-cumulative graph.SolveCache traffic during
-	// the Table 2 measurement (the W/D scaling runs bypass the cache): how
-	// much recomputation the engine's memoization absorbed.
+	// the Table 2 measurement: how much recomputation the engine's
+	// memoization absorbed.
 	SolveCache graph.CacheStats `json:"solve_cache"`
 	// Explore is the design-space-sweep measurement (mcbench -explore);
 	// absent when not requested.
@@ -54,12 +50,7 @@ type Perf struct {
 	Warm *WarmPerf `json:"warm,omitempty"`
 }
 
-// SingleCore reports that the host cannot exhibit parallel speedup: speedup
-// columns from such a run measure overhead, not scaling, and must not be
-// compared against multi-core snapshots.
-func (p *Perf) SingleCore() bool { return p.GoMaxProcs <= 1 || p.NumCPU <= 1 }
-
-// perfGraph builds the ≥2000-vertex random profile the W/D scaling
+// perfGraph builds the ≥2000-vertex random profile the dense-vs-sparse
 // measurement (and BenchmarkComputeWD) runs on.
 func perfGraph() (*graph.Graph, error) {
 	m, err := mcgraph.Build(gen.Random(1, 2600))
@@ -73,45 +64,8 @@ func perfGraph() (*graph.Graph, error) {
 	return g, nil
 }
 
-// wdEqual reports bit-identical W/D matrices.
-func wdEqual(a, b *graph.WD) bool {
-	if a.N != b.N || len(a.W) != len(b.W) || len(a.D) != len(b.D) {
-		return false
-	}
-	for i := range a.W {
-		if a.W[i] != b.W[i] {
-			return false
-		}
-	}
-	for i := range a.D {
-		if a.D[i] != b.D[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// rowsEqual compares the result columns (not the timing columns) of two
-// suite runs.
-func rowsEqual(a, b []*Row) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		x, y := a[i], b[i]
-		if x.Name != y.Name || x.Classes != y.Classes ||
-			x.Moved != y.Moved || x.Possible != y.Possible ||
-			x.FF2 != y.FF2 || x.LUT2 != y.LUT2 || x.Delay2 != y.Delay2 ||
-			x.FF3 != y.FF3 || x.LUT3 != y.LUT3 || x.Delay3 != y.Delay3 {
-			return false
-		}
-	}
-	return true
-}
-
 // bestOf runs fn reps times and returns the minimum wall time — single-shot
-// timings are dominated by GC and page-fault noise here (a ComputeWD run on
-// the perf profile allocates ~80 MB of W/D matrices), and the engine is
+// timings are dominated by GC and page-fault noise here, and the engine is
 // deterministic so every repetition does identical work.
 func bestOf(reps int, fn func() error) (time.Duration, error) {
 	var best time.Duration
@@ -127,97 +81,25 @@ func bestOf(reps int, fn func() error) (time.Duration, error) {
 	return best, nil
 }
 
-// MeasurePerf runs the two trajectory measurements at each worker count:
-// ComputeWD over the ≥2000-vertex random profile, and the full Table 2 suite
-// through the retiming engine. Workers=1 is measured first as the serial
-// reference; every other point records wall time (best of a few repetitions,
-// after a warm-up), speedup vs the reference, and whether its result matched
-// the reference exactly.
-func MeasurePerf(workerCounts []int) (*Perf, error) {
-	return MeasurePerfCtx(context.Background(), workerCounts)
-}
-
-// MeasurePerfCtx is MeasurePerf under a cancellable context; cancellation
-// aborts the measurement between (and inside) repetitions.
-func MeasurePerfCtx(ctx context.Context, workerCounts []int) (*Perf, error) {
+// MeasurePerfCtx times the full Table 2 suite through the retiming engine
+// (best of a few repetitions) and records the solve-cache traffic.
+// Cancellation aborts the measurement between (and inside) repetitions.
+func MeasurePerfCtx(ctx context.Context) (*Perf, error) {
 	p := &Perf{
 		Schema:     PerfSchema,
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),
 	}
-
-	g, err := perfGraph()
-	if err != nil {
-		return nil, err
-	}
-	p.WDVertices = g.NumVertices()
-	const wdReps = 3
-	if _, err := g.ComputeWDPar(ctx, 1); err != nil { // warm-up: grow the heap once
-		return nil, err
-	}
-	var refWD *graph.WD
-	wdRef, err := bestOf(wdReps, func() error {
-		wd, err := g.ComputeWDPar(ctx, 1)
-		refWD = wd
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	p.WD = append(p.WD, PerfPoint{Workers: 1, WallNS: wdRef.Nanoseconds(), SpeedupVs1: 1, Identical: true})
-	for _, w := range workerCounts {
-		if w == 1 {
-			continue
-		}
-		var wd *graph.WD
-		wall, err := bestOf(wdReps, func() error {
-			res, err := g.ComputeWDPar(ctx, w)
-			wd = res
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-		p.WD = append(p.WD, PerfPoint{
-			Workers:    w,
-			WallNS:     wall.Nanoseconds(),
-			SpeedupVs1: float64(wdRef) / float64(wall),
-			Identical:  wdEqual(refWD, wd),
-		})
-	}
-
 	const suiteReps = 2
 	cachePrev := graph.TotalCacheStats()
-	var refRows []*Row
-	suiteRef, err := bestOf(suiteReps, func() error {
-		rows, err := RunSuiteCtx(ctx, 1)
-		refRows = rows
+	wall, err := bestOf(suiteReps, func() error {
+		_, err := RunSuiteCtx(ctx)
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	p.Table2 = append(p.Table2, PerfPoint{Workers: 1, WallNS: suiteRef.Nanoseconds(), SpeedupVs1: 1, Identical: true})
-	for _, w := range workerCounts {
-		if w == 1 {
-			continue
-		}
-		var rows []*Row
-		wall, err := bestOf(suiteReps, func() error {
-			res, err := RunSuiteCtx(ctx, w)
-			rows = res
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-		p.Table2 = append(p.Table2, PerfPoint{
-			Workers:    w,
-			WallNS:     wall.Nanoseconds(),
-			SpeedupVs1: float64(suiteRef) / float64(wall),
-			Identical:  rowsEqual(refRows, rows),
-		})
-	}
+	p.Table2 = []PerfPoint{{Workers: 1, WallNS: wall.Nanoseconds()}}
 	p.SolveCache = graph.TotalCacheStats().Delta(cachePrev)
 	return p, nil
 }

@@ -18,7 +18,7 @@ import (
 type WarmPerf struct {
 	Vertices int   `json:"vertices"`
 	PeriodPS int64 `json:"period_ps"`
-	// BoundsNS is the ComputeBoundsCtx + AreaGraphPar model time, measured
+	// BoundsNS is the ComputeBoundsCtx + AreaGraph model time, measured
 	// once — it is common to every engine and excluded from the solve walls.
 	BoundsNS int64   `json:"bounds_ns"`
 	ColdNS   int64   `json:"cold_ns"`
@@ -61,7 +61,7 @@ func MeasureWarmCtx(ctx context.Context) (*WarmPerf, error) {
 	if err != nil {
 		return nil, err
 	}
-	g, bounds, err := m.AreaGraphPar(ctx, info, 1)
+	g, bounds, err := m.AreaGraph(ctx, info)
 	if err != nil {
 		return nil, err
 	}
@@ -89,13 +89,13 @@ func MeasureWarmCtx(ctx context.Context) (*WarmPerf, error) {
 	}
 
 	cold, coldStarts, coldWall, err := run(func() *graph.Engine {
-		return &graph.Engine{Workers: 1, ColdProbes: true}
+		return &graph.Engine{ColdProbes: true}
 	})
 	if err != nil {
 		return nil, err
 	}
 	warm, warmStarts, warmWall, err := run(func() *graph.Engine {
-		return &graph.Engine{Workers: 1, Ladder: graph.NewProbeLadder()}
+		return &graph.Engine{Ladder: graph.NewProbeLadder()}
 	})
 	if err != nil {
 		return nil, err

@@ -80,14 +80,6 @@ type Options struct {
 	// 0 means the default (DefaultMaxRetries, i.e. 8).
 	MaxRetries int
 
-	// Parallelism is the worker count of the engine's parallel stages: the
-	// two maximal-retiming bounds sweeps, the separation-vertex
-	// analysis, the period-cut trace-back, and the per-domain justification
-	// solves. 0 means GOMAXPROCS; 1 forces the serial engine. The result is
-	// bit-identical at every setting — parallel stages write index-owned
-	// slots or disjoint state only.
-	Parallelism int
-
 	// CheckInvariants runs the internal/check invariant checker after every
 	// pipeline pass: graph well-formedness, nonnegative retimed weights,
 	// class compatibility of shared register layers (Eq. 2), zero-delay
@@ -192,10 +184,6 @@ type Report struct {
 	// onto a fallback path (e.g. minarea kept the feasible minperiod
 	// retiming). Empty means the full-quality result.
 	Degraded []string
-
-	// Workers is the resolved parallelism the run executed with (Options.
-	// Parallelism after GOMAXPROCS resolution).
-	Workers int
 
 	// PassTimes is the per-pass wall-time breakdown, in pipeline order. The
 	// three coarse aggregates below are sums over it and are kept for

@@ -86,15 +86,14 @@ func (p *Prepared) Apply(edit Edit) (*Prepared, error) {
 
 	cache := graph.NewSolveCache(g)
 	st := &flowState{
-		in:      ckt,
-		opts:    p.opts,
-		m:       m,
-		info:    p.st.info, // bounds analysis: delay-independent, reused
-		g:       g,
-		bounds:  p.st.bounds, // pristine post-share bounds; cloned per solve
-		pool:    cache.Pool(g),
-		workers: p.workers,
-		eng:     &graph.Engine{Workers: p.workers, Cache: cache},
+		in:     ckt,
+		opts:   p.opts,
+		m:      m,
+		info:   p.st.info, // bounds analysis: delay-independent, reused
+		g:      g,
+		bounds: p.st.bounds, // pristine post-share bounds; cloned per solve
+		pool:   cache.Pool(g),
+		eng:    &graph.Engine{Cache: cache},
 	}
 	rep := p.baseRep
 	rep.Degraded = append([]string(nil), p.baseRep.Degraded...)
@@ -109,7 +108,6 @@ func (p *Prepared) Apply(edit Edit) (*Prepared, error) {
 		opts:    p.opts,
 		st:      st,
 		cache:   cache,
-		workers: p.workers,
 		baseRep: rep,
 	}
 	// Hand the donor's probe ladder to the edited Prepared with its

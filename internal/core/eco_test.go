@@ -46,7 +46,7 @@ func TestEcoApplyMatchesColdPrepare(t *testing.T) {
 		t.Run(c.Name, func(t *testing.T) {
 			t.Parallel()
 			ctx := context.Background()
-			opts := Options{Parallelism: 1}
+			opts := Options{}
 			prep, err := Prepare(ctx, c, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -141,7 +141,7 @@ func TestEcoApplyMatchesColdPrepare(t *testing.T) {
 func TestEcoApplyChain(t *testing.T) {
 	c := preparedTestCircuits(t)[0]
 	ctx := context.Background()
-	opts := Options{Parallelism: 1}
+	opts := Options{}
 	prep, err := Prepare(ctx, c, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -179,7 +179,7 @@ func TestEcoApplyChain(t *testing.T) {
 // TestEcoApplyErrors: unknown gates and negative delays are rejected.
 func TestEcoApplyErrors(t *testing.T) {
 	c := preparedTestCircuits(t)[0]
-	prep, err := Prepare(context.Background(), c, Options{Parallelism: 1})
+	prep, err := Prepare(context.Background(), c, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

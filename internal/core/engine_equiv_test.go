@@ -34,10 +34,9 @@ func equivCircuits(t *testing.T) []*netlist.Circuit {
 
 // TestEngineEquivalence is the solve core's correctness anchor: on the
 // golden suite, the production (matrix-free, warm-started) solve must produce
-// a circuit bit-identical to the dense W/D oracle — at every parallelism
-// level, for both objectives that exercise the solve core. The two share
-// relocation and justification, so any divergence localizes to the
-// period/area solvers. On C2 and C7 the contract extends to the sweep's
+// a circuit bit-identical to the dense W/D oracle, for both objectives that
+// exercise the solve core. The two share relocation and justification, so
+// any divergence localizes to the period/area solvers. On C2 and C7 the contract extends to the sweep's
 // MinAreaAtPeriod solves at its candidate periods, through both Retime and
 // Prepared.SolveAtPeriod.
 func TestEngineEquivalence(t *testing.T) {
@@ -60,7 +59,7 @@ func TestEngineEquivalence(t *testing.T) {
 			if c.Name != "C2" && c.Name != "C7" {
 				return
 			}
-			prep, err := Prepare(context.Background(), c, Options{Parallelism: 1})
+			prep, err := Prepare(context.Background(), c, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -85,26 +84,22 @@ func TestEngineEquivalence(t *testing.T) {
 }
 
 // assertMatchesDense solves c under opts with the dense oracle and with the
-// production solve at every parallelism level, requires the circuits and the
-// result columns of the reports to agree, and returns the reference text.
+// production solve, requires the circuits and the result columns of the
+// reports to agree, and returns the reference text.
 func assertMatchesDense(t *testing.T, c *netlist.Circuit, opts Options, name string) string {
 	t.Helper()
-	opts.Parallelism = 1
 	refText, refRep := oracleText(t, c, opts, oracleDense)
-	for _, p := range parallelismLevels() {
-		opts.Parallelism = p
-		out, rep, err := Retime(c, opts)
-		if err != nil {
-			t.Fatalf("%s j=%d: %v", name, p, err)
-		}
-		if got := circuitText(t, out); got != refText {
-			t.Fatalf("%s j=%d: circuit differs from the dense reference", name, p)
-		}
-		if rep.PeriodAfter != refRep.PeriodAfter || rep.RegsAfter != refRep.RegsAfter ||
-			rep.StepsMoved != refRep.StepsMoved || rep.NumClasses != refRep.NumClasses ||
-			rep.JustifyLocal != refRep.JustifyLocal || rep.JustifyGlobal != refRep.JustifyGlobal {
-			t.Fatalf("%s j=%d: report diverged: %+v vs %+v", name, p, rep, refRep)
-		}
+	out, rep, err := Retime(c, opts)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if got := circuitText(t, out); got != refText {
+		t.Fatalf("%s: circuit differs from the dense reference", name)
+	}
+	if rep.PeriodAfter != refRep.PeriodAfter || rep.RegsAfter != refRep.RegsAfter ||
+		rep.StepsMoved != refRep.StepsMoved || rep.NumClasses != refRep.NumClasses ||
+		rep.JustifyLocal != refRep.JustifyLocal || rep.JustifyGlobal != refRep.JustifyGlobal {
+		t.Fatalf("%s: report diverged: %+v vs %+v", name, rep, refRep)
 	}
 	return refText
 }

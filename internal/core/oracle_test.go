@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
+	"mcretiming/internal/hdlio"
 	"mcretiming/internal/mcf"
 	"mcretiming/internal/netlist"
 	"mcretiming/internal/pass"
@@ -18,6 +20,16 @@ import (
 // below swap that core for the reference solvers the graph and retime
 // packages keep — and reuse every other pass of the flow verbatim, so any
 // divergence they find localizes to the period/area solvers.
+
+// circuitText serializes a circuit for bit-identical comparison.
+func circuitText(t *testing.T, c *netlist.Circuit) string {
+	t.Helper()
+	var sb strings.Builder
+	if err := hdlio.Write(&sb, c); err != nil {
+		t.Fatal(err)
+	}
+	return sb.String()
+}
 
 // oracle names a reference solve core.
 type oracle int
@@ -73,7 +85,7 @@ func retimeOracle(c *netlist.Circuit, opts Options, o oracle) (*netlist.Circuit,
 // candidate binary search, full period-constraint enumeration.
 func runMinPeriodDense(pc *pass.Context[flowState]) error {
 	s := pc.State
-	wd, err := s.eng.Cache.WD(pc.Ctx(), s.g, s.workers)
+	wd, err := s.eng.Cache.WD(pc.Ctx(), s.g)
 	if err != nil {
 		return err
 	}
@@ -104,7 +116,7 @@ func runMinAreaDense(pc *pass.Context[flowState]) error {
 	if s.opts.Objective == MinPeriod {
 		return nil
 	}
-	wd, err := s.eng.Cache.WD(pc.Ctx(), s.g, s.workers)
+	wd, err := s.eng.Cache.WD(pc.Ctx(), s.g)
 	if err != nil {
 		return err
 	}

@@ -12,7 +12,6 @@ import (
 	"mcretiming/internal/mcf"
 	"mcretiming/internal/mcgraph"
 	"mcretiming/internal/netlist"
-	"mcretiming/internal/par"
 	"mcretiming/internal/pass"
 	"mcretiming/internal/retime"
 	"mcretiming/internal/rterr"
@@ -44,8 +43,7 @@ type flowState struct {
 	bounds *graph.Bounds
 	pool   *graph.CutPool
 
-	workers int           // resolved Options.Parallelism
-	eng     *graph.Engine // worker pool + SolveCache over s.g (set in runShare)
+	eng *graph.Engine // SolveCache + probe ladder over s.g (set in runShare)
 
 	r   []int32 // candidate retiming over all solver vertices
 	phi int64   // achieved/target period of r
@@ -65,8 +63,8 @@ func RetimeCtx(ctx context.Context, c *netlist.Circuit, opts Options) (*netlist.
 }
 
 // startFlow builds a fresh flow state for c under opts and the pass context
-// that runs the pipeline over it: trace sink, resolved parallelism, per-pass
-// wall times folded into the report.
+// that runs the pipeline over it: trace sink and per-pass wall times folded
+// into the report.
 func startFlow(ctx context.Context, c *netlist.Circuit, opts Options) *pass.Context[flowState] {
 	if ctx == nil {
 		ctx = context.Background()
@@ -76,9 +74,6 @@ func startFlow(ctx context.Context, c *netlist.Circuit, opts Options) *pass.Cont
 		sink = trace.Nop()
 	}
 	st := &flowState{in: c, opts: opts, rep: &Report{}, pool: &graph.CutPool{}}
-	st.workers = par.Workers(opts.Parallelism)
-	st.rep.Workers = st.workers
-	sink.Add("workers", int64(st.workers))
 	pc := pass.NewContext(trace.With(ctx, sink), sink, st)
 	pc.Observe = st.observe
 	return pc
@@ -218,7 +213,7 @@ func runShare(pc *pass.Context[flowState]) error {
 		s.g = s.m.ToGraph()
 		s.bounds = s.info.GraphBounds(s.m)
 	} else {
-		g, bounds, err := s.m.AreaGraphPar(pc.Ctx(), s.info, s.workers)
+		g, bounds, err := s.m.AreaGraph(pc.Ctx(), s.info)
 		if err != nil {
 			return err
 		}
@@ -232,7 +227,7 @@ func runShare(pc *pass.Context[flowState]) error {
 	// probes, the minarea feasibility solves, and the §5.2 retry reruns all
 	// warm-start from the last feasible labeling instead of re-seeding SPFA.
 	// The flow runs its passes sequentially, so the single ladder is safe.
-	s.eng = &graph.Engine{Workers: s.workers, Cache: cache, Ladder: graph.NewProbeLadder()}
+	s.eng = &graph.Engine{Cache: cache, Ladder: graph.NewProbeLadder()}
 	s.pool = cache.Pool(s.g)
 	if s.opts.ForwardOnly {
 		for v := range s.bounds.Max {
@@ -267,7 +262,7 @@ func runMinPeriod(pc *pass.Context[flowState]) error {
 		}
 		s.phi, s.r = phi, r
 		if s.opts.checksEnabled() && s.g.NumVertices() <= denseCrossCheckMaxV {
-			wd, err := s.eng.Cache.WD(pc.Ctx(), s.g, s.workers)
+			wd, err := s.eng.Cache.WD(pc.Ctx(), s.g)
 			if err != nil {
 				return err
 			}
@@ -311,7 +306,6 @@ func runMinArea(pc *pass.Context[flowState]) error {
 	lim := retime.Limits{
 		MaxRounds:         s.opts.Budgets.MinAreaRounds,
 		FlowAugmentations: s.opts.Budgets.FlowAugmentations,
-		Workers:           s.workers,
 	}
 	r, err := retime.MinAreaLazyBudget(pc.Ctx(), s.g, s.phi, s.bounds, s.pool, lim)
 	if err != nil {
@@ -344,7 +338,6 @@ func runRelocate(pc *pass.Context[flowState]) error {
 		j.Ctx = pc.Ctx()
 		j.BDDNodes = s.opts.Budgets.BDDNodes
 		j.SATConflicts = s.opts.Budgets.SATConflicts
-		j.Parallelism = s.workers
 		if s.opts.SATJustify {
 			j.Engine = justify.EngineSAT
 		}

@@ -20,10 +20,9 @@ package core
 //     target period, on fully private mutable state: a clone of the pristine
 //     bounds (the §5.2 loop tightens bounds in place), a private cut pool
 //     seeded from the anchor snapshot (period cuts are graph-path properties,
-//     valid under any bounds), and inner parallelism pinned to 1 so the
-//     sweep's parallelism lives across points, not inside them. The shared
-//     SolveCache is safe for concurrent use and keeps the circuit
-//     constraints common to all points.
+//     valid under any bounds). The sweep's parallelism lives across points;
+//     each solve is serial. The shared SolveCache is safe for concurrent use
+//     and keeps the circuit constraints common to all points.
 //
 //   - Candidates returns the distinct D-matrix entries — the only periods at
 //     which the feasible front can step (a critical path's delay is a D
@@ -49,7 +48,6 @@ type Prepared struct {
 
 	st      *flowState // frozen post-share state; never mutated after Prepare
 	cache   *graph.SolveCache
-	workers int
 	baseRep Report // report fields of steps 1-3
 
 	anchorOnce sync.Once
@@ -83,7 +81,7 @@ func (p *Prepared) putLadder(lad *graph.ProbeLadder) { p.ladderSlot.Store(lad) }
 
 // Prepare runs steps 1-3 of the flow on c and returns the reusable state.
 // opts is the option set every subsequent solve inherits (SolveAtPeriod
-// overrides the objective, target period, and parallelism per call).
+// overrides the objective and target period per call).
 func Prepare(ctx context.Context, c *netlist.Circuit, opts Options) (*Prepared, error) {
 	pc := startFlow(ctx, c, opts)
 	if err := preparePasses().Run(pc); err != nil {
@@ -95,7 +93,6 @@ func Prepare(ctx context.Context, c *netlist.Circuit, opts Options) (*Prepared, 
 		opts:    opts,
 		st:      st,
 		cache:   st.eng.Cache,
-		workers: st.workers,
 		baseRep: *st.rep,
 	}, nil
 }
@@ -103,22 +100,20 @@ func Prepare(ctx context.Context, c *netlist.Circuit, opts Options) (*Prepared, 
 // solveState builds a private flow state for one solve over the prepared
 // model: shared immutable artifacts (mc-graph, bounds info, solver graph,
 // cache), private mutable ones (bounds clone, pool, report).
-func (p *Prepared) solveState(opts Options, pool *graph.CutPool, workers int) *flowState {
+func (p *Prepared) solveState(opts Options, pool *graph.CutPool) *flowState {
 	rep := p.baseRep
 	rep.PassTimes = append([]PassTime(nil), p.baseRep.PassTimes...)
 	rep.Degraded = append([]string(nil), p.baseRep.Degraded...)
-	rep.Workers = workers
 	return &flowState{
-		in:      p.in,
-		opts:    opts,
-		rep:     &rep,
-		m:       p.st.m,
-		info:    p.st.info,
-		g:       p.st.g,
-		bounds:  p.st.bounds.Clone(),
-		pool:    pool,
-		workers: workers,
-		eng:     &graph.Engine{Workers: workers, Cache: p.cache},
+		in:     p.in,
+		opts:   opts,
+		rep:    &rep,
+		m:      p.st.m,
+		info:   p.st.info,
+		g:      p.st.g,
+		bounds: p.st.bounds.Clone(),
+		pool:   pool,
+		eng:    &graph.Engine{Cache: p.cache},
 	}
 }
 
@@ -142,9 +137,9 @@ func runSolve(ctx context.Context, sink trace.Sink, st *flowState) (*netlist.Cir
 // Anchor runs (once) the MinAreaAtMinPeriod solve on the prepared state and
 // returns its circuit and report; later calls return the memoized result.
 // This is the sweep's φ* endpoint, and its inputs — the pristine post-share
-// bounds, the cache's empty cut pool, the prepare-time worker count — are
-// exactly what Retime's solve half would see, so the output is bit-for-bit
-// the single-point Retime(MinAreaAtMinPeriod) result.
+// bounds and the cache's empty cut pool — are exactly what Retime's solve
+// half would see, so the output is bit-for-bit the single-point
+// Retime(MinAreaAtMinPeriod) result.
 //
 // The first caller's ctx and sink drive the solve. The returned report is
 // shared: callers must not mutate it.
@@ -152,7 +147,7 @@ func (p *Prepared) Anchor(ctx context.Context, sink trace.Sink) (*netlist.Circui
 	p.anchorOnce.Do(func() {
 		opts := p.opts
 		opts.Objective = MinAreaAtMinPeriod
-		st := p.solveState(opts, p.cache.Pool(p.st.g), p.workers)
+		st := p.solveState(opts, p.cache.Pool(p.st.g))
 		lad := p.takeLadder()
 		st.eng.Ladder = lad
 		out, rep, err := runSolve(ctx, sink, st)
@@ -185,9 +180,6 @@ func (p *Prepared) BaselinePeriod() int64 { return p.baseRep.PeriodBefore }
 // RegsBefore returns the circuit's register count before retiming.
 func (p *Prepared) RegsBefore() int { return p.baseRep.RegsBefore }
 
-// Workers returns the resolved prepare-time parallelism.
-func (p *Prepared) Workers() int { return p.workers }
-
 // Candidates returns the candidate clock periods of the sweep: the distinct
 // path-delay (D) values, ascending. Every critical path's delay is a D
 // entry, so the feasible period↔area front can only step at these values;
@@ -198,19 +190,19 @@ func (p *Prepared) Workers() int { return p.workers }
 // only probes periods above the minimum feasible one, so the pruned tail is
 // unreachable by construction. No W/D matrix is materialized.
 func (p *Prepared) Candidates(ctx context.Context) ([]int64, error) {
-	return p.st.g.CandidatePeriods(ctx, p.workers, p.st.g.MaxDelay())
+	return p.st.g.CandidatePeriods(ctx, p.st.g.MaxDelay())
 }
 
 // SolveAtPeriod runs a MinAreaAtPeriod solve at target period phi on private
 // state and returns the retimed circuit and report. Safe to call from many
-// goroutines at once: each call clones the pristine bounds, seeds a private
-// cut pool from the anchor snapshot, and pins inner parallelism to 1 (the
-// sweep parallelizes across points). The first call triggers the anchor solve
-// if it has not run yet, so every point benefits from the seed cuts.
+// goroutines at once: each call clones the pristine bounds and seeds a
+// private cut pool from the anchor snapshot (the sweep parallelizes across
+// points). The first call triggers the anchor solve if it has not run yet, so
+// every point benefits from the seed cuts.
 //
 // The result is deterministic per phi — independent of sweep parallelism and
 // of which other periods are being solved — because no mutable state is
-// shared and the solvers are bit-identical at every worker count.
+// shared.
 func (p *Prepared) SolveAtPeriod(ctx context.Context, phi int64, sink trace.Sink) (*netlist.Circuit, *Report, error) {
 	if _, _, err := p.Anchor(ctx, nil); err != nil {
 		return nil, nil, err
@@ -218,9 +210,8 @@ func (p *Prepared) SolveAtPeriod(ctx context.Context, phi int64, sink trace.Sink
 	opts := p.opts
 	opts.Objective = MinAreaAtPeriod
 	opts.TargetPeriod = phi
-	opts.Parallelism = 1
 	pool := graph.NewCutPool(append([]graph.Cut(nil), p.seed...))
-	st := p.solveState(opts, pool, 1)
+	st := p.solveState(opts, pool)
 	lad := p.takeLadder()
 	st.eng.Ladder = lad
 	out, rep, err := runSolve(ctx, sink, st)

@@ -34,11 +34,11 @@ func TestPreparedAnchorMatchesRetime(t *testing.T) {
 		c := c
 		t.Run(c.Name, func(t *testing.T) {
 			t.Parallel()
-			ref, refRep, err := Retime(c, Options{Objective: MinAreaAtMinPeriod, Parallelism: 1})
+			ref, refRep, err := Retime(c, Options{Objective: MinAreaAtMinPeriod})
 			if err != nil {
 				t.Fatal(err)
 			}
-			prep, err := Prepare(context.Background(), c, Options{Parallelism: 1})
+			prep, err := Prepare(context.Background(), c, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -78,11 +78,11 @@ func TestPreparedAnchorMatchesRetime(t *testing.T) {
 // the dedicated MinPeriod objective.
 func TestPreparedMinPeriodMatchesRetime(t *testing.T) {
 	for _, c := range preparedTestCircuits(t) {
-		_, mpRep, err := Retime(c, Options{Objective: MinPeriod, Parallelism: 1})
+		_, mpRep, err := Retime(c, Options{Objective: MinPeriod})
 		if err != nil {
 			t.Fatal(err)
 		}
-		prep, err := Prepare(context.Background(), c, Options{Parallelism: 1})
+		prep, err := Prepare(context.Background(), c, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,7 +105,7 @@ func TestPreparedSolveAtPeriodDeterministic(t *testing.T) {
 		t.Run(c.Name, func(t *testing.T) {
 			t.Parallel()
 			ctx := context.Background()
-			prep, err := Prepare(ctx, c, Options{Parallelism: 1})
+			prep, err := Prepare(ctx, c, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -143,7 +143,7 @@ func TestPreparedSolveAtPeriodDeterministic(t *testing.T) {
 				t.Fatal("repeat SolveAtPeriod on the same Prepared diverged")
 			}
 
-			prepB, err := Prepare(ctx, c, Options{Parallelism: 1})
+			prepB, err := Prepare(ctx, c, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -162,7 +162,7 @@ func TestPreparedSolveAtPeriodDeterministic(t *testing.T) {
 func TestPreparedInfeasiblePeriod(t *testing.T) {
 	c := preparedTestCircuits(t)[0]
 	ctx := context.Background()
-	prep, err := Prepare(ctx, c, Options{Parallelism: 1})
+	prep, err := Prepare(ctx, c, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,8 +63,8 @@ func TestScaleLarge(t *testing.T) {
 		t.Skip("set MCRETIMING_SCALE=1 to run the ≥50k-vertex scale acceptance test")
 	}
 	rep := retimeScale(t, 64, 600)
-	t.Logf("scale: period %d -> %d ps, regs %d -> %d, workers %d",
-		rep.PeriodBefore, rep.PeriodAfter, rep.RegsBefore, rep.RegsAfter, rep.Workers)
+	t.Logf("scale: period %d -> %d ps, regs %d -> %d",
+		rep.PeriodBefore, rep.PeriodAfter, rep.RegsBefore, rep.RegsAfter)
 }
 
 // TestScaleHuge is the 10⁶-vertex acceptance run, gated behind
@@ -112,14 +112,18 @@ func TestScaleHuge(t *testing.T) {
 		t.Fatal(err)
 	}
 	boundsWall := time.Since(t0)
-	if ag, _ := m.AreaGraph(info); ag.NumVertices() < g.NumVertices() {
+	ag, _, err := m.AreaGraph(ctx, info)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ag.NumVertices() < g.NumVertices() {
 		t.Fatalf("sharing graph has %d vertices, fewer than the projection's %d", ag.NumVertices(), g.NumVertices())
 	}
 	modelWall := time.Since(t0)
 
 	cs0 := graph.ColdStartCount()
 	t0 = time.Now()
-	phiW, rW, err := g.MinPeriodLazyEng(ctx, nil, nil, &graph.Engine{Workers: 1, Ladder: graph.NewProbeLadder()})
+	phiW, rW, err := g.MinPeriodLazyEng(ctx, nil, nil, &graph.Engine{Ladder: graph.NewProbeLadder()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +133,7 @@ func TestScaleHuge(t *testing.T) {
 	}
 
 	t0 = time.Now()
-	phiC, rC, err := g.MinPeriodLazyEng(ctx, nil, nil, &graph.Engine{Workers: 1, ColdProbes: true})
+	phiC, rC, err := g.MinPeriodLazyEng(ctx, nil, nil, &graph.Engine{ColdProbes: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,7 @@ import (
 // joins the comparison.
 func assertEngineAgreement(t *testing.T, c *netlist.Circuit, obj Objective, dense bool) {
 	t.Helper()
-	opts := Options{Objective: obj, Parallelism: 1}
+	opts := Options{Objective: obj}
 	refText, refRep := oracleText(t, c, opts, oracleCold)
 	out, warmRep, err := Retime(c, opts)
 	if err != nil {

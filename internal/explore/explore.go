@@ -51,9 +51,9 @@ const fingerprintVersion = "explore-fp/v2"
 
 // Options configures a sweep.
 type Options struct {
-	// Core is the option set every per-period solve inherits. Objective,
-	// TargetPeriod, and inner Parallelism are overridden by the sweep;
-	// budgets and flags apply as given.
+	// Core is the option set every per-period solve inherits. Objective and
+	// TargetPeriod are overridden by the sweep; budgets and flags apply as
+	// given.
 	Core core.Options
 
 	// Parallelism is the sweep-level worker count: how many periods solve
@@ -242,7 +242,7 @@ func Sweep(ctx context.Context, c *netlist.Circuit, o Options) (*Front, error) {
 			recs[i] = trace.NewRecorder()
 		}
 	}
-	_, err = par.Run(ctx, par.Workers(o.Parallelism), len(phis), func(_, i int) error {
+	err = par.Run(ctx, par.Workers(o.Parallelism), len(phis), func(_, i int) error {
 		j := len(phis) - 1 - i
 		phi := phis[j]
 		var ss Solution

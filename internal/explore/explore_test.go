@@ -81,7 +81,7 @@ func TestFrontGolden(t *testing.T) {
 			}
 
 			// Single-point references.
-			maOut, maRep, err := core.Retime(c.Clone(), core.Options{Objective: core.MinAreaAtMinPeriod, Parallelism: 1})
+			maOut, maRep, err := core.Retime(c.Clone(), core.Options{Objective: core.MinAreaAtMinPeriod})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -89,7 +89,7 @@ func TestFrontGolden(t *testing.T) {
 				t.Fatalf("front min period %d, Retime(MinAreaAtMinPeriod) achieved %d",
 					serial.MinPeriodPS, maRep.PeriodAfter)
 			}
-			_, mpRep, err := core.Retime(c.Clone(), core.Options{Objective: core.MinPeriod, Parallelism: 1})
+			_, mpRep, err := core.Retime(c.Clone(), core.Options{Objective: core.MinPeriod})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -301,9 +301,9 @@ func TestFrontEngineEquivalence(t *testing.T) {
 				t.Fatal("empty front")
 			}
 			for j, p := range front.Points {
-				opts := core.Options{Objective: core.MinAreaAtPeriod, TargetPeriod: p.PeriodPS, Parallelism: 1}
+				opts := core.Options{Objective: core.MinAreaAtPeriod, TargetPeriod: p.PeriodPS}
 				if j == 0 {
-					opts = core.Options{Objective: core.MinAreaAtMinPeriod, Parallelism: 1}
+					opts = core.Options{Objective: core.MinAreaAtMinPeriod}
 				}
 				out, rep, err := core.Retime(c.Clone(), opts)
 				if err != nil {

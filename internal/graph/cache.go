@@ -122,14 +122,14 @@ func (c *SolveCache) Pool(g *Graph) *CutPool {
 	return c.pool
 }
 
-// WD returns the memoized W/D matrices of g, computing them (with workers
-// parallelism, see ComputeWDPar) on the first call.
-func (c *SolveCache) WD(ctx context.Context, g *Graph, workers int) (*WD, error) {
+// WD returns the memoized W/D matrices of g, computing them (see ComputeWD)
+// on the first call.
+func (c *SolveCache) WD(ctx context.Context, g *Graph) (*WD, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.rebind(g)
 	if c.wd == nil {
-		wd, err := g.ComputeWDPar(ctx, workers)
+		wd, err := g.ComputeWD(ctx)
 		if err != nil {
 			return nil, err
 		}

@@ -4,78 +4,51 @@ import (
 	"context"
 	"slices"
 
-	"mcretiming/internal/par"
 	"mcretiming/internal/trace"
 )
 
 // CandidatePeriods streams the candidate clock periods — the sorted distinct
 // D(u,v) values over reachable pairs — without materializing the dense W/D
 // matrices. Per source it runs the same pruned Dijkstra + tight-DAG
-// longest-delay kernel a matrix row uses (sourceRow), harvests the distinct
-// delays into a per-worker set, and merges the sets at the end: O(V) memory
-// per worker instead of the O(V²) matrices, same asymptotic time.
+// longest-delay kernel a matrix row uses (sourceRow) and harvests the
+// distinct delays into one set: O(V) memory instead of the O(V²) matrices,
+// same asymptotic time.
 //
 // minDelay is the early cutoff: path delays below it are pruned at harvest.
 // The sound choice for a minimum-period caller is max_v d(v) — no feasible
 // period can be smaller than the largest single-vertex delay, because the
 // critical path through that vertex already costs d(v) — which typically
 // drops the long tail of tiny single-gate delays. Pass 0 to keep everything;
-// then the result equals ComputeWD().Candidates() exactly.
+// then the result equals the Candidates of ComputeWD exactly.
 //
-// Sources are sharded over a worker pool; per-worker sets make the union
-// order-independent, so the sorted result is bit-identical at every worker
-// count. ctx is polled between sources.
-func (g *Graph) CandidatePeriods(ctx context.Context, workers int, minDelay int64) ([]int64, error) {
+// ctx is polled between sources.
+func (g *Graph) CandidatePeriods(ctx context.Context, minDelay int64) ([]int64, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	n := g.NumVertices()
-	w := par.Workers(workers)
-	if w > 1 && n < 2*w {
-		w = 1
-	}
-	type worker struct {
-		sc   *wdScratch
-		seen map[int64]struct{}
-	}
-	ws := make([]*worker, w)
-	st, err := par.Run(ctx, w, n, func(wi, u int) error {
-		wk := ws[wi]
-		if wk == nil {
-			wk = &worker{sc: g.newWDScratch(), seen: make(map[int64]struct{})}
-			ws[wi] = wk
+	sc := g.newWDScratch()
+	seen := make(map[int64]struct{})
+	for u := 0; u < n; u++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
-		g.sourceRow(VertexID(u), wk.sc)
+		g.sourceRow(VertexID(u), sc)
 		for v := 0; v < n; v++ {
-			if wk.sc.dist[v] == InfW {
+			if sc.dist[v] == InfW {
 				continue
 			}
-			if d := wk.sc.delay[v]; d >= minDelay {
-				wk.seen[d] = struct{}{}
+			if d := sc.delay[v]; d >= minDelay {
+				seen[d] = struct{}{}
 			}
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
-	merged := make(map[int64]struct{})
-	for _, wk := range ws {
-		if wk == nil {
-			continue
-		}
-		for d := range wk.seen {
-			merged[d] = struct{}{}
-		}
-	}
-	out := make([]int64, 0, len(merged))
-	for d := range merged {
+	out := make([]int64, 0, len(seen))
+	for d := range seen {
 		out = append(out, d)
 	}
 	slices.Sort(out)
-	sink := trace.From(ctx)
-	sink.Add("candidate-workers", int64(st.Workers))
-	sink.Add("candidate-periods", int64(len(out)))
+	trace.From(ctx).Add("candidate-periods", int64(len(out)))
 	return out, nil
 }
 

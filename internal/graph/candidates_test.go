@@ -35,25 +35,22 @@ func randomSolvableGraph(rng *rand.Rand) *Graph {
 }
 
 // The streamed candidate generator must reproduce the dense matrices'
-// candidate list exactly (cutoff 0) and its suffix at any cutoff, at every
-// worker count.
+// candidate list exactly (cutoff 0) and its suffix at any cutoff.
 func TestCandidatePeriodsMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	ctx := context.Background()
 	for iter := 0; iter < 30; iter++ {
 		g := randomSolvableGraph(rng)
-		dense := g.ComputeWD().Candidates()
-		for _, workers := range []int{1, 2, 4} {
-			got, err := g.CandidatePeriods(ctx, workers, 0)
-			if err != nil {
-				t.Fatalf("iter %d workers %d: %v", iter, workers, err)
-			}
-			if !slices.Equal(got, dense) {
-				t.Fatalf("iter %d workers %d: streamed %v != dense %v", iter, workers, got, dense)
-			}
+		dense := mustWD(t, g).Candidates()
+		got, err := g.CandidatePeriods(ctx, 0)
+		if err != nil {
+			t.Fatalf("iter %d: %v", iter, err)
+		}
+		if !slices.Equal(got, dense) {
+			t.Fatalf("iter %d: streamed %v != dense %v", iter, got, dense)
 		}
 		cutoff := g.MaxDelay()
-		got, err := g.CandidatePeriods(ctx, 2, cutoff)
+		got, err = g.CandidatePeriods(ctx, cutoff)
 		if err != nil {
 			t.Fatalf("iter %d: %v", iter, err)
 		}
@@ -90,16 +87,14 @@ func TestCandidateCutoffSound(t *testing.T) {
 func TestWDComputeCountHook(t *testing.T) {
 	g := randomSolvableGraph(rand.New(rand.NewSource(13)))
 	before := WDComputeCount()
-	if _, err := g.CandidatePeriods(context.Background(), 2, 0); err != nil {
+	if _, err := g.CandidatePeriods(context.Background(), 0); err != nil {
 		t.Fatal(err)
 	}
 	if d := WDComputeCount() - before; d != 0 {
 		t.Fatalf("CandidatePeriods bumped the dense-compute counter by %d", d)
 	}
-	g.ComputeWD()
-	if _, err := g.ComputeWDPar(context.Background(), 2); err != nil {
-		t.Fatal(err)
-	}
+	mustWD(t, g)
+	mustWD(t, g)
 	if d := WDComputeCount() - before; d != 2 {
 		t.Fatalf("dense-compute counter delta %d, want 2", d)
 	}

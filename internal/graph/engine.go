@@ -1,16 +1,11 @@
 package graph
 
-import "mcretiming/internal/par"
-
 // Engine bundles the execution knobs of the basic-retiming solvers: the
-// worker count for the parallel stages (W/D rows, period-cut trace-back) and
-// the cross-solve SolveCache. The zero value and a nil *Engine both mean
-// "serial, uncached", which is exactly the historical behavior — every
-// solver entry point without an Eng suffix delegates with a nil engine.
+// cross-solve SolveCache and the probe ladder. The zero value and a nil
+// *Engine both mean "uncached", which is exactly the historical behavior —
+// every solver entry point without an Eng suffix delegates with a nil
+// engine.
 type Engine struct {
-	// Workers is the parallelism degree: ≤ 0 means GOMAXPROCS, 1 forces the
-	// serial path.
-	Workers int
 	// Cache, when non-nil, memoizes WD matrices, circuit constraints, and
 	// the period-cut pool across solver calls on the same graph.
 	Cache *SolveCache
@@ -25,14 +20,6 @@ type Engine struct {
 	// engine). It exists for benchmarks and equivalence tests that need the
 	// per-probe cold reference path; production flows leave it false.
 	ColdProbes bool
-}
-
-// workerCount resolves the engine's parallelism (nil-safe).
-func (e *Engine) workerCount() int {
-	if e == nil {
-		return 1
-	}
-	return par.Workers(e.Workers)
 }
 
 // ladder returns the engine's probe ladder (nil-safe).

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"context"
 	"fmt"
 
 	"mcretiming/internal/rterr"
@@ -92,7 +93,10 @@ func (g *Graph) feasWith(phi int64, sc *feasScratch) ([]int32, bool) {
 // shared by every probe of the search.
 func (g *Graph) MinPeriodFEAS(wd *WD) (int64, []int32, error) {
 	if wd == nil {
-		wd = g.ComputeWD()
+		var err error
+		if wd, err = g.ComputeWD(context.Background()); err != nil {
+			return 0, nil, err
+		}
 	}
 	cands := wd.Candidates()
 	if len(cands) == 0 {

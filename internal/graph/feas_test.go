@@ -49,7 +49,7 @@ func TestThreeEnginesAgree(t *testing.T) {
 		g.AddEdge(Host, vs[0], 1)
 		g.AddEdge(vs[n-1], Host, 1)
 
-		wd := g.ComputeWD()
+		wd := mustWD(t, g)
 		phiDense, _, err := g.MinPeriod(wd, nil)
 		if err != nil {
 			t.Fatalf("iter %d: %v", iter, err)

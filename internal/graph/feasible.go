@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -377,7 +378,10 @@ func runSPFA(n int, cons []Constraint, sc *spfaScratch, queue []VertexID) ([]int
 // and shared by every probe of the search.
 func (g *Graph) MinPeriod(wd *WD, bounds *Bounds) (int64, []int32, error) {
 	if wd == nil {
-		wd = g.ComputeWD()
+		var err error
+		if wd, err = g.ComputeWD(context.Background()); err != nil {
+			return 0, nil, err
+		}
 	}
 	cands := wd.Candidates()
 	if len(cands) == 0 {

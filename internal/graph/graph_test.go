@@ -65,7 +65,7 @@ func TestCorrelatorMinPeriod(t *testing.T) {
 
 func TestCorrelatorWD(t *testing.T) {
 	g := correlator()
-	wd := g.ComputeWD()
+	wd := mustWD(t, g)
 	// c1 ⇝ a3 direct: weight 0, delay 3+7 = 10.
 	if w, d := wd.At(1, 7); w != 0 || d != 10 {
 		t.Errorf("W,D(c1,a3) = %d,%d, want 0,10", w, d)
@@ -189,7 +189,7 @@ func TestMinPeriodRandomized(t *testing.T) {
 		g.AddEdge(Host, vs[0], 1)
 		g.AddEdge(vs[n-1], Host, 1)
 
-		wd := g.ComputeWD()
+		wd := mustWD(t, g)
 		phi, r, err := g.MinPeriod(wd, nil)
 		if err != nil {
 			t.Fatalf("iter %d: %v", iter, err)

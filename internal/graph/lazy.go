@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"mcretiming/internal/failpoint"
-	"mcretiming/internal/par"
 	"mcretiming/internal/rterr"
 	"mcretiming/internal/trace"
 )
@@ -159,23 +158,16 @@ func (g *Graph) BaseConstraints(bounds *Bounds) []Constraint {
 
 // PeriodCuts computes the period cuts violated by retiming r at period phi:
 // one per vertex whose zero-weight arrival exceeds phi, traced back along
-// the critical parent chain. An empty result means r achieves phi.
+// the critical parent chain. Cut i belongs to the i-th violating vertex in
+// vertex order. An empty result means r achieves phi.
 func (g *Graph) PeriodCuts(r []int32, phi int64) ([]Cut, error) {
-	return g.PeriodCutsPar(context.Background(), r, phi, 1)
-}
-
-// PeriodCutsPar is PeriodCuts with the per-vertex critical-path trace-back
-// sharded over a worker pool: the arrival propagation stays serial (it is a
-// topological sweep), but once delta/parent are fixed each violating vertex's
-// walk to its path root is independent. Cut i belongs to the i-th violating
-// vertex in vertex order, so the result is identical for every worker count.
-func (g *Graph) PeriodCutsPar(ctx context.Context, r []int32, phi int64, workers int) ([]Cut, error) {
-	cuts, _, err := g.periodCuts(ctx, r, phi, workers)
+	cs := newCutScratch(g.NumVertices())
+	cuts, _, err := g.periodCutsBuf(r, phi, &cs)
 	return cuts, err
 }
 
-// cutScratch holds the per-sweep buffers of periodCuts so a probe ladder can
-// run every cutting-plane round allocation-free.
+// cutScratch holds the per-sweep buffers of periodCutsBuf so a probe ladder
+// can run every cutting-plane round allocation-free.
 type cutScratch struct {
 	indeg  []int32
 	delta  []int64
@@ -192,16 +184,11 @@ func newCutScratch(n int) cutScratch {
 	}
 }
 
-// periodCuts is PeriodCutsPar, additionally returning the maximum zero-weight
-// arrival time of the sweep — the period r actually achieves — so a feasible
-// probe's caller can tighten its search without a second arrival pass.
-func (g *Graph) periodCuts(ctx context.Context, r []int32, phi int64, workers int) ([]Cut, int64, error) {
-	cs := newCutScratch(g.NumVertices())
-	return g.periodCutsBuf(ctx, r, phi, workers, &cs)
-}
-
-// periodCutsBuf is periodCuts inside cs's buffers.
-func (g *Graph) periodCutsBuf(ctx context.Context, r []int32, phi int64, workers int, cs *cutScratch) ([]Cut, int64, error) {
+// periodCutsBuf is PeriodCuts inside cs's buffers, additionally returning the
+// maximum zero-weight arrival time of the sweep — the period r actually
+// achieves — so a feasible probe's caller can tighten its search without a
+// second arrival pass.
+func (g *Graph) periodCutsBuf(r []int32, phi int64, cs *cutScratch) ([]Cut, int64, error) {
 	n := g.NumVertices()
 	indeg := cs.indeg
 	for v := 0; v < n; v++ {
@@ -248,33 +235,23 @@ func (g *Graph) periodCutsBuf(ctx context.Context, r []int32, phi int64, workers
 		return nil, 0, fmt.Errorf("graph: zero-weight cycle under candidate retiming")
 	}
 	var maxDelta int64
-	var violating []VertexID
+	var cuts []Cut
 	for v := 0; v < n; v++ {
 		if delta[v] > maxDelta {
 			maxDelta = delta[v]
 		}
-		if delta[v] > phi {
-			violating = append(violating, VertexID(v))
+		if delta[v] <= phi {
+			continue
 		}
-	}
-	if len(violating) == 0 {
-		return nil, maxDelta, nil
-	}
-	cuts := make([]Cut, len(violating))
-	if _, err := par.Run(ctx, workers, len(violating), func(_, i int) error {
-		v := violating[i]
-		u := v
+		u := VertexID(v)
 		for parent[u] != -1 {
 			u = parent[u]
 		}
 		// Path weight w(p) = r(u) − r(v) because every edge is tight.
-		cuts[i] = Cut{
-			Constraint: Constraint{Y: v, X: u, B: r[u] - r[v] - 1},
+		cuts = append(cuts, Cut{
+			Constraint: Constraint{Y: VertexID(v), X: u, B: r[u] - r[v] - 1},
 			PathDelay:  delta[v],
-		}
-		return nil
-	}); err != nil {
-		return nil, 0, err
+		})
 	}
 	return cuts, maxDelta, nil
 }
@@ -297,10 +274,9 @@ func (g *Graph) FeasibleLazyCtx(ctx context.Context, phi int64, bounds *Bounds, 
 
 // FeasibleLazyEng is FeasibleLazyCtx under an Engine: the base constraints
 // come from the engine's cache (circuit part reused across probes and §5.2
-// retries), the cut trace-back runs on the engine's worker pool, and the
-// engine's ProbeLadder (when set) warm-starts the solve from the last
-// feasible probe's quiescent SPFA state. A nil engine means serial, uncached,
-// and cold.
+// retries), and the engine's ProbeLadder (when set) warm-starts the solve
+// from the last feasible probe's quiescent SPFA state. A nil engine means
+// uncached and cold.
 func (g *Graph) FeasibleLazyEng(ctx context.Context, phi int64, bounds *Bounds, pool *CutPool, eng *Engine) ([]int32, bool, error) {
 	r, _, _, ok, err := g.feasibleLazyLad(ctx, phi, bounds, pool, eng, eng.ladder())
 	return r, ok, err
@@ -325,7 +301,6 @@ func (g *Graph) FeasibleLazyEng(ctx context.Context, phi int64, bounds *Bounds, 
 func (g *Graph) feasibleLazyLad(ctx context.Context, phi int64, bounds *Bounds, pool *CutPool, eng *Engine, lad *ProbeLadder) (res []int32, achieved, cert int64, okOut bool, errOut error) {
 	sink := trace.From(ctx)
 	n := g.NumVertices()
-	workers := eng.workerCount()
 	// One scratch for the whole cutting-plane loop: the first round solves
 	// cold (or restores the ladder checkpoint), every later round continues
 	// the previous round's relaxation — the rounds only ever add constraints,
@@ -399,12 +374,9 @@ func (g *Graph) feasibleLazyLad(ctx context.Context, phi int64, bounds *Bounds, 
 		for i := range r {
 			r[i] -= h
 		}
-		cuts, maxDelta, err := g.periodCutsBuf(ctx, r, phi, workers, cut)
+		cuts, maxDelta, err := g.periodCutsBuf(r, phi, cut)
 		if err != nil {
 			abort()
-			if ctx.Err() != nil {
-				return nil, 0, 0, false, err
-			}
 			return nil, 0, 0, false, nil
 		}
 		if len(cuts) == 0 {
@@ -442,10 +414,10 @@ func (g *Graph) MinPeriodLazyCtx(ctx context.Context, bounds *Bounds, pool *CutP
 
 // MinPeriodLazyEng is MinPeriodLazyCtx under an Engine (see FeasibleLazyEng):
 // every feasibility probe of the binary search shares the engine's cached
-// circuit constraints and worker pool, and warm-starts from the previous
-// feasible probe through a ProbeLadder — the engine's if it carries one, a
-// search-private one otherwise, so even nil-engine callers get probe-to-probe
-// reuse inside a single search.
+// circuit constraints and warm-starts from the previous feasible probe
+// through a ProbeLadder — the engine's if it carries one, a search-private
+// one otherwise, so even nil-engine callers get probe-to-probe reuse inside
+// a single search.
 func (g *Graph) MinPeriodLazyEng(ctx context.Context, bounds *Bounds, pool *CutPool, eng *Engine) (int64, []int32, error) {
 	// Chaos hook: the binary search's entry is the canonical "slow solver"
 	// site for latency and failure injection.

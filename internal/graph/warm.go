@@ -49,7 +49,7 @@ type ProbeLadder struct {
 	// buffers): a clean warm probe skips the dist/parent copies and the adj
 	// rebuild — it just activates the delta cuts and keeps relaxing.
 	scClean bool
-	// cut-sweep buffers reused across periodCuts rounds (allocation-free
+	// cut-sweep buffers reused across periodCutsBuf rounds (allocation-free
 	// probes at scale).
 	cut cutScratch
 

@@ -35,7 +35,7 @@ func TestLadderOneColdStartPerSearch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := &Engine{Workers: 1, Ladder: NewProbeLadder()}
+	eng := &Engine{Ladder: NewProbeLadder()}
 	before := ColdStartCount()
 	phi, r, err := g.MinPeriodLazyEng(context.Background(), nil, nil, eng)
 	if err != nil {
@@ -60,7 +60,7 @@ func TestLadderInvalidationPaths(t *testing.T) {
 	ctx := context.Background()
 
 	t.Run("graph change rebinds", func(t *testing.T) {
-		eng := &Engine{Workers: 1, Ladder: NewProbeLadder()}
+		eng := &Engine{Ladder: NewProbeLadder()}
 		rng := rand.New(rand.NewSource(7))
 		for iter := 0; iter < 20; iter++ {
 			g := randLadderGraph(rng)
@@ -88,7 +88,7 @@ func TestLadderInvalidationPaths(t *testing.T) {
 		for v := 1; v < n; v++ {
 			bounds.Min[v], bounds.Max[v] = -3, 3
 		}
-		eng := &Engine{Workers: 1, Ladder: NewProbeLadder()}
+		eng := &Engine{Ladder: NewProbeLadder()}
 		phi, _, err := g.MinPeriodLazyEng(ctx, bounds, nil, eng)
 		if err != nil {
 			t.Fatal(err)
@@ -118,7 +118,7 @@ func TestLadderInvalidationPaths(t *testing.T) {
 
 	t.Run("probe above checkpoint period", func(t *testing.T) {
 		g := correlator()
-		eng := &Engine{Workers: 1, Ladder: NewProbeLadder()}
+		eng := &Engine{Ladder: NewProbeLadder()}
 		phi, _, err := g.MinPeriodLazyEng(ctx, nil, nil, eng)
 		if err != nil {
 			t.Fatal(err)
@@ -143,7 +143,7 @@ func TestLadderInvalidationPaths(t *testing.T) {
 	t.Run("reset keeps buffers drops state", func(t *testing.T) {
 		g := correlator()
 		lad := NewProbeLadder()
-		eng := &Engine{Workers: 1, Ladder: lad}
+		eng := &Engine{Ladder: lad}
 		phiRef, _, err := g.MinPeriodLazyEng(ctx, nil, nil, eng)
 		if err != nil {
 			t.Fatal(err)
@@ -179,7 +179,7 @@ func TestCertificateNeverSkipsFeasible(t *testing.T) {
 		if err != nil {
 			t.Fatalf("iter %d: dense: %v", iter, err)
 		}
-		eng := &Engine{Workers: 1, Ladder: NewProbeLadder()}
+		eng := &Engine{Ladder: NewProbeLadder()}
 		phi, r, err := g.MinPeriodLazyEng(ctx, nil, nil, eng)
 		if err != nil {
 			t.Fatalf("iter %d: warm: %v", iter, err)

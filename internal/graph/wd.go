@@ -1,9 +1,12 @@
 package graph
 
 import (
+	"context"
 	"math"
 	"slices"
 	"sync/atomic"
+
+	"mcretiming/internal/failpoint"
 )
 
 // InfW marks an unreachable pair in the W matrix.
@@ -16,8 +19,8 @@ const InfW int32 = math.MaxInt32
 var wdComputes atomic.Int64
 
 // WDComputeCount returns the number of dense W/D matrix computations
-// (ComputeWD and ComputeWDPar calls) since process start. A test hook: the
-// sparse-engine guard asserts the delta over a solve is zero.
+// (ComputeWD calls) since process start. A test hook: the sparse-engine
+// guard asserts the delta over a solve is zero.
 func WDComputeCount() int64 { return wdComputes.Load() }
 
 // WD holds the Leiserson–Saxe path matrices for a graph with n vertices:
@@ -89,9 +92,8 @@ func (p *pq) pop() pqItem {
 	return top
 }
 
-// wdScratch is one worker's reusable buffers for per-source W/D rows. Every
-// parallel worker owns one, so row computations share nothing but the
-// read-only graph and the output matrix (whose rows are disjoint per source).
+// wdScratch holds the reusable buffers for per-source W/D rows: one instance
+// serves every source of a ComputeWD or CandidatePeriods run.
 type wdScratch struct {
 	dist  []int32
 	delay []int64
@@ -159,17 +161,24 @@ func (g *Graph) wdRow(u VertexID, m *WD, sc *wdScratch) {
 // cannot be tight in a well-formed graph — every combinational cycle is
 // rejected by Period — so the DP order is well-defined.
 //
-// This is the serial engine; ComputeWDPar shards the sources over a worker
-// pool and produces the identical matrices.
-func (g *Graph) ComputeWD() *WD {
+// The context is polled between rows; on cancellation the partial matrices
+// are discarded and the context's error returned.
+func (g *Graph) ComputeWD(ctx context.Context) (*WD, error) {
+	// Chaos hook for the heaviest precomputation of the flow.
+	if err := failpoint.Inject(ctx, "graph.wd"); err != nil {
+		return nil, err
+	}
 	wdComputes.Add(1)
 	n := g.NumVertices()
 	m := &WD{N: n, W: make([]int32, n*n), D: make([]int64, n*n)}
 	sc := g.newWDScratch()
 	for u := 0; u < n; u++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		g.wdRow(VertexID(u), m, sc)
 	}
-	return m
+	return m, nil
 }
 
 // tightLongest fills sc.delay[v] with the maximum path delay among paths u⇝v

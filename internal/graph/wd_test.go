@@ -83,7 +83,7 @@ func TestWDMatchesBruteForce(t *testing.T) {
 			continue // combinational cycle from the chords
 		}
 
-		wd := g.ComputeWD()
+		wd := mustWD(t, g)
 		// Depth bound: weights on every cycle ≥ 1 and max interesting
 		// weight is small, so 4·n edges covers all minimum-weight paths.
 		bw, bd := bruteWD(g, 4*g.NumVertices())

@@ -31,7 +31,6 @@ import (
 	"mcretiming/internal/logic"
 	"mcretiming/internal/mcgraph"
 	"mcretiming/internal/netlist"
-	"mcretiming/internal/par"
 )
 
 // domain indexes the two independent reset-value systems.
@@ -97,13 +96,6 @@ type Justifier struct {
 	// negative = unlimited). Exhaustion counts as an unresolved conflict,
 	// which sends the caller down the §5.2 add-bound-and-re-solve path.
 	SATConflicts int
-	// Parallelism ≥ 2 solves the synchronous and asynchronous local
-	// justifications of each backward move concurrently. The two domains
-	// are independent systems — their reset values never interact — and the
-	// solves only read j.vals and build private BDDs, so the traced-back
-	// regions cannot overlap and the results match the serial order exactly.
-	// Global justification stays serial: it rewrites shared state.
-	Parallelism int
 
 	vals      map[int64][2]logic.Bit // serial -> {sync, async} value
 	origin    map[int64]bool         // serial is an original register
@@ -216,22 +208,16 @@ func (j *Justifier) Backward(v graph.VertexID, removed, inserted []mcgraph.RegIn
 		j.vals[r.Serial] = [2]logic.Bit{logic.BX, logic.BX}
 	}
 
-	// The two domains write disjoint slots of pinVals and otherwise only
-	// read shared state, so they can solve concurrently (see Parallelism).
+	// The two domains are independent systems: their reset values never
+	// interact, so each is justified locally on its own.
 	var pinVals [2][]logic.Bit
 	var domOK [2]bool
-	solve := func(dom domain) func() error {
-		return func() error {
-			if (dom == domSync && !cls.HasSR()) || (dom == domAsync && !cls.HasAR()) {
-				pinVals[dom], domOK[dom] = allX(len(inserted)), true
-				return nil
-			}
-			pinVals[dom], domOK[dom] = j.localBackward(g, rec.out, len(inserted), dom)
-			return nil
+	for _, dom := range [...]domain{domSync, domAsync} {
+		if (dom == domSync && !cls.HasSR()) || (dom == domAsync && !cls.HasAR()) {
+			pinVals[dom], domOK[dom] = allX(len(inserted)), true
+			continue
 		}
-	}
-	if err := par.Do(j.context(), j.Parallelism, solve(domSync), solve(domAsync)); err != nil {
-		return inserted, err
+		pinVals[dom], domOK[dom] = j.localBackward(g, rec.out, len(inserted), dom)
 	}
 	needGlobal := !domOK[domSync] || !domOK[domAsync]
 

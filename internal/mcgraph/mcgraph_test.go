@@ -1,6 +1,7 @@
 package mcgraph
 
 import (
+	"context"
 	"testing"
 
 	"mcretiming/internal/graph"
@@ -341,6 +342,16 @@ func TestRelocateRejectsIllegalRetiming(t *testing.T) {
 	}
 }
 
+// areaGraph builds m's sharing graph for a test.
+func areaGraph(t *testing.T, m *MC, info *BoundsInfo) (*graph.Graph, *graph.Bounds) {
+	t.Helper()
+	g, gb, err := m.AreaGraph(context.Background(), info)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g, gb
+}
+
 func TestAreaGraphWeightsConserved(t *testing.T) {
 	c := enPipeline(t)
 	m, err := Build(c)
@@ -348,7 +359,7 @@ func TestAreaGraphWeightsConserved(t *testing.T) {
 		t.Fatal(err)
 	}
 	info := m.ComputeBounds()
-	g, gb := m.AreaGraph(info)
+	g, gb := areaGraph(t, m, info)
 	if len(gb.Min) != g.NumVertices() {
 		t.Fatalf("bounds cover %d of %d vertices", len(gb.Min), g.NumVertices())
 	}
@@ -384,7 +395,7 @@ func TestFig4SharingSeparation(t *testing.T) {
 		t.Fatal(err)
 	}
 	info := m.ComputeBounds()
-	g, _ := m.AreaGraph(info)
+	g, _ := areaGraph(t, m, info)
 	if g.NumVertices() <= len(m.Verts) {
 		t.Error("no separation vertex inserted for mixed-class fanout")
 	}

@@ -236,7 +236,7 @@ func TestPropertyProjectionWeightConservation(t *testing.T) {
 		if got := m.ToGraph().TotalWeight(nil); got != want {
 			t.Fatalf("iter %d: plain projection %d != %d", iter, got, want)
 		}
-		ag, _ := m.AreaGraph(info)
+		ag, _ := areaGraph(t, m, info)
 		if got := ag.TotalWeight(nil); got != want {
 			t.Fatalf("iter %d: area projection %d != %d", iter, got, want)
 		}

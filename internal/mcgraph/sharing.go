@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"mcretiming/internal/graph"
-	"mcretiming/internal/par"
 	"mcretiming/internal/trace"
 )
 
@@ -30,23 +29,10 @@ import (
 // Separation vertices exist only in the returned graph/bounds; retiming
 // values at indices ≥ len(m.Verts) are solver-internal and dropped when the
 // solution is applied to the mc-graph.
-func (m *MC) AreaGraph(info *BoundsInfo) (*graph.Graph, *graph.Bounds) {
-	g, gb, err := m.AreaGraphPar(context.Background(), info, 1)
-	if err != nil {
-		// Unreachable: the background context never cancels and the layer
-		// analysis has no other failure mode.
-		panic(err)
-	}
-	return g, gb
-}
-
-// AreaGraphPar is AreaGraph with the per-multi-fanout-vertex layer-cut
-// analysis fanned out over a worker pool. Each vertex's analysis reads only
-// the backward-retimed class sequences and writes τ only for that vertex's
-// own fanout edges, so the writes are disjoint and the result is identical
-// to the serial sweep. Edge emission stays serial to keep vertex/edge numbering
-// deterministic.
-func (m *MC) AreaGraphPar(ctx context.Context, info *BoundsInfo, workers int) (*graph.Graph, *graph.Bounds, error) {
+//
+// ctx is polled between multi-fanout vertices; on cancellation the context's
+// error is returned.
+func (m *MC) AreaGraph(ctx context.Context, info *BoundsInfo) (*graph.Graph, *graph.Bounds, error) {
 	g := graph.New()
 	for i := 1; i < len(m.Verts); i++ {
 		g.AddVertex(m.Verts[i].Name, m.Verts[i].Delay)
@@ -69,16 +55,13 @@ func (m *MC) AreaGraphPar(ctx context.Context, info *BoundsInfo, workers int) (*
 			fanout = append(fanout, int32(v))
 		}
 	}
-	st, err := par.Run(ctx, par.Workers(workers), len(fanout), func(_, item int) error {
-		m.cutFanout(info.BackwardClasses, fanout[item], tau)
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
+	for _, v := range fanout {
+		if err := ctx.Err(); err != nil {
+			return nil, nil, err
+		}
+		m.cutFanout(info.BackwardClasses, v, tau)
 	}
-	sink := trace.From(ctx)
-	sink.Add("share-workers", int64(st.Workers))
-	sink.Add("share-fanout-vertices", int64(len(fanout)))
+	trace.From(ctx).Add("share-fanout-vertices", int64(len(fanout)))
 
 	// Emit edges, splitting those with a cut. Host-adjacent edges are
 	// omitted (see ToGraph).
@@ -121,8 +104,7 @@ func (m *MC) AreaGraphPar(ctx context.Context, info *BoundsInfo, workers int) (*
 
 // cutFanout runs the §4.2 layer-cut analysis for one multi-fanout vertex v
 // on the backward-retimed class sequences bw, writing the non-sharable
-// register counts into tau at v's own out-edge indices only (safe for
-// concurrent callers on distinct vertices).
+// register counts into tau at v's own out-edge indices only.
 func (m *MC) cutFanout(bw [][]ClassID, v int32, tau []int32) {
 	selected := append([]int32(nil), m.out[v]...)
 	for layer := 0; ; layer++ {

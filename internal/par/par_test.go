@@ -28,15 +28,12 @@ func TestRunCoversEveryItemOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 8} {
 		const items = 100
 		counts := make([]int64, items)
-		st, err := Run(context.Background(), workers, items, func(_, i int) error {
+		err := Run(context.Background(), workers, items, func(_, i int) error {
 			atomic.AddInt64(&counts[i], 1)
 			return nil
 		})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if st.Items != items {
-			t.Fatalf("workers=%d: %d items done, want %d", workers, st.Items, items)
 		}
 		for i, c := range counts {
 			if c != 1 {
@@ -49,7 +46,7 @@ func TestRunCoversEveryItemOnce(t *testing.T) {
 func TestRunPropagatesFirstError(t *testing.T) {
 	boom := errors.New("boom")
 	for _, workers := range []int{1, 4} {
-		_, err := Run(context.Background(), workers, 50, func(_, i int) error {
+		err := Run(context.Background(), workers, 50, func(_, i int) error {
 			if i == 17 {
 				return boom
 			}
@@ -65,43 +62,26 @@ func TestRunHonorsCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, workers := range []int{1, 4} {
-		st, err := Run(ctx, workers, 1000, func(_, i int) error { return nil })
+		var done int64
+		err := Run(ctx, workers, 1000, func(_, i int) error {
+			atomic.AddInt64(&done, 1)
+			return nil
+		})
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
 		}
-		if st.Items == 1000 {
+		if done == 1000 {
 			t.Fatalf("workers=%d: cancelled run completed all items", workers)
 		}
 	}
 }
 
 func TestRunEmpty(t *testing.T) {
-	st, err := Run(context.Background(), 4, 0, func(_, i int) error {
+	err := Run(context.Background(), 4, 0, func(_, i int) error {
 		t.Fatal("fn called for empty run")
 		return nil
 	})
-	if err != nil || st.Items != 0 {
-		t.Fatalf("empty run: %+v, %v", st, err)
-	}
-}
-
-func TestDo(t *testing.T) {
-	var a, b int32
-	err := Do(context.Background(), 2,
-		func() error { atomic.StoreInt32(&a, 1); return nil },
-		func() error { atomic.StoreInt32(&b, 1); return nil },
-	)
-	if err != nil || a != 1 || b != 1 {
-		t.Fatalf("Do: a=%d b=%d err=%v", a, b, err)
-	}
-}
-
-func TestSpeedupX1000Serial(t *testing.T) {
-	st, err := Run(context.Background(), 1, 10, func(_, i int) error { return nil })
 	if err != nil {
-		t.Fatal(err)
-	}
-	if sx := st.SpeedupX1000(); sx < 900 || sx > 1100 {
-		t.Fatalf("serial speedup x1000 = %d, want ~1000", sx)
+		t.Fatalf("empty run: %v", err)
 	}
 }

@@ -24,10 +24,6 @@ type Limits struct {
 	// FlowAugmentations caps the augmentation steps of each min-cost-flow
 	// solve inside a round.
 	FlowAugmentations int
-	// Workers is the parallelism degree of the period-cut trace-back inside
-	// each round. Unlike the budget fields, 0 keeps the historical serial
-	// path; pass a resolved worker count to fan the trace-back out.
-	Workers int
 }
 
 // Default budgets for Limits zero fields.
@@ -74,10 +70,6 @@ func MinAreaLazyBudget(ctx context.Context, g *graph.Graph, phi int64, bounds *g
 		pool = &graph.CutPool{}
 	}
 	maxRounds := capOf(lim.MaxRounds, DefaultMaxRounds)
-	workers := lim.Workers
-	if workers <= 0 {
-		workers = 1
-	}
 	sink := trace.From(ctx)
 	prob := buildAreaProblem(g, bounds)
 	prob.maxAug = capOf(lim.FlowAugmentations, DefaultFlowAugmentations)
@@ -108,7 +100,7 @@ func MinAreaLazyBudget(ctx context.Context, g *graph.Graph, phi int64, bounds *g
 		if err != nil {
 			return nil, fmt.Errorf("retime: minarea (lazy, round %d) at period %d: %w", round, phi, err)
 		}
-		newCuts, err := g.PeriodCutsPar(ctx, r, phi, workers)
+		newCuts, err := g.PeriodCuts(r, phi)
 		if err != nil {
 			return nil, err
 		}

@@ -39,7 +39,7 @@ func TestLazyMinAreaMatchesDense(t *testing.T) {
 				bounds.Min[v], bounds.Max[v] = -2, 2
 			}
 		}
-		wd := g.ComputeWD()
+		wd := denseWD(t, g)
 		phi, _, err := g.MinPeriod(wd, bounds)
 		if err != nil {
 			t.Fatalf("iter %d: %v", iter, err)

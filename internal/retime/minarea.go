@@ -20,6 +20,7 @@
 package retime
 
 import (
+	"context"
 	"fmt"
 
 	"mcretiming/internal/graph"
@@ -38,7 +39,10 @@ import (
 // equivalence tests.
 func MinAreaDense(g *graph.Graph, wd *graph.WD, phi int64, bounds *graph.Bounds) ([]int32, error) {
 	if wd == nil {
-		wd = g.ComputeWD()
+		var err error
+		if wd, err = g.ComputeWD(context.Background()); err != nil {
+			return nil, err
+		}
 	}
 	n := g.NumVertices()
 
@@ -196,7 +200,10 @@ func MinPeriodMinArea(g *graph.Graph, bounds *graph.Bounds) (int64, []int32, err
 // MinPeriodMinAreaDense is the two-phase flow over the dense W/D matrices:
 // the demoted reference engine, kept as the small-graph cross-check.
 func MinPeriodMinAreaDense(g *graph.Graph, bounds *graph.Bounds) (int64, []int32, error) {
-	wd := g.ComputeWD()
+	wd, err := g.ComputeWD(context.Background())
+	if err != nil {
+		return 0, nil, err
+	}
 	phi, _, err := g.MinPeriod(wd, bounds)
 	if err != nil {
 		return 0, nil, err

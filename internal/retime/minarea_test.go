@@ -1,11 +1,22 @@
 package retime
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"mcretiming/internal/graph"
 )
+
+// denseWD computes g's dense W/D matrices for a test.
+func denseWD(t *testing.T, g *graph.Graph) *graph.WD {
+	t.Helper()
+	wd, err := g.ComputeWD(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return wd
+}
 
 // bruteMinArea enumerates retimings r(v) ∈ [-span, span] (host pinned to 0)
 // and returns the minimum shared register count subject to legality, the
@@ -58,7 +69,7 @@ func chainGraph() *graph.Graph {
 
 func TestMinAreaChain(t *testing.T) {
 	g := chainGraph()
-	wd := g.ComputeWD()
+	wd := denseWD(t, g)
 	phi, _, err := g.MinPeriod(wd, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -89,7 +100,7 @@ func TestMinAreaExploitsSharing(t *testing.T) {
 
 	// At a permissive period the two fanout registers already share: cost 1
 	// on u's fanout plus the two PO-edge registers.
-	wd := g.ComputeWD()
+	wd := denseWD(t, g)
 	r, err := MinAreaDense(g, wd, 100, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +114,7 @@ func TestMinAreaExploitsSharing(t *testing.T) {
 
 func TestMinAreaRespectsBounds(t *testing.T) {
 	g := chainGraph()
-	wd := g.ComputeWD()
+	wd := denseWD(t, g)
 	b := graph.NewBounds(g.NumVertices())
 	for v := range b.Min {
 		b.Min[v], b.Max[v] = 0, 0
@@ -162,7 +173,7 @@ func TestMinAreaRandomAgainstBruteForce(t *testing.T) {
 				bounds.Min[v], bounds.Max[v] = -1, 1
 			}
 		}
-		wd := g.ComputeWD()
+		wd := denseWD(t, g)
 		phi, _, err := g.MinPeriod(wd, bounds)
 		if err != nil {
 			t.Fatalf("iter %d: %v", iter, err)
@@ -193,7 +204,7 @@ func TestMinPeriodMinAreaTwoPhase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wd := g.ComputeWD()
+	wd := denseWD(t, g)
 	wantPhi, _, err := g.MinPeriod(wd, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -4,7 +4,8 @@ package server
 // "engine" field ("auto", "sparse", "dense" or "arrival"). Decoding ignores
 // the field, so checkpoints, HA snapshots and live requests that carry it
 // keep working — and because there is one solve core, they return exactly
-// the bytes a spec without it returns.
+// the bytes a spec without it returns. The same holds for "parallelism" on a
+// retime job: the solve is serial, so the field no longer reaches the result.
 
 import (
 	"bytes"
@@ -118,13 +119,17 @@ func TestLegacyEngineReplicatedSnapshot(t *testing.T) {
 	assertLegacyJobsMatch(t, hs.URL, kinds, want)
 }
 
-// TestLegacyEngineRequestAccepted: a live request carrying an engine field is
-// accepted and returns the same bytes as one without it.
+// TestLegacyEngineRequestAccepted: a live request carrying an engine field,
+// or a retime request carrying a parallelism, is accepted and returns the
+// same bytes as one without it.
 func TestLegacyEngineRequestAccepted(t *testing.T) {
 	want := controlResults(t)
 	_, hs := newTestServer(t, Config{})
-	for _, engine := range []string{"auto", "sparse", "dense", "arrival"} {
-		data, err := json.Marshal(map[string]any{"blif": testBLIF(t), "options": map[string]any{"engine": engine}})
+	for _, opts := range []map[string]any{
+		{"engine": "auto"}, {"engine": "sparse"}, {"engine": "dense"}, {"engine": "arrival"},
+		{"parallelism": 4},
+	} {
+		data, err := json.Marshal(map[string]any{"blif": testBLIF(t), "options": opts})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,10 +144,10 @@ func TestLegacyEngineRequestAccepted(t *testing.T) {
 			t.Fatal(err)
 		}
 		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("engine %q: status %d, body %v", engine, resp.StatusCode, view)
+			t.Fatalf("options %v: status %d, body %v", opts, resp.StatusCode, view)
 		}
 		if got := resultJSON(t, view); !bytes.Equal(got, want[KindRetime]) {
-			t.Fatalf("engine %q: result differs from a request without it:\n%s\nvs\n%s", engine, got, want[KindRetime])
+			t.Fatalf("options %v: result differs from a request without them:\n%s\nvs\n%s", opts, got, want[KindRetime])
 		}
 	}
 }

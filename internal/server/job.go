@@ -29,7 +29,10 @@ type JobOptions struct {
 	DisableJustify  bool `json:"disable_justify,omitempty"`
 	SATJustify      bool `json:"sat_justify,omitempty"`
 	CheckInvariants bool `json:"check_invariants,omitempty"`
-	Parallelism     int  `json:"parallelism,omitempty"`
+	// Parallelism is the width of an exploration job's period sweep: how
+	// many points solve concurrently (0 = GOMAXPROCS). It never changes the
+	// result. Retime jobs ignore it: the single solve is serial.
+	Parallelism int `json:"parallelism,omitempty"`
 
 	// TimeoutMS overrides the server's default per-job deadline;
 	// negative disables the deadline entirely.
@@ -58,7 +61,6 @@ func (o JobOptions) coreOptions() (core.Options, error) {
 		DisableJustify:  o.DisableJustify,
 		SATJustify:      o.SATJustify,
 		CheckInvariants: o.CheckInvariants,
-		Parallelism:     o.Parallelism,
 		Budgets: core.Budgets{
 			BDDNodes:          o.Budgets.BDDNodes,
 			SATConflicts:      o.Budgets.SATConflicts,
@@ -139,7 +141,6 @@ type ReportSummary struct {
 	Retries            int      `json:"retries"`
 	JustifyEscalations int      `json:"justify_escalations,omitempty"`
 	Degraded           []string `json:"degraded,omitempty"`
-	Workers            int      `json:"workers"`
 }
 
 func summarize(rep *core.Report) *ReportSummary {
@@ -154,7 +155,6 @@ func summarize(rep *core.Report) *ReportSummary {
 		Retries:            rep.Retries,
 		JustifyEscalations: rep.JustifyEscalations,
 		Degraded:           rep.Degraded,
-		Workers:            rep.Workers,
 	}
 }
 

@@ -949,7 +949,7 @@ func (s *Server) executeExplore(ctx context.Context, job *Job) error {
 		opts.Trace, opts.Budgets = rec, budgets // steps 1-3 of the shared prepare stage
 		front, err := explore.Sweep(ctx, c, explore.Options{
 			Core:        opts,
-			Parallelism: opts.Parallelism,
+			Parallelism: job.Spec.Options.Parallelism,
 			MaxPoints:   job.Spec.Options.MaxPoints,
 			Store:       s.store,
 			Trace:       rec,
