@@ -67,6 +67,79 @@ func TestScaleLarge(t *testing.T) {
 		rep.PeriodBefore, rep.PeriodAfter, rep.RegsBefore, rep.RegsAfter)
 }
 
+// TestScaleWarmLadder is the warm-start acceptance run, gated behind
+// MCRETIMING_SCALE=1 like TestScaleLarge. On a deep 32×1200 pipeline (~77k
+// vertices) it solves minperiod over the §4.1 bounds and §4.2 sharing graph
+// twice: cold (every binary-search probe re-seeds SPFA) and warm (one probe
+// ladder across the search, the production path). Depth is what separates
+// the two: a cold probe re-propagates labels through the whole pipeline,
+// while a warm probe only relaxes the delta from the previous rung. The warm
+// search must be bit-identical to the cold one, pay exactly one cold SPFA
+// start, and run at least 2× faster. Both sides run in the same process, so
+// the speedup floor holds on any host; each side is best of two.
+func TestScaleWarmLadder(t *testing.T) {
+	if os.Getenv("MCRETIMING_SCALE") == "" {
+		t.Skip("set MCRETIMING_SCALE=1 to run the warm-ladder scale acceptance test")
+	}
+	const minSpeedup = 2.0
+	c, err := gen.ScalePipeline(1, 32, 1200, gen.ClassMix{Plain: 1, EN: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := mcgraph.Build(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	info, err := m.ComputeBoundsCtx(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, bounds, err := m.AreaGraph(ctx, info)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	type solve struct {
+		phi    int64
+		r      []int32
+		starts int64
+		wall   time.Duration
+	}
+	bestOf2 := func(eng func() *graph.Engine) solve {
+		var best solve
+		for i := 0; i < 2; i++ {
+			cs0 := graph.ColdStartCount()
+			t0 := time.Now()
+			phi, r, err := g.MinPeriodLazyEng(ctx, bounds, nil, eng())
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := solve{phi: phi, r: r, starts: graph.ColdStartCount() - cs0, wall: time.Since(t0)}
+			if i == 0 || s.wall < best.wall {
+				best = s
+			}
+		}
+		return best
+	}
+	cold := bestOf2(func() *graph.Engine { return &graph.Engine{ColdProbes: true} })
+	warm := bestOf2(func() *graph.Engine { return &graph.Engine{Ladder: graph.NewProbeLadder()} })
+	speedup := float64(cold.wall) / float64(warm.wall)
+	t.Logf("warm ladder: %d vertices, phi=%d ps, cold=%v warm=%v speedup=%.2fx, cold SPFA starts %d -> %d",
+		g.NumVertices(), cold.phi, cold.wall, warm.wall, speedup, cold.starts, warm.starts)
+
+	if warm.phi != cold.phi || !slices.Equal(warm.r, cold.r) {
+		t.Fatalf("warm minperiod diverged from cold: phi %d vs %d", warm.phi, cold.phi)
+	}
+	if warm.starts != 1 {
+		t.Fatalf("warm search performed %d cold SPFA starts, want exactly 1", warm.starts)
+	}
+	if speedup < minSpeedup {
+		t.Fatalf("warm minperiod speedup %.2fx below the %.1fx floor (cold %v, warm %v)",
+			speedup, minSpeedup, cold.wall, warm.wall)
+	}
+}
+
 // TestScaleHuge is the 10⁶-vertex acceptance run, gated behind
 // MCRETIMING_SCALE=1 like TestScaleLarge. On a million-vertex scale pipeline
 // it runs the delay-independent model half — the §4.1 bounds pass

@@ -35,22 +35,12 @@ type SolveCache struct {
 // miss computed it. Base counts the circuit-constraint prefix only — the
 // bounds suffix is always rebuilt because §5.2 retries tighten bounds. Warm
 // counts lazy feasibility probes: a hit restored a ProbeLadder checkpoint
-// instead of solving the difference system cold. The fields are additive to
-// the mcretiming-perf/v1 schema — older snapshots simply lack them.
+// instead of solving the difference system cold.
 type CacheStats struct {
-	WDHits     int64 `json:"wd_hits"`
-	WDMisses   int64 `json:"wd_misses"`
-	BaseHits   int64 `json:"base_hits"`
-	BaseMisses int64 `json:"base_misses"`
-	WarmHits   int64 `json:"warm_hits,omitempty"`
-	WarmMisses int64 `json:"warm_misses,omitempty"`
+	WDHits, WDMisses     int64
+	BaseHits, BaseMisses int64
+	WarmHits, WarmMisses int64
 }
-
-// Hits returns the total lookups served from memoized state.
-func (s CacheStats) Hits() int64 { return s.WDHits + s.BaseHits + s.WarmHits }
-
-// Misses returns the total lookups that had to compute.
-func (s CacheStats) Misses() int64 { return s.WDMisses + s.BaseMisses + s.WarmMisses }
 
 // Stats returns a snapshot of the cache's hit/miss counters.
 func (c *SolveCache) Stats() CacheStats {
@@ -64,9 +54,10 @@ func (c *SolveCache) Stats() CacheStats {
 	}
 }
 
-// Process-cumulative counters across every SolveCache, so tooling that can't
-// reach the per-run cache instances buried in the flow (mcbench -json) can
-// still attribute speedups to cache reuse by sampling before/after a run.
+// Process-cumulative counters across every SolveCache, for readers that can't
+// reach the per-run cache instances buried in the flow: mcretimed's /metrics
+// and perfbench's per-layer counters, which sample them before and after a
+// run.
 var totalCacheStats struct {
 	wdHits, wdMisses, baseHits, baseMisses atomic.Int64
 	warmHits, warmMisses                   atomic.Int64
@@ -81,19 +72,6 @@ func TotalCacheStats() CacheStats {
 		BaseMisses: totalCacheStats.baseMisses.Load(),
 		WarmHits:   totalCacheStats.warmHits.Load(),
 		WarmMisses: totalCacheStats.warmMisses.Load(),
-	}
-}
-
-// Delta returns s - prev, field-wise: the counters attributable to the work
-// between two TotalCacheStats samples.
-func (s CacheStats) Delta(prev CacheStats) CacheStats {
-	return CacheStats{
-		WDHits:     s.WDHits - prev.WDHits,
-		WDMisses:   s.WDMisses - prev.WDMisses,
-		BaseHits:   s.BaseHits - prev.BaseHits,
-		BaseMisses: s.BaseMisses - prev.BaseMisses,
-		WarmHits:   s.WarmHits - prev.WarmHits,
-		WarmMisses: s.WarmMisses - prev.WarmMisses,
 	}
 }
 

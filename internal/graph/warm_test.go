@@ -28,7 +28,7 @@ func randLadderGraph(rng *rand.Rand) *Graph {
 
 // A warm-started minperiod search performs exactly one cold SPFA seeding no
 // matter how many probes it runs — the structural contract the scale tests
-// and the bench gate pin at 10⁶ vertices, checked here at unit size.
+// pin at ~77k and 10⁶ vertices, checked here at unit size.
 func TestLadderOneColdStartPerSearch(t *testing.T) {
 	g := correlator()
 	phiRef, _, err := g.MinPeriodLazy(nil, nil)

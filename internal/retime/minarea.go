@@ -183,7 +183,7 @@ func SharedRegCount(g *graph.Graph, r []int32) int64 {
 //
 // The solve is matrix-free: the lazy binary search and the cutting-plane
 // minarea loop share one cut pool and never materialize W/D. For the dense
-// reference formulation, see MinPeriodMinAreaDense.
+// reference formulation, see MinAreaDense.
 func MinPeriodMinArea(g *graph.Graph, bounds *graph.Bounds) (int64, []int32, error) {
 	pool := &graph.CutPool{}
 	phi, _, err := g.MinPeriodLazy(bounds, pool)
@@ -191,24 +191,6 @@ func MinPeriodMinArea(g *graph.Graph, bounds *graph.Bounds) (int64, []int32, err
 		return 0, nil, err
 	}
 	r, err := MinAreaLazy(g, phi, bounds, pool)
-	if err != nil {
-		return 0, nil, err
-	}
-	return phi, r, nil
-}
-
-// MinPeriodMinAreaDense is the two-phase flow over the dense W/D matrices:
-// the demoted reference engine, kept as the small-graph cross-check.
-func MinPeriodMinAreaDense(g *graph.Graph, bounds *graph.Bounds) (int64, []int32, error) {
-	wd, err := g.ComputeWD(context.Background())
-	if err != nil {
-		return 0, nil, err
-	}
-	phi, _, err := g.MinPeriod(wd, bounds)
-	if err != nil {
-		return 0, nil, err
-	}
-	r, err := MinAreaDense(g, wd, phi, bounds)
 	if err != nil {
 		return 0, nil, err
 	}
