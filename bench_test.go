@@ -11,6 +11,7 @@ import (
 	"mcretiming/internal/bench"
 	"mcretiming/internal/core"
 	"mcretiming/internal/gen"
+	"mcretiming/internal/graph"
 	"mcretiming/internal/mcgraph"
 	"mcretiming/internal/netlist"
 	"mcretiming/internal/xc4000"
@@ -266,7 +267,7 @@ func BenchmarkAblationLazyVsDense(b *testing.B) {
 	})
 	b.Run("lazy-cuts", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := g.MinPeriodLazy(bounds, nil); err != nil {
+			if _, _, err := g.MinPeriodLazy(context.Background(), bounds, nil, graph.NewProbeLadder()); err != nil {
 				b.Fatal(err)
 			}
 		}

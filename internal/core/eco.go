@@ -11,11 +11,11 @@ package core
 //   - the solver graph's vertices and edges are that same structure.
 //
 // Apply therefore patches the single edited delay through the circuit, the
-// mc-graph, and the solver graph, and rebinds a fresh solve cache — skipping
-// steps 1-3 entirely. What it must NOT reuse is anything derived from delays:
-// the pooled period cuts (their path delays are stale), the candidate period
-// list, and the baseline period, all of which the new Prepared recomputes
-// lazily or here.
+// mc-graph, and the solver graph — skipping steps 1-3 entirely. What it must
+// NOT reuse is anything derived from delays: the pooled period cuts (their
+// path delays are stale), the probe ladders' warm SPFA state, the candidate
+// period list, and the baseline period, all of which the new Prepared starts
+// empty and recomputes lazily or here.
 //
 // Edits that change structure (add/remove gates or registers, rewire pins)
 // change the class bounds and the sharing analysis and need a cold Prepare;
@@ -78,13 +78,12 @@ func (p *Prepared) Apply(edit Edit) (*Prepared, error) {
 	// vertices at the same indices (separation vertices, appended after,
 	// carry delay 0 and are untouched by a gate edit), so the gate's solver
 	// vertex is v itself. WithDelays shares the structure — edges, adjacency —
-	// with the old graph but has a fresh identity, so the new solve cache
-	// cannot alias the stale one's artifacts.
+	// with the old graph but has a fresh identity, so no probe ladder bound
+	// to the old graph can warm-start on it.
 	delays := append([]int64(nil), p.st.g.Delay...)
 	delays[v] = edit.DelayPS
 	g := p.st.g.WithDelays(delays)
 
-	cache := graph.NewSolveCache(g)
 	st := &flowState{
 		in:     ckt,
 		opts:   p.opts,
@@ -92,8 +91,7 @@ func (p *Prepared) Apply(edit Edit) (*Prepared, error) {
 		info:   p.st.info, // bounds analysis: delay-independent, reused
 		g:      g,
 		bounds: p.st.bounds, // pristine post-share bounds; cloned per solve
-		pool:   cache.Pool(g),
-		eng:    &graph.Engine{Cache: cache},
+		pool:   &graph.CutPool{},
 	}
 	rep := p.baseRep
 	rep.Degraded = append([]string(nil), p.baseRep.Degraded...)
@@ -103,21 +101,10 @@ func (p *Prepared) Apply(edit Edit) (*Prepared, error) {
 		return nil, fmt.Errorf("core: eco: %w", err)
 	}
 	st.rep = &rep
-	np := &Prepared{
+	return &Prepared{
 		in:      ckt,
 		opts:    p.opts,
 		st:      st,
-		cache:   cache,
 		baseRep: rep,
-	}
-	// Hand the donor's probe ladder to the edited Prepared with its
-	// checkpoint dropped: cut path delays are delay-derived, so the warm
-	// state is stale, but the O(V)-sized solve buffers are not — an ECO
-	// round's first probe skips the large allocations. The donor allocates a
-	// fresh ladder lazily if it solves again.
-	if lad := p.ladderSlot.Swap(nil); lad != nil {
-		lad.Reset()
-		np.ladderSlot.Store(lad)
-	}
-	return np, nil
+	}, nil
 }

@@ -61,8 +61,7 @@ func retimeOracle(c *netlist.Circuit, opts Options, o oracle) (*netlist.Circuit,
 	switch o {
 	case oracleCold:
 		p = append(p, pass.Pass[flowState]{Name: "cold-probes", Run: func(pc *pass.Context[flowState]) error {
-			pc.State.eng.Ladder = nil
-			pc.State.eng.ColdProbes = true
+			pc.State.lad = nil
 			return nil
 		}})
 	case oracleDense:
@@ -81,11 +80,11 @@ func retimeOracle(c *netlist.Circuit, opts Options, o oracle) (*netlist.Circuit,
 	return pc.State.out, pc.State.rep, nil
 }
 
-// runMinPeriodDense is step 4 on the dense reference: W/D from the cache,
-// candidate binary search, full period-constraint enumeration.
+// runMinPeriodDense is step 4 on the dense reference: W/D of the solver
+// graph, candidate binary search, full period-constraint enumeration.
 func runMinPeriodDense(pc *pass.Context[flowState]) error {
 	s := pc.State
-	wd, err := s.eng.Cache.WD(pc.Ctx(), s.g)
+	wd, err := s.g.ComputeWD(pc.Ctx())
 	if err != nil {
 		return err
 	}
@@ -116,7 +115,7 @@ func runMinAreaDense(pc *pass.Context[flowState]) error {
 	if s.opts.Objective == MinPeriod {
 		return nil
 	}
-	wd, err := s.eng.Cache.WD(pc.Ctx(), s.g)
+	wd, err := s.g.ComputeWD(pc.Ctx())
 	if err != nil {
 		return err
 	}

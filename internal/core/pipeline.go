@@ -43,7 +43,7 @@ type flowState struct {
 	bounds *graph.Bounds
 	pool   *graph.CutPool
 
-	eng *graph.Engine // SolveCache + probe ladder over s.g (set in runShare)
+	lad *graph.ProbeLadder // warm SPFA state of the solve session (set in runShare)
 
 	r   []int32 // candidate retiming over all solver vertices
 	phi int64   // achieved/target period of r
@@ -219,16 +219,13 @@ func runShare(pc *pass.Context[flowState]) error {
 		}
 		s.g, s.bounds = g, bounds
 	}
-	// The solver graph is final from here on: bind the cross-retry cache to
-	// it. The §5.2 retries and the minperiod→minarea two-phase solve reuse
-	// its circuit constraints and share its cut pool instead of recomputing.
-	cache := graph.NewSolveCache(s.g)
-	// One probe ladder for the whole solve session: minperiod's binary-search
-	// probes, the minarea feasibility solves, and the §5.2 retry reruns all
-	// warm-start from the last feasible labeling instead of re-seeding SPFA.
-	// The flow runs its passes sequentially, so the single ladder is safe.
-	s.eng = &graph.Engine{Cache: cache, Ladder: graph.NewProbeLadder()}
-	s.pool = cache.Pool(s.g)
+	// The solver graph is final from here on. One probe ladder serves the
+	// whole solve session: minperiod's binary-search probes, the minarea
+	// feasibility solves, and the §5.2 retry reruns all warm-start from the
+	// last feasible labeling instead of re-seeding SPFA, and they share
+	// s.pool's cuts. The flow runs its passes sequentially, so the single
+	// ladder is safe.
+	s.lad = graph.NewProbeLadder()
 	if s.opts.ForwardOnly {
 		for v := range s.bounds.Max {
 			if s.bounds.Max[v] > 0 || s.bounds.Max[v] == graph.NoUpper {
@@ -256,13 +253,13 @@ func runMinPeriod(pc *pass.Context[flowState]) error {
 	s := pc.State
 	switch s.opts.Objective {
 	case MinPeriod, MinAreaAtMinPeriod:
-		phi, r, err := s.g.MinPeriodLazyEng(pc.Ctx(), s.bounds, s.pool, s.eng)
+		phi, r, err := s.g.MinPeriodLazy(pc.Ctx(), s.bounds, s.pool, s.lad)
 		if err != nil {
 			return err
 		}
 		s.phi, s.r = phi, r
 		if s.opts.checksEnabled() && s.g.NumVertices() <= denseCrossCheckMaxV {
-			wd, err := s.eng.Cache.WD(pc.Ctx(), s.g)
+			wd, err := s.g.ComputeWD(pc.Ctx())
 			if err != nil {
 				return err
 			}
@@ -277,7 +274,7 @@ func runMinPeriod(pc *pass.Context[flowState]) error {
 			pc.Sink.Add("dense-cross-checks", 1)
 		}
 	case MinAreaAtPeriod:
-		r, ok, err := s.g.FeasibleLazyEng(pc.Ctx(), s.opts.TargetPeriod, s.bounds, s.pool, s.eng)
+		r, ok, err := s.g.FeasibleLazy(pc.Ctx(), s.opts.TargetPeriod, s.bounds, s.pool, s.lad)
 		if err != nil {
 			return err
 		}
@@ -307,7 +304,7 @@ func runMinArea(pc *pass.Context[flowState]) error {
 		MaxRounds:         s.opts.Budgets.MinAreaRounds,
 		FlowAugmentations: s.opts.Budgets.FlowAugmentations,
 	}
-	r, err := retime.MinAreaLazyBudget(pc.Ctx(), s.g, s.phi, s.bounds, s.pool, lim)
+	r, err := retime.MinAreaLazy(pc.Ctx(), s.g, s.phi, s.bounds, s.pool, lim)
 	if err != nil {
 		if pc.Err() != nil {
 			return err

@@ -10,19 +10,19 @@ package core
 // result. From it:
 //
 //   - Anchor runs steps 4-6 with the MinAreaAtMinPeriod objective on the
-//     prepared state, using the cache's own (still empty) cut pool and the
-//     pristine bounds — the identical inputs Retime's solve half sees — so
-//     the anchor circuit is bit-for-bit the single-point Retime result, by
-//     construction rather than by luck. It also snapshots the cut pool the
+//     prepared state, using an empty cut pool and the pristine bounds — the
+//     identical inputs Retime's solve half sees — so the anchor circuit is
+//     bit-for-bit the single-point Retime result, by construction rather
+//     than by luck. It also snapshots the cut pool the
 //     solve accumulated, which seeds every per-period solve.
 //
 //   - SolveAtPeriod runs steps 4-6 with the MinAreaAtPeriod objective at one
 //     target period, on fully private mutable state: a clone of the pristine
 //     bounds (the §5.2 loop tightens bounds in place), a private cut pool
 //     seeded from the anchor snapshot (period cuts are graph-path properties,
-//     valid under any bounds). The sweep's parallelism lives across points;
-//     each solve is serial. The shared SolveCache is safe for concurrent use
-//     and keeps the circuit constraints common to all points.
+//     valid under any bounds), and a probe ladder of its own (see
+//     ladderSlot). The sweep's parallelism lives across points; each solve
+//     is serial.
 //
 //   - Candidates returns the distinct D-matrix entries — the only periods at
 //     which the feasible front can step (a critical path's delay is a D
@@ -47,8 +47,7 @@ type Prepared struct {
 	opts Options
 
 	st      *flowState // frozen post-share state; never mutated after Prepare
-	cache   *graph.SolveCache
-	baseRep Report // report fields of steps 1-3
+	baseRep Report     // report fields of steps 1-3
 
 	anchorOnce sync.Once
 	anchorOut  *netlist.Circuit
@@ -92,14 +91,14 @@ func Prepare(ctx context.Context, c *netlist.Circuit, opts Options) (*Prepared, 
 		in:      c,
 		opts:    opts,
 		st:      st,
-		cache:   st.eng.Cache,
 		baseRep: *st.rep,
 	}, nil
 }
 
 // solveState builds a private flow state for one solve over the prepared
-// model: shared immutable artifacts (mc-graph, bounds info, solver graph,
-// cache), private mutable ones (bounds clone, pool, report).
+// model: shared immutable artifacts (mc-graph, bounds info, solver graph),
+// private mutable ones (bounds clone, pool, probe ladder, report). The caller
+// returns lad to the slot when the solve is done.
 func (p *Prepared) solveState(opts Options, pool *graph.CutPool) *flowState {
 	rep := p.baseRep
 	rep.PassTimes = append([]PassTime(nil), p.baseRep.PassTimes...)
@@ -113,7 +112,7 @@ func (p *Prepared) solveState(opts Options, pool *graph.CutPool) *flowState {
 		g:      p.st.g,
 		bounds: p.st.bounds.Clone(),
 		pool:   pool,
-		eng:    &graph.Engine{Cache: p.cache},
+		lad:    p.takeLadder(),
 	}
 }
 
@@ -137,7 +136,7 @@ func runSolve(ctx context.Context, sink trace.Sink, st *flowState) (*netlist.Cir
 // Anchor runs (once) the MinAreaAtMinPeriod solve on the prepared state and
 // returns its circuit and report; later calls return the memoized result.
 // This is the sweep's φ* endpoint, and its inputs — the pristine post-share
-// bounds and the cache's empty cut pool — are exactly what Retime's solve
+// bounds and an empty cut pool — are exactly what Retime's solve
 // half would see, so the output is bit-for-bit the single-point
 // Retime(MinAreaAtMinPeriod) result.
 //
@@ -147,11 +146,9 @@ func (p *Prepared) Anchor(ctx context.Context, sink trace.Sink) (*netlist.Circui
 	p.anchorOnce.Do(func() {
 		opts := p.opts
 		opts.Objective = MinAreaAtMinPeriod
-		st := p.solveState(opts, p.cache.Pool(p.st.g))
-		lad := p.takeLadder()
-		st.eng.Ladder = lad
+		st := p.solveState(opts, &graph.CutPool{})
 		out, rep, err := runSolve(ctx, sink, st)
-		p.putLadder(lad)
+		p.putLadder(st.lad)
 		if err != nil {
 			p.anchorErr = err
 			return
@@ -212,9 +209,7 @@ func (p *Prepared) SolveAtPeriod(ctx context.Context, phi int64, sink trace.Sink
 	opts.TargetPeriod = phi
 	pool := graph.NewCutPool(append([]graph.Cut(nil), p.seed...))
 	st := p.solveState(opts, pool)
-	lad := p.takeLadder()
-	st.eng.Ladder = lad
 	out, rep, err := runSolve(ctx, sink, st)
-	p.putLadder(lad)
+	p.putLadder(st.lad)
 	return out, rep, err
 }

@@ -106,12 +106,12 @@ func TestScaleWarmLadder(t *testing.T) {
 		starts int64
 		wall   time.Duration
 	}
-	bestOf2 := func(eng func() *graph.Engine) solve {
+	bestOf2 := func(newLad func() *graph.ProbeLadder) solve {
 		var best solve
 		for i := 0; i < 2; i++ {
 			cs0 := graph.ColdStartCount()
 			t0 := time.Now()
-			phi, r, err := g.MinPeriodLazyEng(ctx, bounds, nil, eng())
+			phi, r, err := g.MinPeriodLazy(ctx, bounds, nil, newLad())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -122,8 +122,8 @@ func TestScaleWarmLadder(t *testing.T) {
 		}
 		return best
 	}
-	cold := bestOf2(func() *graph.Engine { return &graph.Engine{ColdProbes: true} })
-	warm := bestOf2(func() *graph.Engine { return &graph.Engine{Ladder: graph.NewProbeLadder()} })
+	cold := bestOf2(func() *graph.ProbeLadder { return nil })
+	warm := bestOf2(graph.NewProbeLadder)
 	speedup := float64(cold.wall) / float64(warm.wall)
 	t.Logf("warm ladder: %d vertices, phi=%d ps, cold=%v warm=%v speedup=%.2fx, cold SPFA starts %d -> %d",
 		g.NumVertices(), cold.phi, cold.wall, warm.wall, speedup, cold.starts, warm.starts)
@@ -196,7 +196,7 @@ func TestScaleHuge(t *testing.T) {
 
 	cs0 := graph.ColdStartCount()
 	t0 = time.Now()
-	phiW, rW, err := g.MinPeriodLazyEng(ctx, nil, nil, &graph.Engine{Ladder: graph.NewProbeLadder()})
+	phiW, rW, err := g.MinPeriodLazy(ctx, nil, nil, graph.NewProbeLadder())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestScaleHuge(t *testing.T) {
 	}
 
 	t0 = time.Now()
-	phiC, rC, err := g.MinPeriodLazyEng(ctx, nil, nil, &graph.Engine{ColdProbes: true})
+	phiC, rC, err := g.MinPeriodLazy(ctx, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

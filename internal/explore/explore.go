@@ -7,10 +7,10 @@
 //   - the feasible front can only step at the distinct entries of the D
 //     matrix (every critical path's delay is a D entry), so those are the
 //     only periods worth probing;
-//   - the model half of the flow (mc-graph, bounds, sharing) and the
-//     graph-keyed solver artifacts (circuit constraints, period cuts)
-//     are period-independent, so core.Prepare runs them once and every
-//     per-period solve reuses them through the shared graph.SolveCache;
+//   - the model half of the flow (mc-graph, bounds, sharing, solver graph)
+//     and the period cuts are period-independent, so core.Prepare runs the
+//     model half once and every per-period solve starts from it, with its
+//     cut pool seeded from the anchor solve's cuts;
 //   - per-period solves are independent given isolated mutable state, so
 //     they run as a batch over the internal/par worker pool, with
 //     deterministic output at any parallelism.

@@ -72,7 +72,7 @@ func TestCandidateCutoffSound(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for iter := 0; iter < 20; iter++ {
 		g := randomSolvableGraph(rng)
-		phi, _, err := g.MinPeriodLazy(nil, nil)
+		phi, _, err := g.MinPeriodLazy(context.Background(), nil, nil, NewProbeLadder())
 		if err != nil {
 			t.Fatalf("iter %d: %v", iter, err)
 		}

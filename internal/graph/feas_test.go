@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 )
@@ -58,7 +59,7 @@ func TestThreeEnginesAgree(t *testing.T) {
 		if err != nil {
 			t.Fatalf("iter %d: %v", iter, err)
 		}
-		phiLazy, _, err := g.MinPeriodLazy(nil, nil)
+		phiLazy, _, err := g.MinPeriodLazy(context.Background(), nil, nil, NewProbeLadder())
 		if err != nil {
 			t.Fatalf("iter %d: %v", iter, err)
 		}

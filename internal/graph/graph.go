@@ -73,9 +73,9 @@ func (g *Graph) NumVertices() int { return len(g.Delay) }
 // uses it to re-solve after a delay-only netlist edit without rebuilding the
 // solver graph: retiming legality, bounds, and sharing structure are all
 // delay-independent, only Period/feasibility change. The result is a
-// distinct identity, so graph-keyed caches (SolveCache) never serve stale
-// delay-derived artifacts for it. Callers must not mutate either graph's
-// shared structure afterwards.
+// distinct identity, so a probe ladder bound to g rebinds cold on it instead
+// of warm-starting from delay-derived state. Callers must not mutate either
+// graph's shared structure afterwards.
 func (g *Graph) WithDelays(delay []int64) *Graph {
 	if len(delay) != len(g.Delay) {
 		panic("graph: WithDelays length mismatch")

@@ -3,6 +3,7 @@ package graph
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"mcretiming/internal/failpoint"
 	"mcretiming/internal/rterr"
@@ -153,7 +154,30 @@ func NewCutPool(cuts []Cut) *CutPool {
 // BaseConstraints returns the circuit constraints plus the class-bound
 // constraints of §5.1 (bounds may be nil).
 func (g *Graph) BaseConstraints(bounds *Bounds) []Constraint {
-	return appendBoundsConstraints(g.circuitConstraints(), g, bounds)
+	return g.appendBaseConstraints(nil, bounds)
+}
+
+// appendBaseConstraints appends to cons the circuit constraints — one
+// r(u) − r(v) ≤ w(e) per edge — and then the §5.1 class-bound constraints of
+// bounds (nil = none), and returns the result.
+func (g *Graph) appendBaseConstraints(cons []Constraint, bounds *Bounds) []Constraint {
+	cons = slices.Grow(cons, len(g.Edges))
+	for _, e := range g.Edges {
+		cons = append(cons, Constraint{Y: e.To, X: e.From, B: e.W})
+	}
+	if bounds == nil {
+		return cons
+	}
+	n := g.NumVertices()
+	for v := 0; v < n; v++ {
+		if lo := bounds.Min[v]; lo != NoLower {
+			cons = append(cons, Constraint{Y: VertexID(v), X: Host, B: -lo})
+		}
+		if hi := bounds.Max[v]; hi != NoUpper {
+			cons = append(cons, Constraint{Y: Host, X: VertexID(v), B: hi})
+		}
+	}
+	return cons
 }
 
 // PeriodCuts computes the period cuts violated by retiming r at period phi:
@@ -258,27 +282,16 @@ func (g *Graph) periodCutsBuf(r []int32, phi int64, cs *cutScratch) ([]Cut, int6
 
 // FeasibleLazy decides period feasibility with lazily generated cuts,
 // reusing (and extending) pool. On success it returns a legal retiming with
-// r[Host] = 0.
-func (g *Graph) FeasibleLazy(phi int64, bounds *Bounds, pool *CutPool) ([]int32, bool) {
-	r, ok, _ := g.FeasibleLazyCtx(context.Background(), phi, bounds, pool)
-	return r, ok
-}
-
-// FeasibleLazyCtx is FeasibleLazy with cooperative cancellation: ctx is
-// polled once per cutting-plane round and its error returned. Cuts generated
-// along the way bump the "cuts-generated" counter of any trace sink carried
-// by ctx.
-func (g *Graph) FeasibleLazyCtx(ctx context.Context, phi int64, bounds *Bounds, pool *CutPool) ([]int32, bool, error) {
-	return g.FeasibleLazyEng(ctx, phi, bounds, pool, nil)
-}
-
-// FeasibleLazyEng is FeasibleLazyCtx under an Engine: the base constraints
-// come from the engine's cache (circuit part reused across probes and §5.2
-// retries), and the engine's ProbeLadder (when set) warm-starts the solve
-// from the last feasible probe's quiescent SPFA state. A nil engine means
-// uncached and cold.
-func (g *Graph) FeasibleLazyEng(ctx context.Context, phi int64, bounds *Bounds, pool *CutPool, eng *Engine) ([]int32, bool, error) {
-	r, _, _, ok, err := g.feasibleLazyLad(ctx, phi, bounds, pool, eng, eng.ladder())
+// r[Host] = 0. ctx is polled once per cutting-plane round and its error
+// returned; cuts bump the "cuts-generated" counter of any trace sink it
+// carries.
+//
+// lad is the solve session's probe ladder: the probe warm-starts from its
+// last feasible checkpoint when that is usable and re-checkpoints on a
+// feasible exit. A nil lad is the cold reference: the probe seeds SPFA from
+// scratch.
+func (g *Graph) FeasibleLazy(ctx context.Context, phi int64, bounds *Bounds, pool *CutPool, lad *ProbeLadder) ([]int32, bool, error) {
+	r, _, _, ok, err := g.feasibleLazyLad(ctx, phi, bounds, pool, lad)
 	return r, ok, err
 }
 
@@ -298,7 +311,7 @@ func (g *Graph) FeasibleLazyEng(ctx context.Context, phi int64, bounds *Bounds, 
 // cuts stay required) down to cert, so the caller's lower bound may jump
 // straight there instead of stepping to phi+1 (ladder probes only; the
 // ladder-less reference path never certifies).
-func (g *Graph) feasibleLazyLad(ctx context.Context, phi int64, bounds *Bounds, pool *CutPool, eng *Engine, lad *ProbeLadder) (res []int32, achieved, cert int64, okOut bool, errOut error) {
+func (g *Graph) feasibleLazyLad(ctx context.Context, phi int64, bounds *Bounds, pool *CutPool, lad *ProbeLadder) (res []int32, achieved, cert int64, okOut bool, errOut error) {
 	sink := trace.From(ctx)
 	n := g.NumVertices()
 	// One scratch for the whole cutting-plane loop: the first round solves
@@ -316,20 +329,18 @@ func (g *Graph) feasibleLazyLad(ctx context.Context, phi int64, bounds *Bounds, 
 			cons, pd = lad.restore(phi, pool)
 			solved = lad.ckLen
 			warm = true
-			eng.noteWarm(true)
 		} else {
-			cons, pd = lad.seed(eng.base(g, bounds), phi, pool)
-			eng.noteWarm(false)
+			cons, pd = lad.seed(g, bounds, phi, pool)
 		}
 		sc = lad.sc
 		// The probe is about to mutate the scratch; only a feasible exit
 		// (which re-checkpoints) restores the clean invariant.
 		lad.scClean = false
 	} else {
-		cons = append(eng.base(g, bounds), pool.ForPeriod(phi)...)
+		cons = append(g.BaseConstraints(bounds), pool.ForPeriod(phi)...)
 		sc = newSPFAScratch(n)
-		eng.noteWarm(false)
 	}
+	noteWarm(warm)
 	cut := &cutScratch{}
 	if lad != nil {
 		cut = &lad.cut
@@ -399,26 +410,15 @@ func (g *Graph) feasibleLazyLad(ctx context.Context, phi int64, bounds *Bounds, 
 
 // MinPeriodLazy finds the minimum feasible period by numeric binary search
 // with lazy cuts. pool accumulates the generated cuts (nil for a private
-// pool) and can seed a subsequent minarea solve at the same period.
-func (g *Graph) MinPeriodLazy(bounds *Bounds, pool *CutPool) (int64, []int32, error) {
-	return g.MinPeriodLazyCtx(context.Background(), bounds, pool)
-}
-
-// MinPeriodLazyCtx is MinPeriodLazy with cooperative cancellation: ctx is
-// polled per feasibility probe and per cutting-plane round, and its error
-// returned. Probes bump the "minperiod-probes" counter of any trace sink
-// carried by ctx.
-func (g *Graph) MinPeriodLazyCtx(ctx context.Context, bounds *Bounds, pool *CutPool) (int64, []int32, error) {
-	return g.MinPeriodLazyEng(ctx, bounds, pool, nil)
-}
-
-// MinPeriodLazyEng is MinPeriodLazyCtx under an Engine (see FeasibleLazyEng):
-// every feasibility probe of the binary search shares the engine's cached
-// circuit constraints and warm-starts from the previous feasible probe
-// through a ProbeLadder — the engine's if it carries one, a search-private
-// one otherwise, so even nil-engine callers get probe-to-probe reuse inside
-// a single search.
-func (g *Graph) MinPeriodLazyEng(ctx context.Context, bounds *Bounds, pool *CutPool, eng *Engine) (int64, []int32, error) {
+// pool) and can seed a subsequent minarea solve at the same period. ctx is
+// polled per feasibility probe and per cutting-plane round; probes bump the
+// "minperiod-probes" counter of any trace sink it carries.
+//
+// Every probe runs through lad (see FeasibleLazy): with a ladder the search
+// pays one cold SPFA start and warm-starts every later probe from the last
+// feasible one; a nil lad solves every probe cold and prices no
+// infeasibility certificates, so the search bisects.
+func (g *Graph) MinPeriodLazy(ctx context.Context, bounds *Bounds, pool *CutPool, lad *ProbeLadder) (int64, []int32, error) {
 	// Chaos hook: the binary search's entry is the canonical "slow solver"
 	// site for latency and failure injection.
 	if err := failpoint.Inject(ctx, "graph.minperiod"); err != nil {
@@ -426,10 +426,6 @@ func (g *Graph) MinPeriodLazyEng(ctx context.Context, bounds *Bounds, pool *CutP
 	}
 	if pool == nil {
 		pool = &CutPool{}
-	}
-	lad := eng.ladder()
-	if lad == nil && (eng == nil || !eng.ColdProbes) {
-		lad = NewProbeLadder()
 	}
 	sink := trace.From(ctx)
 	hi, err := g.Period(nil)
@@ -444,7 +440,7 @@ func (g *Graph) MinPeriodLazyEng(ctx context.Context, bounds *Bounds, pool *CutP
 	}
 	bestPhi, bestR := hi, make([]int32, g.NumVertices())
 	sink.Add("minperiod-probes", 1)
-	r, achieved, _, ok, err := g.feasibleLazyLad(ctx, hi, bounds, pool, eng, lad)
+	r, achieved, _, ok, err := g.feasibleLazyLad(ctx, hi, bounds, pool, lad)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -464,7 +460,7 @@ func (g *Graph) MinPeriodLazyEng(ctx context.Context, bounds *Bounds, pool *CutP
 		}
 		mid := lo + (bestPhi-lo)/2
 		sink.Add("minperiod-probes", 1)
-		r, achieved, cert, ok, err := g.feasibleLazyLad(ctx, mid, bounds, pool, eng, lad)
+		r, achieved, cert, ok, err := g.feasibleLazyLad(ctx, mid, bounds, pool, lad)
 		if err != nil {
 			return 0, nil, err
 		}

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 )
@@ -11,7 +12,7 @@ func TestLazyMatchesDenseOnCorrelator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	phiLazy, r, err := g.MinPeriodLazy(nil, nil)
+	phiLazy, r, err := g.MinPeriodLazy(context.Background(), nil, nil, NewProbeLadder())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +59,7 @@ func TestLazyMatchesDenseRandomized(t *testing.T) {
 		if err != nil {
 			t.Fatalf("iter %d: dense: %v", iter, err)
 		}
-		phiLazy, r, err := g.MinPeriodLazy(bounds, nil)
+		phiLazy, r, err := g.MinPeriodLazy(context.Background(), bounds, nil, NewProbeLadder())
 		if err != nil {
 			t.Fatalf("iter %d: lazy: %v", iter, err)
 		}

@@ -37,9 +37,9 @@ import (
 // smaller φ on the same graph under the same base constraints; anything else
 // falls back to a cold solve (and re-checkpoints on the next feasible probe).
 //
-// A ladder is not safe for concurrent use. The flow creates one per solve
-// session (alongside the Engine), mirroring how spfaScratch was already
-// private to each search.
+// A ladder is not safe for concurrent use. It is the only state a solve
+// session carries between probes: the flow creates one per session, and
+// passing nil instead selects the cold reference path (see FeasibleLazy).
 type ProbeLadder struct {
 	g  *Graph
 	n  int
@@ -100,25 +100,6 @@ type ProbeLadder struct {
 // first probe and rebinds (cold) whenever it sees a different graph, so a
 // ladder can outlive one solve and donate its buffers to the next.
 func NewProbeLadder() *ProbeLadder { return &ProbeLadder{} }
-
-// Reset drops the checkpoint but keeps the allocated buffers, so a follow-up
-// solve on a same-sized graph (a delay-edit ECO) skips the large allocations
-// while never reusing delay-derived state. Cut path delays change with the
-// edit, so the checkpoint would be unsound to keep even though the graph
-// shape is identical.
-func (l *ProbeLadder) Reset() {
-	if l == nil {
-		return
-	}
-	l.g = nil
-	l.ckValid = false
-	l.buf = l.buf[:0]
-	l.pdBuf = l.pdBuf[:0]
-	l.ckLen = 0
-	l.dirty = nil
-	l.ckBoundsSet = false
-	l.poolLen = 0
-}
 
 // bind points the ladder at g, invalidating the checkpoint if the graph
 // changed and (re)sizing the scratch buffers if the vertex count changed.
@@ -239,20 +220,19 @@ func (l *ProbeLadder) restore(phi int64, pool *CutPool) ([]Constraint, []int64) 
 	return cons, pd
 }
 
-// seed rebuilds the working buffer for a cold probe: the base constraints
-// (copied — the engine cache hands out shared slices that must never be
-// appended to in place) plus every pool cut applying at phi. Reusing buf
-// overwrites the checkpoint prefix, so any existing checkpoint is dropped;
-// a feasible exit re-checkpoints immediately, and the only sequences that
-// lose a rung to this are mixed-direction probe orders (φ above the
+// seed rebuilds the working buffer for a cold probe: g's circuit and bounds
+// constraints, built straight into buf, plus every pool cut applying at phi.
+// Reusing buf overwrites the checkpoint prefix, so any existing checkpoint is
+// dropped; a feasible exit re-checkpoints immediately, and the only sequences
+// that lose a rung to this are mixed-direction probe orders (φ above the
 // checkpoint) that could not have warm-started anyway.
-func (l *ProbeLadder) seed(base []Constraint, phi int64, pool *CutPool) ([]Constraint, []int64) {
+func (l *ProbeLadder) seed(g *Graph, bounds *Bounds, phi int64, pool *CutPool) ([]Constraint, []int64) {
 	l.ckValid = false
 	l.ckLen = 0
 	l.dirty = nil
-	cons := append(l.buf[:0], base...)
+	cons := g.appendBaseConstraints(l.buf[:0], bounds)
 	pd := l.pdBuf[:0]
-	for range base {
+	for range cons {
 		pd = append(pd, alwaysActivePD)
 	}
 	for _, c := range pool.cuts {
@@ -276,3 +256,34 @@ var spfaColdStarts atomic.Int64
 
 // ColdStartCount returns the process-cumulative number of cold SPFA solves.
 func ColdStartCount() int64 { return spfaColdStarts.Load() }
+
+// CacheStats counts lazy feasibility probes by warm-start outcome: a warm hit
+// restored a ProbeLadder checkpoint instead of solving the difference system
+// cold; every other probe is a miss.
+type CacheStats struct {
+	WarmHits, WarmMisses int64
+}
+
+// Process-cumulative probe counters, for readers that cannot reach the
+// per-solve ladders buried in the flow: mcretimed's /metrics and perfbench's
+// per-layer counters, which sample them before and after a run.
+var totalCacheStats struct {
+	warmHits, warmMisses atomic.Int64
+}
+
+// TotalCacheStats returns the process-cumulative probe counters.
+func TotalCacheStats() CacheStats {
+	return CacheStats{
+		WarmHits:   totalCacheStats.warmHits.Load(),
+		WarmMisses: totalCacheStats.warmMisses.Load(),
+	}
+}
+
+// noteWarm records one lazy feasibility probe's warm-start outcome.
+func noteWarm(hit bool) {
+	if hit {
+		totalCacheStats.warmHits.Add(1)
+	} else {
+		totalCacheStats.warmMisses.Add(1)
+	}
+}

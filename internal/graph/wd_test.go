@@ -1,9 +1,60 @@
 package graph
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"testing"
 )
+
+// randomGraph builds a deterministic random retiming graph with n vertices,
+// host-adjacent edges, and enough registers to keep it legal.
+func randomGraph(seed int64, n int) *Graph {
+	rng := rand.New(rand.NewSource(seed))
+	g := New()
+	for i := 1; i < n; i++ {
+		g.AddVertex("v", int64(1+rng.Intn(9))*1000)
+	}
+	// A registered ring keeps every vertex on a cycle through the host.
+	for i := 0; i < n; i++ {
+		g.AddEdge(VertexID(i), VertexID((i+1)%n), int32(1+rng.Intn(2)))
+	}
+	// Extra edges only go forward (u < v), so every cycle passes through the
+	// registered ring and no zero-weight cycle can arise.
+	for i := 0; i < 3*n; i++ {
+		u := rng.Intn(n)
+		v := rng.Intn(n)
+		if u == v {
+			continue
+		}
+		if u > v {
+			u, v = v, u
+		}
+		g.AddEdge(VertexID(u), VertexID(v), int32(rng.Intn(3)))
+	}
+	return g
+}
+
+// TestComputeWDCancellation verifies the dense W/D computation surfaces ctx
+// errors.
+func TestComputeWDCancellation(t *testing.T) {
+	g := randomGraph(4, 200)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := g.ComputeWD(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("got %v, want context.Canceled", err)
+	}
+}
+
+// mustWD computes g's dense W/D matrices for a test.
+func mustWD(t testing.TB, g *Graph) *WD {
+	t.Helper()
+	wd, err := g.ComputeWD(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return wd
+}
 
 // bruteWD enumerates all simple-ish paths (bounded depth) to cross-check
 // W(u,v) and D(u,v). Cycles make full enumeration impossible, so the brute

@@ -1,6 +1,7 @@
 package mcgraph
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -145,7 +146,10 @@ func TestPropertyBoundedRetimingsImplementable(t *testing.T) {
 		copy(tb.Min, gb.Min)
 		copy(tb.Max, gb.Max)
 		pool := &graph.CutPool{}
-		r, ok := g.FeasibleLazy(1<<40, tb, pool)
+		r, ok, err := g.FeasibleLazy(context.Background(), 1<<40, tb, pool, nil)
+		if err != nil {
+			t.Fatalf("iter %d: %v", iter, err)
+		}
 		if !ok {
 			t.Fatalf("iter %d: identity-period infeasible?", iter)
 		}

@@ -44,25 +44,15 @@ func capOf(v, def int) int {
 	return v
 }
 
-// MinAreaLazy computes a minimum-register retiming at period phi using
-// lazily generated period cuts (see graph.FeasibleLazy) instead of the
-// dense W/D constraint matrix. pool may carry cuts from the minperiod
-// search; it is extended in place. phi must be feasible.
-func MinAreaLazy(g *graph.Graph, phi int64, bounds *graph.Bounds, pool *graph.CutPool) ([]int32, error) {
-	return MinAreaLazyCtx(context.Background(), g, phi, bounds, pool)
-}
-
-// MinAreaLazyCtx is MinAreaLazy with cooperative cancellation: ctx is polled
-// per cutting-plane round and inside the min-cost-flow augmentation loop,
-// and its error returned. Rounds and generated cuts bump the
-// "minarea-rounds"/"cuts-generated" counters of any trace sink carried by
-// ctx.
-func MinAreaLazyCtx(ctx context.Context, g *graph.Graph, phi int64, bounds *graph.Bounds, pool *graph.CutPool) ([]int32, error) {
-	return MinAreaLazyBudget(ctx, g, phi, bounds, pool, Limits{})
-}
-
-// MinAreaLazyBudget is MinAreaLazyCtx under explicit work limits.
-func MinAreaLazyBudget(ctx context.Context, g *graph.Graph, phi int64, bounds *graph.Bounds, pool *graph.CutPool, lim Limits) ([]int32, error) {
+// MinAreaLazy computes a minimum-register retiming at period phi under the
+// work limits lim, using lazily generated period cuts (see
+// graph.FeasibleLazy) instead of the dense W/D constraint matrix. pool may
+// carry cuts from the minperiod search; it is extended in place. phi must be
+// feasible. ctx is polled per cutting-plane round and inside the
+// min-cost-flow augmentation loop, and its error returned; rounds and
+// generated cuts bump the "minarea-rounds"/"cuts-generated" counters of any
+// trace sink it carries.
+func MinAreaLazy(ctx context.Context, g *graph.Graph, phi int64, bounds *graph.Bounds, pool *graph.CutPool, lim Limits) ([]int32, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}

@@ -1,6 +1,7 @@
 package retime
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -48,7 +49,7 @@ func TestLazyMinAreaMatchesDense(t *testing.T) {
 		if err != nil {
 			t.Fatalf("iter %d: dense: %v", iter, err)
 		}
-		rLazy, err := MinAreaLazy(g, phi, bounds, nil)
+		rLazy, err := MinAreaLazy(context.Background(), g, phi, bounds, nil, Limits{})
 		if err != nil {
 			t.Fatalf("iter %d: lazy: %v", iter, err)
 		}

@@ -33,7 +33,7 @@ import (
 // internally). It fails if phi is infeasible.
 //
 // This is the demoted reference engine: the flow's primary path is the
-// matrix-free cutting-plane solver (MinAreaLazy and friends), which reaches
+// matrix-free cutting-plane solver (MinAreaLazy), which reaches
 // the same optimum without materializing W/D; the dense formulation survives
 // as the cross-check for small graphs and the ground truth of the
 // equivalence tests.
@@ -175,24 +175,4 @@ func SharedRegCount(g *graph.Graph, r []int32) int64 {
 		total += int64(wmax)
 	}
 	return total
-}
-
-// MinPeriodMinArea runs the paper's two-phase flow on a basic retiming
-// graph: find the minimum feasible period, then minimize registers at that
-// period. It returns the period and the minarea retiming.
-//
-// The solve is matrix-free: the lazy binary search and the cutting-plane
-// minarea loop share one cut pool and never materialize W/D. For the dense
-// reference formulation, see MinAreaDense.
-func MinPeriodMinArea(g *graph.Graph, bounds *graph.Bounds) (int64, []int32, error) {
-	pool := &graph.CutPool{}
-	phi, _, err := g.MinPeriodLazy(bounds, pool)
-	if err != nil {
-		return 0, nil, err
-	}
-	r, err := MinAreaLazy(g, phi, bounds, pool)
-	if err != nil {
-		return 0, nil, err
-	}
-	return phi, r, nil
 }

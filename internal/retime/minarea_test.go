@@ -198,9 +198,18 @@ func TestMinAreaRandomAgainstBruteForce(t *testing.T) {
 	}
 }
 
+// TestMinPeriodMinAreaTwoPhase runs the paper's two-phase solve on a basic
+// retiming graph — the lazy minimum period, then minarea at that period over
+// the same cut pool — and checks both phases against the dense references.
 func TestMinPeriodMinAreaTwoPhase(t *testing.T) {
+	ctx := context.Background()
 	g := chainGraph()
-	phi, r, err := MinPeriodMinArea(g, nil)
+	pool := &graph.CutPool{}
+	phi, _, err := g.MinPeriodLazy(ctx, nil, pool, graph.NewProbeLadder())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := MinAreaLazy(ctx, g, phi, nil, pool, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,10 @@
 package server
 
-// The per-job engine-isolation audit of PR 4: PR 3's graph.Engine/SolveCache
-// and the FEAS/SPFA scratch reuse were designed for a single pipeline, so
-// the server path — many concurrent core.RetimeCtx runs in one process —
-// must prove under -race that no scratch or cache state aliases across
-// jobs, and that every concurrent run produces the bit-identical result.
+// The per-job solve-isolation audit: each solve carries its own probe ladder,
+// cut pool and FEAS/SPFA scratch, built for a single pipeline, so the server
+// path — many concurrent core.RetimeCtx runs in one process — must prove
+// under -race that no solve state aliases across jobs, and that every
+// concurrent run produces the bit-identical result.
 
 import (
 	"net/http"
@@ -34,9 +34,10 @@ func TestConcurrentRetimeThroughServerRace(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				// Mix parallel and serial engine settings so per-worker
-				// scratch paths and the serial path interleave in-process.
-				opts := JobOptions{Parallelism: 1 + (g+i)%3, CheckInvariants: true}
+				// Alternate the invariant checker so checked solves (one
+				// dense ComputeWD cross-check each) interleave in-process
+				// with plain ones.
+				opts := JobOptions{CheckInvariants: (g+i)%2 == 0}
 				status, body := post(t, hs.URL+"/v1/retime?wait=1", retimeRequest{BLIF: in, Options: opts})
 				if status != http.StatusOK {
 					errs <- body["error"].(map[string]any)["detail"].(string)

@@ -1513,15 +1513,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		put("store_remote_save_dropped", st.RemoteSaveDropped)
 	}
 
-	// Process-cumulative solve-cache counters (all caches, lifetime of the
-	// process): cut-pool and W/D reuse plus the PR8 warm-start hit/miss split
-	// — a warm hit is a feasibility probe answered from a restored SPFA
-	// checkpoint instead of a cold solve.
+	// Process-cumulative solve counters (every solve, lifetime of the
+	// process): the warm-start hit/miss split — a warm hit is a feasibility
+	// probe answered from a restored probe-ladder checkpoint instead of a cold
+	// solve — and the number of cold SPFA starts.
 	cs := graph.TotalCacheStats()
-	put("solve_wd_hits", cs.WDHits)
-	put("solve_wd_misses", cs.WDMisses)
-	put("solve_base_hits", cs.BaseHits)
-	put("solve_base_misses", cs.BaseMisses)
 	put("solve_warm_hits", cs.WarmHits)
 	put("solve_warm_misses", cs.WarmMisses)
 	put("solve_spfa_cold_starts", graph.ColdStartCount())

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -240,6 +241,50 @@ func TestHealthReadyMetrics(t *testing.T) {
 	status, body := post(t, hs.URL+"/v1/retime", retimeRequest{BLIF: testBLIF(t)})
 	if status != http.StatusServiceUnavailable {
 		t.Errorf("submit while draining = %d, body %v", status, body)
+	}
+}
+
+// TestMetricsSolveCounters pins the process-cumulative solve rows of
+// /metrics that perfbench and operators read: after one retime job the
+// warm-start hit/miss pair and the cold SPFA start count are exported, and
+// the job's probes show up in them.
+func TestMetricsSolveCounters(t *testing.T) {
+	_, hs := newTestServer(t, Config{})
+	if status, body := post(t, hs.URL+"/v1/retime?wait=1", retimeRequest{BLIF: testBLIF(t)}); status != 200 {
+		t.Fatalf("job failed: %v", body)
+	}
+	resp, err := http.Get(hs.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	rows := map[string]int64{}
+	for _, line := range strings.Split(string(data), "\n") {
+		f := strings.Fields(line)
+		if len(f) != 2 {
+			continue
+		}
+		v, err := strconv.ParseInt(f[1], 10, 64)
+		if err != nil {
+			continue
+		}
+		rows[f[0]] = v
+	}
+	for _, name := range []string{
+		"mcretimed_solve_warm_hits",
+		"mcretimed_solve_warm_misses",
+		"mcretimed_solve_spfa_cold_starts",
+	} {
+		if _, ok := rows[name]; !ok {
+			t.Errorf("metrics missing %s in:\n%s", name, data)
+		}
+	}
+	if n := rows["mcretimed_solve_warm_hits"] + rows["mcretimed_solve_warm_misses"]; n < 1 {
+		t.Errorf("warm hits + misses = %d after a retime job, want ≥ 1", n)
+	}
+	if rows["mcretimed_solve_spfa_cold_starts"] < 1 {
+		t.Errorf("spfa cold starts = %d after a retime job, want ≥ 1", rows["mcretimed_solve_spfa_cold_starts"])
 	}
 }
 
