@@ -4,30 +4,22 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
-
-	"mcretiming/internal/blif"
-	"mcretiming/internal/failpoint"
 )
 
-// This file is the batch half of the PR 10 tenant subsystem: POST /v1/batch
-// admits N job specs atomically under one tenant's quotas, GET /v1/batch/{id}
-// aggregates their status, and GET /v1/batch/{id}/events streams per-job
-// lifecycle events (NDJSON, or SSE on Accept: text/event-stream).
-//
-// A batch deliberately has NO persistent state of its own. Each member
-// JobSpec carries the batch ID and total, and JobSpec is already the
-// checkpoint format and the HA replication format — so batches ride the
-// existing drain-resume and leader-failover paths unmodified, rebuilt
-// member-by-member on the other side (ensureBatchLocked), with BatchTotal
-// guarding against a partially-rebuilt batch reporting itself finished.
+// This file is the batch half of the tenant subsystem: POST /v1/batch admits
+// N job specs atomically under one tenant's quotas (through the same submit
+// path as a single job), GET /v1/batch/{id} aggregates their status, and GET
+// /v1/batch/{id}/events streams per-job lifecycle events (NDJSON, or SSE on
+// Accept: text/event-stream). The batch records themselves live in the job
+// table (table.go).
 
 // batchRec tracks one batch: membership, completion, and the event log its
-// streams replay. All fields are under the server's mu. notify is closed and
-// recreated whenever events grows — the broadcast that wakes every stream.
+// streams replay. All fields are under the job table's lock. notify is closed
+// and recreated whenever events grows — the broadcast that wakes every
+// stream.
 type batchRec struct {
 	id       string
 	tenant   string
@@ -72,101 +64,8 @@ type batchEvent struct {
 	Failed int `json:"failed,omitempty"`
 }
 
-// ensureBatchLocked returns the batch record for spec, creating it from the
-// spec's own batch fields when absent — that is the whole failover story:
-// the first replicated/resumed member to arrive rebuilds the batch shell,
-// later members fill it in. Caller holds s.mu.
-func (s *Server) ensureBatchLocked(spec JobSpec) *batchRec {
-	b, ok := s.batches[spec.Batch]
-	if !ok {
-		b = &batchRec{
-			id:      spec.Batch,
-			tenant:  tenantOf(spec),
-			total:   spec.BatchTotal,
-			member:  make(map[string]bool),
-			created: time.Now(),
-			notify:  make(chan struct{}),
-		}
-		s.batches[spec.Batch] = b
-		// Keep fresh batch IDs past every rebuilt one.
-		if n, err := strconv.Atoi(strings.TrimPrefix(spec.Batch, "batch-")); err == nil && n > s.batchSeq {
-			s.batchSeq = n
-		}
-	}
-	return b
-}
-
-// attachBatchJobLocked adds job to its batch (idempotently) and emits its
-// queued event. Caller holds s.mu.
-func (s *Server) attachBatchJobLocked(job *Job) {
-	b := s.ensureBatchLocked(job.Spec)
-	if b.member[job.Spec.ID] {
-		return
-	}
-	b.member[job.Spec.ID] = true
-	b.members = append(b.members, job.Spec.ID)
-	s.appendBatchEventLocked(b, batchEvent{Event: batchEventQueued, Job: job.Spec.ID})
-}
-
-// batchOpenLocked reports whether batchID names a batch that still has
-// unfinished members (open batches replicate and checkpoint whole). Caller
-// holds s.mu.
-func (s *Server) batchOpenLocked(batchID string) bool {
-	if batchID == "" {
-		return false
-	}
-	b, ok := s.batches[batchID]
-	return ok && b.terminal < b.total
-}
-
-// batchEventLocked emits job's lifecycle event into its batch stream (no-op
-// for non-batch jobs) and fires batch_done when the last member lands.
-// Caller holds s.mu.
-func (s *Server) batchEventLocked(job *Job, event string) {
-	if job.Spec.Batch == "" {
-		return
-	}
-	b := s.ensureBatchLocked(job.Spec)
-	if b.doneFired {
-		return
-	}
-	ev := batchEvent{Event: event, Job: job.Spec.ID}
-	switch event {
-	case batchEventDone:
-		ev.Worker = job.Worker
-		if job.Result != nil {
-			if rep := job.Result.Report; rep != nil {
-				ev.PeriodPS = rep.PeriodAfterPS
-				ev.Regs = rep.RegsAfter
-			}
-			if job.Result.Front != nil {
-				ev.Points = len(job.Result.Front.Points)
-			}
-		}
-		b.terminal++
-	case batchEventFailed:
-		if job.Err != nil {
-			ev.Error = job.Err.Code
-		}
-		b.terminal++
-	}
-	s.appendBatchEventLocked(b, ev)
-	if b.terminal >= b.total && !b.doneFired {
-		failed := 0
-		for _, id := range b.members {
-			if j, ok := s.jobs[id]; ok && j.Status == StatusFailed {
-				failed++
-			}
-		}
-		b.doneFired = true
-		s.batchesCompleted.Add(1)
-		s.appendBatchEventLocked(b, batchEvent{Event: batchEventBatchDone, Total: b.total, Failed: failed})
-	}
-}
-
-// appendBatchEventLocked stamps the next seq, appends, and wakes every
-// stream. Caller holds s.mu.
-func (s *Server) appendBatchEventLocked(b *batchRec, ev batchEvent) {
+// append stamps the next seq, appends, and wakes every stream.
+func (b *batchRec) append(ev batchEvent) {
 	ev.Seq = len(b.events)
 	ev.Batch = b.id
 	b.events = append(b.events, ev)
@@ -204,29 +103,6 @@ type batchView struct {
 	Events  int            `json:"events"` // current event count, for ?after=
 }
 
-// batchViewLocked renders the aggregate. Caller holds s.mu.
-func (s *Server) batchViewLocked(b *batchRec) batchView {
-	view := batchView{
-		ID:      b.id,
-		Tenant:  b.tenant,
-		Total:   b.total,
-		Done:    b.terminal,
-		Created: stamp(b.created),
-		Counts:  map[string]int{},
-		Events:  len(b.events),
-	}
-	for _, id := range b.members {
-		job, ok := s.jobs[id]
-		if !ok {
-			continue
-		}
-		view.Counts[string(job.Status)]++
-		view.Jobs = append(view.Jobs, s.viewLocked(job, false))
-	}
-	sort.Slice(view.Jobs, func(i, j int) bool { return view.Jobs[i].ID < view.Jobs[j].ID })
-	return view
-}
-
 // fenceStandby applies HA leader fencing to a submission: a standby answers
 // with the leader hint and never enqueues. Reports true when the request was
 // rejected (response written).
@@ -246,143 +122,8 @@ func (s *Server) fenceStandby(w http.ResponseWriter, r *http.Request) bool {
 	return true
 }
 
-func (s *Server) handleBatchSubmit(w http.ResponseWriter, r *http.Request) {
-	if s.fenceStandby(w, r) {
-		return
-	}
-	tenantID, ok := s.tenantFrom(w, r)
-	if !ok {
-		return
-	}
-	raw, rok := s.readBody(w, r)
-	if !rok {
-		return
-	}
-	var req batchRequest
-	if err := json.Unmarshal(raw, &req); err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, "decoding request: "+err.Error())
-		return
-	}
-	if len(req.Jobs) == 0 {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, "a batch needs at least one job")
-		return
-	}
-	// Validate every member before admitting any: a bad spec fails the whole
-	// request with its index, and a valid prefix never occupies queue space.
-	for i, member := range req.Jobs {
-		switch member.Kind {
-		case "", "retime", KindExplore:
-		default:
-			writeError(w, http.StatusBadRequest, CodeBadRequest,
-				fmt.Sprintf("jobs[%d]: unknown kind %q (use \"retime\" or \"explore\")", i, member.Kind))
-			return
-		}
-		if _, err := blif.Read(strings.NewReader(member.BLIF)); err != nil {
-			status, eb := MapError(err)
-			eb.Detail = fmt.Sprintf("jobs[%d]: %s", i, eb.Detail)
-			writeErrorBody(w, status, eb)
-			return
-		}
-		if _, err := member.Options.coreOptions(); err != nil {
-			writeError(w, http.StatusBadRequest, CodeBadRequest, fmt.Sprintf("jobs[%d]: %v", i, err))
-			return
-		}
-		if member.Failpoints != "" {
-			if !s.cfg.EnableFailpoints {
-				writeError(w, http.StatusForbidden, CodeBadRequest,
-					"failpoints are disabled on this server (start with -failpoints)")
-				return
-			}
-			if _, err := failpoint.ParseSet(member.Failpoints); err != nil {
-				writeError(w, http.StatusBadRequest, CodeBadRequest, fmt.Sprintf("jobs[%d]: %v", i, err))
-				return
-			}
-		}
-	}
-
-	idemKey, fingerprint, idemOK := s.checkIdempotency(w, r, tenantID, "batch", raw)
-	if !idemOK {
-		return
-	}
-
-	s.mu.Lock()
-	if s.draining || !s.started {
-		s.mu.Unlock()
-		writeError(w, http.StatusServiceUnavailable, CodeShuttingDown, "server is not accepting jobs")
-		return
-	}
-	s.batchSeq++
-	batchID := fmt.Sprintf("batch-%06d", s.batchSeq)
-	jobs := make([]*Job, len(req.Jobs))
-	now := time.Now()
-	for i, member := range req.Jobs {
-		kind := member.Kind
-		if kind == "retime" {
-			kind = KindRetime
-		}
-		s.seq++
-		jobs[i] = &Job{
-			Spec: JobSpec{
-				ID:         fmt.Sprintf("job-%06d", s.seq),
-				Kind:       kind,
-				BLIF:       member.BLIF,
-				Options:    member.Options,
-				Failpoints: member.Failpoints,
-				Tenant:     specTenant(tenantID),
-				Batch:      batchID,
-				BatchTotal: len(req.Jobs),
-			},
-			Status:   StatusQueued,
-			QueuedAt: now,
-			done:     make(chan struct{}),
-		}
-		s.jobs[jobs[i].Spec.ID] = jobs[i]
-	}
-	for _, job := range jobs {
-		s.attachBatchJobLocked(job)
-	}
-	s.mu.Unlock()
-
-	if err := s.sched.EnqueueBatch(tenantID, jobs); err != nil {
-		// All-or-nothing admission failed: none of the members were queued,
-		// so the whole batch unwinds as if never submitted.
-		s.mu.Lock()
-		for _, job := range jobs {
-			delete(s.jobs, job.Spec.ID)
-		}
-		delete(s.batches, batchID)
-		s.mu.Unlock()
-		s.writeAdmissionReject(w, err)
-		return
-	}
-	s.batchesSubmitted.Add(1)
-	s.batchJobs.Add(int64(len(jobs)))
-	s.submitted.Add(int64(len(jobs)))
-	s.recordIdempotency(idemKey, fingerprint, batchID)
-	if s.election != nil {
-		s.election.Kick()
-	}
-
-	ids := make([]string, len(jobs))
-	for i, job := range jobs {
-		ids[i] = job.Spec.ID
-	}
-	writeJSON(w, http.StatusAccepted, struct {
-		ID     string   `json:"id"`
-		Tenant string   `json:"tenant"`
-		Total  int      `json:"total"`
-		Jobs   []string `json:"jobs"`
-	}{batchID, tenantID, len(jobs), ids})
-}
-
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	b, ok := s.batches[r.PathValue("id")]
-	var view batchView
-	if ok {
-		view = s.batchViewLocked(b)
-	}
-	s.mu.Unlock()
+	view, ok := s.table.batchView(r.PathValue("id"))
 	if !ok {
 		writeError(w, http.StatusNotFound, CodeBadRequest, "no such batch")
 		return
@@ -396,21 +137,20 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // reconnecting client replays exactly what it missed. The stream ends after
 // batch_done, on client disconnect, or at server shutdown.
 func (s *Server) handleBatchEvents(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	b, ok := s.batches[r.PathValue("id")]
-	s.mu.Unlock()
+	id := r.PathValue("id")
+	pos, badAfter := 0, false
+	if v := r.URL.Query().Get("after"); v != "" {
+		n, err := strconv.Atoi(v)
+		pos, badAfter = max(n+1, 0), err != nil || n < -1
+	}
+	pending, notify, finished, ok := s.table.batchEvents(id, pos)
 	if !ok {
 		writeError(w, http.StatusNotFound, CodeBadRequest, "no such batch")
 		return
 	}
-	pos := 0
-	if v := r.URL.Query().Get("after"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < -1 {
-			writeError(w, http.StatusBadRequest, CodeBadRequest, "after must be the last seq received")
-			return
-		}
-		pos = n + 1
+	if badAfter {
+		writeError(w, http.StatusBadRequest, CodeBadRequest, "after must be the last seq received")
+		return
 	}
 	sse := strings.Contains(r.Header.Get("Accept"), "text/event-stream")
 	if sse {
@@ -423,15 +163,7 @@ func (s *Server) handleBatchEvents(w http.ResponseWriter, r *http.Request) {
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
 
-	for {
-		s.mu.Lock()
-		var pending []batchEvent
-		if pos < len(b.events) {
-			pending = append(pending, b.events[pos:]...)
-		}
-		notify := b.notify
-		finished := b.doneFired
-		s.mu.Unlock()
+	for ok {
 		for _, ev := range pending {
 			if sse {
 				fmt.Fprintf(w, "data: ")
@@ -457,6 +189,7 @@ func (s *Server) handleBatchEvents(w http.ResponseWriter, r *http.Request) {
 		case <-s.stop:
 			return
 		}
+		pending, notify, finished, ok = s.table.batchEvents(id, pos)
 	}
 }
 

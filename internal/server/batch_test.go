@@ -22,7 +22,7 @@ import (
 // batchBLIF builds a small retimable circuit whose model name (and one gate
 // delay) vary with i, so distinct i give distinct store keys and distinct
 // results.
-func batchBLIF(t *testing.T, i int) string {
+func batchBLIF(t testing.TB, i int) string {
 	t.Helper()
 	c := netlist.New(fmt.Sprintf("batch-%03d", i))
 	a := c.AddInput("a")

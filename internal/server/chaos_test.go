@@ -165,9 +165,7 @@ func TestChaosQueueFull(t *testing.T) {
 		t.Errorf("rejected = %d, want 20", got)
 	}
 	// Shed jobs must not leak into the job table (bounded memory).
-	s.mu.Lock()
-	tracked := len(s.jobs)
-	s.mu.Unlock()
+	tracked := len(s.table.list("", ""))
 	if tracked != 2 {
 		t.Errorf("job table holds %d entries, want 2", tracked)
 	}

@@ -6,9 +6,14 @@ package server
 // bad bytes on disk for a human to inspect.
 
 import (
+	"bytes"
+	"context"
+	"fmt"
+	"net/http"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 )
 
 // corruptDir builds a checkpoint directory holding two good specs sandwiched
@@ -100,4 +105,65 @@ func TestResumeSkipsCorruptCheckpoint(t *testing.T) {
 	if n := metric(t, hs.URL, "checkpoint_errors"); n != int64(len(badNames)) {
 		t.Fatalf("checkpoint_errors = %d, want %d", n, len(badNames))
 	}
+}
+
+// TestResumeOverflowStaysCheckpointed: a restart over more checkpointed specs
+// than the queue holds resumes the first QueueSize in ID order and leaves the
+// rest on disk byte for byte, for the next restart to resume.
+func TestResumeOverflowStaysCheckpointed(t *testing.T) {
+	dir := t.TempDir()
+	var ids []string
+	for i := 1; i <= 5; i++ {
+		spec := JobSpec{ID: fmt.Sprintf("job-%06d", i), BLIF: batchBLIF(t, i)}
+		if err := checkpointJob(dir, spec); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, spec.ID)
+	}
+	before := map[string][]byte{}
+	for _, id := range ids {
+		data, err := os.ReadFile(filepath.Join(dir, id+".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		before[id] = data
+	}
+
+	restart := func(resumed []string, left []string) {
+		t.Helper()
+		s, hs := newTestServer(t, Config{CheckpointDir: dir, QueueSize: 2, Workers: 1, Logf: quiet})
+		for _, id := range resumed {
+			if code, view := waitStatus(t, hs.URL, id, StatusDone); code != 200 {
+				t.Fatalf("resumed job %s: code %d, view %v", id, code, view)
+			}
+			if _, err := os.Stat(filepath.Join(dir, id+".json")); !os.IsNotExist(err) {
+				t.Fatalf("resumed job %s still checkpointed (stat err %v)", id, err)
+			}
+		}
+		if n := metric(t, hs.URL, "jobs_resumed"); n != int64(len(resumed)) {
+			t.Fatalf("jobs_resumed = %d, want %d", n, len(resumed))
+		}
+		for _, id := range left {
+			if code, _ := getJob(t, hs.URL, id); code != http.StatusNotFound {
+				t.Fatalf("overflow job %s was admitted (GET = %d)", id, code)
+			}
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := s.Shutdown(ctx); err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range left {
+			data, err := os.ReadFile(filepath.Join(dir, id+".json"))
+			if err != nil {
+				t.Fatalf("overflow job %s left the disk: %v", id, err)
+			}
+			if !bytes.Equal(data, before[id]) {
+				t.Fatalf("overflow checkpoint %s was rewritten", id)
+			}
+		}
+	}
+	restart(ids[:2], ids[2:])
+	restart(ids[2:4], ids[4:])
+	restart(ids[4:], nil)
 }

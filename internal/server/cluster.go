@@ -189,7 +189,7 @@ func (s *Server) handleClusterLeader(w http.ResponseWriter, _ *http.Request) {
 		// Single-coordinator deployment: trivially the leader, term 0.
 		writeJSON(w, http.StatusOK, cluster.LeaderStatus{
 			Role:      cluster.RoleLeader,
-			SelfID:    s.selfID(),
+			SelfID:    s.workerID(),
 			SelfURL:   s.cfg.AdvertiseURL,
 			LeaderURL: s.cfg.AdvertiseURL,
 		})
@@ -225,7 +225,7 @@ func (s *Server) handleReplicateJobs(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var msg cluster.ReplicateJobs
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)).Decode(&msg); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&msg); err != nil {
 		writeError(w, http.StatusBadRequest, CodeBadRequest, "decoding job snapshot: "+err.Error())
 		return
 	}
@@ -257,7 +257,7 @@ func (s *Server) handleReplicateStore(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var msg cluster.ReplicateStoreMsg
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)).Decode(&msg); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&msg); err != nil {
 		writeError(w, http.StatusBadRequest, CodeBadRequest, "decoding store replica: "+err.Error())
 		return
 	}
@@ -336,7 +336,7 @@ func (s *Server) handleStorePut(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, CodeBadRequest, "reading envelope: "+err.Error())
 		return
@@ -363,16 +363,13 @@ func (s *Server) handleClusterRun(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("worker run slots are full (%d running)", s.cfg.Workers))
 		return
 	}
-	s.mu.Lock()
-	accepting := s.started && !s.draining
-	s.mu.Unlock()
-	if !accepting {
+	if !s.accepting() {
 		writeError(w, http.StatusServiceUnavailable, CodeShuttingDown, "worker is not accepting runs")
 		return
 	}
 
 	var req cluster.RunRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, CodeBadRequest, "decoding run request: "+err.Error())
 		return
 	}
@@ -384,34 +381,20 @@ func (s *Server) handleClusterRun(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
+	if req.Failpoints != "" && !s.cfg.EnableFailpoints {
+		writeError(w, http.StatusForbidden, CodeBadRequest,
+			"failpoints are disabled on this worker (start with -failpoints)")
+		return
+	}
 	// The request context doubles as the loss signal: if the coordinator's
 	// per-attempt deadline fires or the connection drops, this run is
 	// cancelled and the job completes wherever the coordinator re-routed it.
-	ctx := r.Context()
-	if req.Failpoints != "" {
-		if !s.cfg.EnableFailpoints {
-			writeError(w, http.StatusForbidden, CodeBadRequest,
-				"failpoints are disabled on this worker (start with -failpoints)")
-			return
-		}
-		set, err := failpoint.ParseSet(req.Failpoints)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
-			return
-		}
-		var release func()
-		ctx, release = failpoint.With(ctx, set)
-		defer release()
+	ctx, cancel, err := s.runContext(r.Context(), req.Failpoints, wireOpts.TimeoutMS)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
+		return
 	}
-	timeout := s.cfg.DefaultTimeout
-	if ms := wireOpts.TimeoutMS; ms != 0 {
-		timeout = time.Duration(ms) * time.Millisecond
-	}
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
+	defer cancel()
 
 	s.clusterRuns.Add(1)
 	resp, err := s.serveRun(ctx, req, wireOpts)
@@ -438,7 +421,7 @@ func (s *Server) serveRun(ctx context.Context, req cluster.RunRequest, wireOpts 
 	}()
 	switch req.Kind {
 	case cluster.KindRetime:
-		res, attempts, err := s.runRetime(ctx, req.BLIF, wireOpts, nil)
+		res, attempts, err := s.runRetime(ctx, nil, req.BLIF, wireOpts)
 		if err != nil {
 			return nil, err
 		}
@@ -472,6 +455,8 @@ func (s *Server) serveRun(ctx context.Context, req cluster.RunRequest, wireOpts 
 
 // --- worker heartbeat loop ---
 
+// workerID is this node's stable cluster identity, as a worker and as an HA
+// coordinator.
 func (s *Server) workerID() string {
 	if s.cfg.WorkerID != "" {
 		return s.cfg.WorkerID

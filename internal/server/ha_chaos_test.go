@@ -390,13 +390,17 @@ func TestClusterHAKillReviveRejoinsAsStandby(t *testing.T) {
 	}
 	termBefore := leaderView(t, p.urlA).Term
 
-	// Wait for the lease push after the job finished: it carries an empty
-	// snapshot, so the standby forgets the completed job and the takeover
-	// below provably re-runs nothing. (Killing the leader inside that window
-	// would make the standby re-run the finished job — byte-identical and
-	// harmless, but this test is about the exactly-once happy path.)
+	// Wait for a lease push that snapshotted after the job finished: it
+	// carries an empty snapshot, so the standby forgets the completed job and
+	// the takeover below provably re-runs nothing. (Killing the leader inside
+	// that window would make the standby re-run the finished job —
+	// byte-identical and harmless, but this test is about the exactly-once
+	// happy path.) Pushes run one at a time and count themselves before they
+	// snapshot, so push pushed+1 snapshotted after the job returned, and the
+	// counter reaching pushed+2 means that push has been applied on B.
+	pushed := metric(t, p.urlA, "ha_lease_pushes")
 	deadline := time.Now().Add(10 * time.Second)
-	for metric(t, p.urlB, "ha_replicated_jobs") != 0 {
+	for metric(t, p.urlA, "ha_lease_pushes") < pushed+2 || metric(t, p.urlB, "ha_replicated_jobs") != 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("standby never saw the post-completion empty snapshot")
 		}

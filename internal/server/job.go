@@ -173,9 +173,9 @@ type Progress struct {
 }
 
 // Job is one unit of work tracked by the server. All fields are guarded by
-// the server's mutex; done is closed exactly once when the job reaches a
-// terminal state (checkpointed jobs never close it — they finish in the next
-// process).
+// the job table's lock (table.go); done is closed exactly once when the job
+// reaches a terminal state (checkpointed jobs never close it — they finish in
+// the next process).
 type Job struct {
 	Spec     JobSpec
 	Status   JobStatus

@@ -4,6 +4,10 @@
 //
 // The robustness mechanisms, in the order a request meets them:
 //
+//   - One admission path: POST /v1/retime, /v1/explore and /v1/batch all go
+//     through submit. A single submission is a one-member request without a
+//     batch, so validation, numbering, idempotency and the all-or-nothing
+//     enqueue exist once.
 //   - Admission control: a bounded job queue; a full queue sheds load with
 //     429 + Retry-After instead of growing without bound.
 //   - Early validation: the BLIF body and options are parsed at submission,
@@ -22,6 +26,12 @@
 //     jobs finish, and checkpoints still-queued job specs to disk; a
 //     restarted server resumes them in order, producing bit-identical
 //     results to an uninterrupted run.
+//
+// Every job, batch and idempotency record lives in one jobTable (table.go)
+// behind its own lock; the server's own mutex guards only its lifecycle
+// (started, draining, parked jobs). Checkpoint resume and HA takeover are one
+// restore path (resume), and local and forwarded runs build their context
+// (runContext) and retry ladder (withBudgetRetry) the same way.
 //
 // Failure classification is shared with the CLIs: every engine sentinel of
 // internal/rterr maps to a stable {code, detail} error body and HTTP status
@@ -70,8 +80,6 @@ type Config struct {
 	// DefaultTimeout is the per-job deadline when the job does not set one
 	// (default 60s). Negative means no default deadline.
 	DefaultTimeout time.Duration
-	// MaxBodyBytes caps the request body (default 16 MiB).
-	MaxBodyBytes int64
 	// CheckpointDir, when non-empty, is where graceful shutdown persists
 	// queued job specs and where Start resumes them from.
 	CheckpointDir string
@@ -137,15 +145,13 @@ type Config struct {
 	// CheckpointDir, then StoreDir; in-memory only when neither is set —
 	// acceptable for tests, not production).
 	TermFile string
-	// DispatchAttempts bounds how many workers a job is offered before the
-	// coordinator degrades to local execution (default 3).
-	DispatchAttempts int
-	// DispatchTimeout bounds each forward attempt (default 60s).
-	DispatchTimeout time.Duration
 	// Logf receives operational log lines (default log.Printf; set to a
 	// no-op to silence).
 	Logf func(format string, args ...any)
 }
+
+// maxBodyBytes caps every request body the service reads.
+const maxBodyBytes = 16 << 20
 
 func (c Config) withDefaults() Config {
 	if c.QueueSize <= 0 {
@@ -156,9 +162,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DefaultTimeout == 0 {
 		c.DefaultTimeout = 60 * time.Second
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 16 << 20
 	}
 	if c.RetryMax == 0 {
 		c.RetryMax = 2
@@ -185,23 +188,17 @@ type Server struct {
 	mux *http.ServeMux
 
 	mu       sync.Mutex
-	jobs     map[string]*Job
-	seq      int
 	started  bool
 	draining bool
 	parked   []*Job // dequeued after draining began; checkpointed, not run
 
-	// Batch and idempotency state, under mu. batches is rebuilt from member
-	// JobSpecs on resume/takeover (the spec carries batch ID + total), so it
-	// needs no checkpoint or replication format of its own.
-	batches  map[string]*batchRec
-	batchSeq int
-	idem     map[string]idemRecord
+	// table holds every job, batch and idempotency record behind its own
+	// lock (table.go).
+	table *jobTable
 
-	// sched replaced the single FIFO channel in PR 10: per-tenant queues
-	// dispensed in weighted deficit-round-robin order, with per-tenant
-	// admission quotas. Lock order: s.mu is never held while calling a
-	// blocking scheduler method (Next); non-blocking calls are fine.
+	// sched holds the queued jobs: per-tenant queues dispensed in weighted
+	// deficit-round-robin order, with per-tenant admission quotas. s.mu is
+	// never held while calling a blocking scheduler method (Next).
 	sched    *tenant.Scheduler[*Job]
 	stop     chan struct{}
 	wg       sync.WaitGroup
@@ -233,8 +230,7 @@ type Server struct {
 	dispatched, clusterFallback, clusterRuns, remotePoints           atomic.Int64
 	checkpointErrs                                                   atomic.Int64
 	haReplJobs, haReplStore, haNotLeader, haTakeoverJobs             atomic.Int64
-	quotaRejected, batchesSubmitted, batchesCompleted, batchJobs     atomic.Int64
-	idemReplays                                                      atomic.Int64
+	quotaRejected, batchesSubmitted, batchJobs, idemReplays          atomic.Int64
 
 	cntMu    sync.Mutex
 	counters map[string]int64 // aggregated engine trace counters
@@ -245,18 +241,16 @@ func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:      cfg,
-		jobs:     make(map[string]*Job),
-		batches:  make(map[string]*batchRec),
-		idem:     make(map[string]idemRecord),
+		table:    newJobTable(),
 		sched:    tenant.NewScheduler[*Job](cfg.Tenants, cfg.QueueSize),
 		stop:     make(chan struct{}),
 		counters: make(map[string]int64),
 	}
 	s.runSem = make(chan struct{}, cfg.Workers)
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/retime", s.handleSubmit)
-	mux.HandleFunc("POST /v1/explore", s.handleExplore)
-	mux.HandleFunc("POST /v1/batch", s.handleBatchSubmit)
+	mux.HandleFunc("POST /v1/retime", func(w http.ResponseWriter, r *http.Request) { s.submit(w, r, KindRetime) })
+	mux.HandleFunc("POST /v1/explore", func(w http.ResponseWriter, r *http.Request) { s.submit(w, r, KindExplore) })
+	mux.HandleFunc("POST /v1/batch", func(w http.ResponseWriter, r *http.Request) { s.submit(w, r, submitBatch) })
 	mux.HandleFunc("GET /v1/batch/{id}", s.handleBatch)
 	mux.HandleFunc("GET /v1/batch/{id}/events", s.handleBatchEvents)
 	mux.HandleFunc("GET /v1/jobs", s.handleJobs)
@@ -271,12 +265,7 @@ func New(cfg Config) *Server {
 			LeaseTTL: cfg.LeaseTTL,
 			Logf:     cfg.Logf,
 		})
-		s.dispatcher = &cluster.Dispatcher{
-			Registry:       s.registry,
-			AttemptTimeout: cfg.DispatchTimeout,
-			MaxAttempts:    cfg.DispatchAttempts,
-			Logf:           cfg.Logf,
-		}
+		s.dispatcher = &cluster.Dispatcher{Registry: s.registry, Logf: cfg.Logf}
 		mux.HandleFunc("POST /v1/cluster/join", s.handleClusterJoin)
 		mux.HandleFunc("POST /v1/cluster/heartbeat", s.handleClusterHeartbeat)
 		mux.HandleFunc("GET /v1/cluster/workers", s.handleClusterWorkers)
@@ -335,7 +324,7 @@ func (s *Server) Start() error {
 	}
 	if s.cfg.PeerURL != "" {
 		el, err := cluster.NewElection(cluster.ElectionConfig{
-			SelfID:          s.selfID(),
+			SelfID:          s.workerID(),
 			SelfURL:         s.cfg.AdvertiseURL,
 			PeerURL:         s.cfg.PeerURL,
 			TermPath:        s.termPath(),
@@ -358,7 +347,7 @@ func (s *Server) Start() error {
 		}
 	}
 	if s.election == nil {
-		if err := s.resume(); err != nil {
+		if _, err := s.resume(nil); err != nil {
 			return fmt.Errorf("server: resume checkpoints: %w", err)
 		}
 	}
@@ -380,14 +369,6 @@ func (s *Server) Start() error {
 		s.election.Start()
 	}
 	return nil
-}
-
-// selfID is this node's stable cluster identity (worker or HA coordinator).
-func (s *Server) selfID() string {
-	if s.cfg.WorkerID != "" {
-		return s.cfg.WorkerID
-	}
-	return s.cfg.AdvertiseURL
 }
 
 // ReloadTenants re-reads the tenant table from Config.TenantsFile and
@@ -432,25 +413,49 @@ func (s *Server) termPath() string {
 	return ""
 }
 
-// resume loads checkpointed job specs (in ID order) back into the queue and
-// removes their files. Specs beyond the queue capacity stay on disk for a
-// later restart rather than being dropped, and corrupt specs are skipped
-// (counted, logged) rather than aborting the healthy ones.
-func (s *Server) resume() error {
-	if s.cfg.CheckpointDir == "" {
-		return nil
+// resume restores job specs to the queue: every checkpointed spec merged
+// with extra (the replicated snapshot at an HA takeover), deduplicated by job
+// ID (extra wins), in ID order. A restored spec's checkpoint is removed.
+// Specs beyond the queue capacity are not dropped: they stay on disk (or, for
+// extra specs not yet there, are written there) for a later resume. Corrupt
+// checkpoints are skipped, counted and logged. It returns how many specs were
+// restored; an unreadable checkpoint dir is an error, after extra has still
+// been restored.
+func (s *Server) resume(extra []JobSpec) (int, error) {
+	dir := s.cfg.CheckpointDir
+	var disk []JobSpec
+	var loadErr error
+	if dir != "" {
+		disk, loadErr = loadCheckpoints(dir, s.badCheckpoint)
 	}
-	specs, err := loadCheckpoints(s.cfg.CheckpointDir, s.badCheckpoint)
-	if err != nil {
-		return err
+	onDisk := make(map[string]bool, len(disk))
+	for _, spec := range disk {
+		onDisk[spec.ID] = true
 	}
-	for _, spec := range specs {
-		if !s.enqueueSpec(spec) {
-			return nil // queue full: leave this and later specs checkpointed
+	seen := make(map[string]bool, len(extra)+len(disk))
+	var specs []JobSpec
+	for _, spec := range append(append([]JobSpec(nil), extra...), disk...) {
+		if !seen[spec.ID] {
+			seen[spec.ID] = true
+			specs = append(specs, spec)
 		}
-		s.removeCheckpoint(s.cfg.CheckpointDir, spec.ID)
 	}
-	return nil
+	sort.Slice(specs, func(i, j int) bool { return specs[i].ID < specs[j].ID })
+	restored := 0
+	for _, spec := range specs {
+		switch {
+		case s.restore(spec):
+			restored++
+			if dir != "" {
+				s.removeCheckpoint(dir, spec.ID)
+			}
+		case dir != "" && !onDisk[spec.ID]:
+			if err := checkpointJob(dir, spec); err != nil {
+				s.checkpointErrs.Add(1)
+			}
+		}
+	}
+	return restored, loadErr
 }
 
 // badCheckpoint records one corrupt checkpoint file: counted in
@@ -460,61 +465,32 @@ func (s *Server) badCheckpoint(name string, err error) {
 	s.logf("server: skipping corrupt checkpoint %s: %v (resuming the rest)", name, err)
 }
 
-// enqueueSpec places a resumed or replicated job spec on the queue (via the
+// restore places a resumed or replicated job spec on the queue (via the
 // scheduler's quota-free Restore path — the job was admitted once already).
-// It reports false when the global capacity is reached (callers leave the
-// spec checkpointed). A spec whose ID is already tracked is a no-op success:
-// re-admitting it would run the job twice for nothing (the result would be
-// byte-identical, but the duplicate would still burn a worker). Specs that
-// belong to a batch re-attach to it, rebuilding the batch record as members
-// arrive.
-func (s *Server) enqueueSpec(spec JobSpec) bool {
-	s.mu.Lock()
-	_, exists := s.jobs[spec.ID]
-	s.mu.Unlock()
-	if exists {
+// It reports false when the global capacity is reached. A spec whose ID is
+// already tracked is a no-op success: re-admitting it would run the job twice
+// for nothing (the result would be byte-identical, but the duplicate would
+// still burn a worker).
+func (s *Server) restore(spec JobSpec) bool {
+	if s.table.get(spec.ID) != nil {
 		return true
 	}
-	job := &Job{Spec: spec, Status: StatusQueued, QueuedAt: time.Now(), done: make(chan struct{})}
+	job := newJob(spec, time.Now())
 	if !s.sched.Restore(tenantOf(spec), job) {
 		return false
 	}
-	s.mu.Lock()
-	s.jobs[spec.ID] = job
-	// Keep fresh IDs past every resumed one.
-	if n, err := strconv.Atoi(strings.TrimPrefix(spec.ID, "job-")); err == nil && n > s.seq {
-		s.seq = n
-	}
-	if spec.Batch != "" {
-		s.attachBatchJobLocked(job)
-	}
-	s.mu.Unlock()
+	s.table.add(job)
 	s.resumed.Add(1)
 	return true
 }
 
 // --- HA pair lifecycle ---
 
-// snapshotJobs renders every queued and running job spec, in ID order, as the
-// replication payload — the same JSON shape the checkpoint files hold, so the
-// checkpoint format is the wire format.
-//
-// Members of an unfinished batch are included even after they finish: a
-// standby rebuilds the batch purely from member specs, so dropping finished
-// members would leave it a partial batch whose batch_done never fires.
-// Re-running a finished member after takeover is wasteful but harmless — the
-// engine is deterministic, so the rerun is byte-identical.
+// snapshotJobs renders the table's pending specs as the replication payload
+// — the same JSON shape the checkpoint files hold, so the checkpoint format
+// is the wire format.
 func (s *Server) snapshotJobs() json.RawMessage {
-	s.mu.Lock()
-	specs := make([]JobSpec, 0, len(s.jobs))
-	for _, job := range s.jobs {
-		if job.Status == StatusQueued || job.Status == StatusRunning || s.batchOpenLocked(job.Spec.Batch) {
-			specs = append(specs, job.Spec)
-		}
-	}
-	s.mu.Unlock()
-	sort.Slice(specs, func(i, j int) bool { return specs[i].ID < specs[j].ID })
-	data, err := json.Marshal(specs)
+	data, err := json.Marshal(s.table.pendingSpecs())
 	if err != nil {
 		return nil
 	}
@@ -561,46 +537,18 @@ func (s *Server) applyReplicatedJobs(raw json.RawMessage) (int, error) {
 	return len(specs), nil
 }
 
-// takeover runs when this node wins the lease: resume the union of the
-// replicated snapshot and any surviving disk checkpoints (deduplicated by job
-// ID, in ID order). Admitting a job the old leader actually finished is
-// wasteful but harmless — deterministic re-execution makes the rerun
-// byte-identical — and admitting one it never finished is exactly the point.
+// takeover runs when this node wins the lease: resume the replicated
+// snapshot together with any surviving disk checkpoints. Admitting a job the
+// old leader actually finished is wasteful but harmless — deterministic
+// re-execution makes the rerun byte-identical — and admitting one it never
+// finished is exactly the point.
 func (s *Server) takeover(term uint64) {
 	s.haMu.Lock()
-	specs := append([]JobSpec(nil), s.haSpecs...)
+	specs := s.haSpecs
 	s.haMu.Unlock()
-	seen := make(map[string]bool, len(specs))
-	for _, spec := range specs {
-		seen[spec.ID] = true
-	}
-	if s.cfg.CheckpointDir != "" {
-		if disk, err := loadCheckpoints(s.cfg.CheckpointDir, s.badCheckpoint); err == nil {
-			for _, spec := range disk {
-				if !seen[spec.ID] {
-					seen[spec.ID] = true
-					specs = append(specs, spec)
-				}
-			}
-		}
-	}
-	sort.Slice(specs, func(i, j int) bool { return specs[i].ID < specs[j].ID })
-	resumed := 0
-	for _, spec := range specs {
-		if !s.enqueueSpec(spec) {
-			// Queue full: park the spec on disk for a later resume instead of
-			// dropping it.
-			if s.cfg.CheckpointDir != "" {
-				if err := checkpointJob(s.cfg.CheckpointDir, spec); err != nil {
-					s.checkpointErrs.Add(1)
-				}
-			}
-			continue
-		}
-		if s.cfg.CheckpointDir != "" {
-			s.removeCheckpoint(s.cfg.CheckpointDir, spec.ID)
-		}
-		resumed++
+	resumed, err := s.resume(specs)
+	if err != nil {
+		s.logf("server: HA takeover: reading checkpoints: %v", err)
 	}
 	s.haTakeoverJobs.Add(int64(resumed))
 	s.logf("server: HA takeover at term %d: resumed %d replicated job(s)", term, resumed)
@@ -647,24 +595,25 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	queued = append(queued, s.parked...)
 	s.parked = nil
-	// A batch interrupted mid-flight checkpoints whole: its finished members
-	// join the queued ones on disk, so the restarted server rebuilds (and
-	// deterministically re-runs) the full batch rather than a partial one.
+	s.mu.Unlock()
+	sort.Slice(queued, func(i, j int) bool { return queued[i].Spec.ID < queued[j].Spec.ID })
+	// Nothing runs any more, so the pending specs beyond the queued jobs are
+	// the finished members of interrupted batches. A batch checkpoints whole,
+	// so the restarted server rebuilds (and deterministically re-runs) the
+	// full batch rather than a partial one.
 	if s.cfg.CheckpointDir != "" {
 		inQueue := make(map[string]bool, len(queued))
 		for _, job := range queued {
 			inQueue[job.Spec.ID] = true
 		}
-		for _, job := range s.jobs {
-			if job.Spec.Batch != "" && !inQueue[job.Spec.ID] && s.batchOpenLocked(job.Spec.Batch) {
-				if err := checkpointJob(s.cfg.CheckpointDir, job.Spec); err != nil {
+		for _, spec := range s.table.pendingSpecs() {
+			if !inQueue[spec.ID] {
+				if err := checkpointJob(s.cfg.CheckpointDir, spec); err != nil {
 					s.checkpointErrs.Add(1)
 				}
 			}
 		}
 	}
-	s.mu.Unlock()
-	sort.Slice(queued, func(i, j int) bool { return queued[i].Spec.ID < queued[j].Spec.ID })
 
 	var firstErr error
 	for _, job := range queued {
@@ -675,11 +624,11 @@ func (s *Server) Shutdown(ctx context.Context) error {
 				}
 				s.checkpointErrs.Add(1)
 				s.logf("server: checkpointing %s failed: %v (failing the job instead)", job.Spec.ID, err)
-				s.finishFailed(job, fmt.Errorf("checkpoint failed: %w: %w", err, context.Canceled))
+				s.finish(job, fmt.Errorf("checkpoint failed: %w: %w", err, context.Canceled))
 			}
 			continue
 		}
-		s.finishFailed(job, fmt.Errorf("server shut down before the job ran: %w", context.Canceled))
+		s.finish(job, fmt.Errorf("server shut down before the job ran: %w", context.Canceled))
 	}
 	// Let in-flight async remote-store retries finish (bounded by ctx) so a
 	// clean shutdown does not silently drop shared-tier write-throughs.
@@ -738,11 +687,7 @@ func (s *Server) runJob(job *Job, tenantID string) {
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
 	defer s.sched.Release(tenantID)
-	s.mu.Lock()
-	job.Status = StatusRunning
-	job.StartedAt = time.Now()
-	s.batchEventLocked(job, batchEventDispatched)
-	s.mu.Unlock()
+	s.table.start(job)
 
 	var err error
 	defer func() {
@@ -750,59 +695,57 @@ func (s *Server) runJob(job *Job, tenantID string) {
 			s.panics.Add(1)
 			err = fmt.Errorf("job %s panicked: %v: %w", job.Spec.ID, r, rterr.ErrInternal)
 		}
-		if err != nil {
-			s.finishFailed(job, err)
-		} else {
-			s.completed.Add(1)
-			s.mu.Lock()
-			job.Status = StatusDone
-			job.FinishedAt = time.Now()
-			s.batchEventLocked(job, batchEventDone)
-			s.mu.Unlock()
-			close(job.done)
-		}
+		s.finish(job, err)
 	}()
 	err = s.execute(job)
 }
 
-// finishFailed marks job failed with the mapped error body and releases its
-// waiters.
-func (s *Server) finishFailed(job *Job, err error) {
-	status, body := MapError(err)
-	s.failed.Add(1)
-	s.mu.Lock()
-	job.Status = StatusFailed
-	job.Err = &body
-	job.HTTP = status
-	job.FinishedAt = time.Now()
-	s.batchEventLocked(job, batchEventFailed)
-	s.mu.Unlock()
-	close(job.done)
+// finish counts job's outcome and moves it to its terminal state.
+func (s *Server) finish(job *Job, err error) {
+	if err != nil {
+		s.failed.Add(1)
+	} else {
+		s.completed.Add(1)
+	}
+	s.table.finish(job, err)
+}
+
+// runContext derives a run's context from parent: the failpoints a spec arms
+// (chaos only; the caller has checked they are enabled) and its deadline —
+// timeoutMS when set, else the server default, none when negative. Local
+// jobs and forwarded runs build theirs here, which is what makes them fail
+// alike.
+func (s *Server) runContext(parent context.Context, failpoints string, timeoutMS int64) (context.Context, context.CancelFunc, error) {
+	ctx, cancel := parent, context.CancelFunc(func() {})
+	if failpoints != "" {
+		set, err := failpoint.ParseSet(failpoints)
+		if err != nil {
+			return nil, nil, err
+		}
+		ctx, cancel = failpoint.With(ctx, set)
+	}
+	timeout := s.cfg.DefaultTimeout
+	if timeoutMS != 0 {
+		timeout = time.Duration(timeoutMS) * time.Millisecond
+	}
+	if timeout > 0 {
+		release := cancel
+		var stop context.CancelFunc
+		ctx, stop = context.WithTimeout(ctx, timeout)
+		cancel = func() { stop(); release() }
+	}
+	return ctx, cancel, nil
 }
 
 // execute runs the retiming flow for job: dispatch to a cluster worker when
 // one is healthy, otherwise (or for sweeps, which fan out per point instead)
 // run locally under the budget-relaxing retry ladder.
 func (s *Server) execute(job *Job) error {
-	ctx := context.Background()
-	if job.Spec.Failpoints != "" {
-		set, err := failpoint.ParseSet(job.Spec.Failpoints)
-		if err != nil {
-			return fmt.Errorf("%w: %v", rterr.ErrMalformedInput, err)
-		}
-		var release func()
-		ctx, release = failpoint.With(ctx, set)
-		defer release()
+	ctx, cancel, err := s.runContext(context.Background(), job.Spec.Failpoints, job.Spec.Options.TimeoutMS)
+	if err != nil {
+		return fmt.Errorf("%w: %v", rterr.ErrMalformedInput, err)
 	}
-	timeout := s.cfg.DefaultTimeout
-	if ms := job.Spec.Options.TimeoutMS; ms != 0 {
-		timeout = time.Duration(ms) * time.Millisecond
-	}
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
+	defer cancel()
 	// Worker-level chaos hook: a panic here is recovered by runJob, not by
 	// the engine's pass pipeline.
 	if err := failpoint.Inject(ctx, "server.job"); err != nil {
@@ -817,9 +760,7 @@ func (s *Server) execute(job *Job) error {
 		res, attempts, workerID, err := s.dispatchRetime(ctx, job.Spec)
 		switch {
 		case err == nil:
-			s.mu.Lock()
-			job.Result, job.Attempts, job.Worker = res, attempts, workerID
-			s.mu.Unlock()
+			s.table.set(job, func(j *Job) { j.Result, j.Attempts, j.Worker = res, attempts, workerID })
 			return nil
 		case errors.Is(err, cluster.ErrUnavailable):
 			// The whole cluster degrading never fails a job: run it here,
@@ -829,50 +770,27 @@ func (s *Server) execute(job *Job) error {
 		default:
 			// A definitive remote failure (re-mapped into the engine's error
 			// taxonomy) or this job's own deadline/cancellation.
-			s.mu.Lock()
-			job.Worker = workerID
-			s.mu.Unlock()
+			s.table.set(job, func(j *Job) { j.Worker = workerID })
 			return err
 		}
 	}
 
-	res, attempts, err := s.runRetime(ctx, job.Spec.BLIF, job.Spec.Options, func(n int) {
-		s.mu.Lock()
-		job.Attempts = n
-		s.mu.Unlock()
-	})
+	res, attempts, err := s.runRetime(ctx, job, job.Spec.BLIF, job.Spec.Options)
 	if err != nil {
 		return err
 	}
-	s.mu.Lock()
-	job.Result, job.Attempts = res, attempts
-	s.mu.Unlock()
+	s.table.set(job, func(j *Job) { j.Result, j.Attempts = res, attempts })
 	return nil
 }
 
 // runRetime runs the single-point retime flow for (blifText, wireOpts) under
 // the budget-relaxing retry ladder. It is the shared core of local job
-// execution and the worker's forwarded-run handler, which is what makes a
-// forwarded job bit-identical to a local one. onAttempt (optional) observes
-// each attempt number before it runs.
-func (s *Server) runRetime(ctx context.Context, blifText string, wireOpts JobOptions, onAttempt func(int)) (*Result, int, error) {
-	opts, err := wireOpts.coreOptions()
-	if err != nil {
-		return nil, 0, fmt.Errorf("%w: %v", rterr.ErrMalformedInput, err)
-	}
+// execution and the worker's forwarded-run handler (job nil), which is what
+// makes a forwarded job bit-identical to a local one.
+func (s *Server) runRetime(ctx context.Context, job *Job, blifText string, wireOpts JobOptions) (*Result, int, error) {
 	var res *Result
-	attempts, err := s.withBudgetRetry(ctx, opts.Budgets, func(attempt int, budgets core.Budgets) error {
-		if onAttempt != nil {
-			onAttempt(attempt)
-		}
-		c, err := blif.Read(strings.NewReader(blifText))
-		if err != nil {
-			return err
-		}
-		rec := trace.NewRecorder()
-		opts.Trace, opts.Budgets = rec, budgets
+	attempts, err := s.withBudgetRetry(ctx, job, blifText, wireOpts, func(c *netlist.Circuit, opts core.Options) (err error) {
 		res, err = retimeOnce(ctx, c, opts)
-		s.foldCounters(rec)
 		return err
 	})
 	if err != nil {
@@ -886,16 +804,31 @@ func (s *Server) runRetime(ctx context.Context, blifText string, wireOpts JobOpt
 	return res, attempts, nil
 }
 
-// withBudgetRetry runs attempt under the budget-relaxing retry ladder shared
-// by retime and explore jobs. Attempt n (from 1) runs with budgets relaxed
-// n-1 rungs (core.Budgets.Relaxed); only ErrBudgetExceeded is retried, after
-// a deterministic exponential backoff from RetryBase, and at most RetryMax
+// withBudgetRetry runs solve under the budget-relaxing retry ladder shared by
+// retime and explore jobs. Attempt n (from 1) is recorded on job (when not
+// nil), parses blifText afresh, and runs solve with budgets relaxed n-1 rungs
+// (core.Budgets.Relaxed) and a fresh trace recorder whose counters are folded
+// into the service totals. Only ErrBudgetExceeded is retried, after a
+// deterministic exponential backoff from RetryBase, and at most RetryMax
 // times. It returns the number of attempts made and the last attempt's error.
-func (s *Server) withBudgetRetry(ctx context.Context, budgets core.Budgets, attempt func(n int, budgets core.Budgets) error) (int, error) {
+func (s *Server) withBudgetRetry(ctx context.Context, job *Job, blifText string, wireOpts JobOptions, solve func(*netlist.Circuit, core.Options) error) (int, error) {
+	opts, err := wireOpts.coreOptions()
+	if err != nil {
+		return 0, fmt.Errorf("%w: %v", rterr.ErrMalformedInput, err)
+	}
 	maxRetries := max(s.cfg.RetryMax, 0)
 	backoff := retry.Schedule{Base: s.cfg.RetryBase}
 	for n := 1; ; n++ {
-		err := attempt(n, budgets)
+		if job != nil {
+			s.table.set(job, func(j *Job) { j.Attempts = n })
+		}
+		c, err := blif.Read(strings.NewReader(blifText))
+		if err == nil {
+			rec := trace.NewRecorder()
+			opts.Trace = rec
+			err = solve(c, opts)
+			s.foldCounters(rec)
+		}
 		if err == nil {
 			return n, nil
 		}
@@ -906,7 +839,7 @@ func (s *Server) withBudgetRetry(ctx context.Context, budgets core.Budgets, atte
 		if werr := backoff.Wait(ctx, n-1); werr != nil {
 			return n, fmt.Errorf("%w (while backing off after: %v)", werr, err)
 		}
-		budgets = budgets.Relaxed()
+		opts.Budgets = opts.Budgets.Relaxed()
 	}
 }
 
@@ -928,45 +861,26 @@ func retimeOnce(ctx context.Context, c *netlist.Circuit, opts core.Options) (*Re
 // its point key); any dispatch failure solves that point locally, so the
 // front is identical with a full, flaky, or absent cluster.
 func (s *Server) executeExplore(ctx context.Context, job *Job) error {
-	opts, err := job.Spec.Options.coreOptions()
-	if err != nil {
-		return fmt.Errorf("%w: %v", rterr.ErrMalformedInput, err)
-	}
 	var remote func(context.Context, string, int64) (*explore.Solution, error)
 	if s.dispatcher != nil {
 		remote = s.remotePointFn(job.Spec)
 	}
-	_, err = s.withBudgetRetry(ctx, opts.Budgets, func(attempt int, budgets core.Budgets) error {
-		s.mu.Lock()
-		job.Attempts = attempt
-		s.mu.Unlock()
-
-		c, err := blif.Read(strings.NewReader(job.Spec.BLIF))
-		if err != nil {
-			return err
-		}
-		rec := trace.NewRecorder()
-		opts.Trace, opts.Budgets = rec, budgets // steps 1-3 of the shared prepare stage
+	_, err := s.withBudgetRetry(ctx, job, job.Spec.BLIF, job.Spec.Options, func(c *netlist.Circuit, opts core.Options) error {
 		front, err := explore.Sweep(ctx, c, explore.Options{
 			Core:        opts,
 			Parallelism: job.Spec.Options.Parallelism,
 			MaxPoints:   job.Spec.Options.MaxPoints,
 			Store:       s.store,
-			Trace:       rec,
+			Trace:       opts.Trace,
 			Remote:      remote,
 			Progress: func(done, total int) {
-				s.mu.Lock()
-				job.Progress = &Progress{Done: done, Total: total}
-				s.mu.Unlock()
+				s.table.set(job, func(j *Job) { j.Progress = &Progress{Done: done, Total: total} })
 			},
 		})
-		s.foldCounters(rec)
 		if err != nil {
 			return err
 		}
-		s.mu.Lock()
-		job.Result = &Result{Front: front}
-		s.mu.Unlock()
+		s.table.set(job, func(j *Job) { j.Result = &Result{Front: front} })
 		return nil
 	})
 	return err
@@ -1035,17 +949,6 @@ func specTenant(id string) string {
 	return id
 }
 
-// readBody slurps the (bounded) request body — submission handlers need the
-// raw bytes for the idempotency fingerprint before decoding.
-func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, "reading request: "+err.Error())
-		return nil, false
-	}
-	return raw, true
-}
-
 // writeAdmissionReject answers a scheduler admission error: 429 with the
 // mapped body. A per-tenant quota rejection carries the tenant and limit and
 // a longer Retry-After than plain global backpressure — the tenant's own
@@ -1075,7 +978,7 @@ type idemRecord struct {
 // the key was seen before with the same content fingerprint, the existing
 // job/batch is replayed (ok=false — the response has been written); a
 // content mismatch is a 409. Otherwise it returns the key and fingerprint
-// for recordIdempotency after successful admission.
+// to remember after successful admission.
 func (s *Server) checkIdempotency(w http.ResponseWriter, r *http.Request, tenantID, kind string, raw []byte) (key, fingerprint string, ok bool) {
 	key = r.Header.Get("Idempotency-Key")
 	if key == "" {
@@ -1085,9 +988,7 @@ func (s *Server) checkIdempotency(w http.ResponseWriter, r *http.Request, tenant
 	// store key of the raw body (same hashing as result addressing).
 	key = tenantID + "\x00" + key
 	fingerprint = store.Key(raw, []byte(tenantID), []byte(kind))
-	s.mu.Lock()
-	rec, seen := s.idem[key]
-	s.mu.Unlock()
+	rec, seen := s.table.idemGet(key)
 	if !seen {
 		return key, fingerprint, true
 	}
@@ -1099,49 +1000,28 @@ func (s *Server) checkIdempotency(w http.ResponseWriter, r *http.Request, tenant
 	s.idemReplays.Add(1)
 	w.Header().Set("Idempotency-Replayed", "true")
 	if strings.HasPrefix(rec.id, "batch-") {
-		s.mu.Lock()
-		b := s.batches[rec.id]
-		var view any
-		if b != nil {
-			view = s.batchViewLocked(b)
-		}
-		s.mu.Unlock()
-		if view != nil {
+		if view, ok := s.table.batchView(rec.id); ok {
 			writeJSON(w, http.StatusOK, view)
 			return "", "", false
 		}
-	} else {
-		s.mu.Lock()
-		job := s.jobs[rec.id]
-		s.mu.Unlock()
-		if job != nil {
-			s.writeJob(w, job)
-			return "", "", false
-		}
+	} else if job := s.table.get(rec.id); job != nil {
+		s.writeJob(w, job)
+		return "", "", false
 	}
 	// The admitted work is gone (e.g. restarted process lost the job table).
 	// Fall through to a fresh admission under the same key.
 	return key, fingerprint, true
 }
 
-// recordIdempotency remembers a successful admission under its key.
-func (s *Server) recordIdempotency(key, fingerprint, id string) {
-	if key == "" {
-		return
-	}
-	s.mu.Lock()
-	s.idem[key] = idemRecord{id: id, fingerprint: fingerprint}
-	s.mu.Unlock()
-}
+// submitBatch is submit's kind for POST /v1/batch. Like the job kinds it is
+// the idempotency fingerprint's kind token.
+const submitBatch = "batch"
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	s.submit(w, r, KindRetime)
-}
-
-func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
-	s.submit(w, r, KindExplore)
-}
-
+// submit is the one admission path of POST /v1/retime, /v1/explore (kind
+// KindRetime, KindExplore: one member, no batch) and /v1/batch (kind
+// submitBatch: every listed member, as one batch). Every member is validated
+// before any is admitted, so a bad request never occupies queue space or a
+// worker; then the members are numbered and enqueued all or nothing.
 func (s *Server) submit(w http.ResponseWriter, r *http.Request, kind string) {
 	// HA fencing: only the leader admits jobs. A standby — including a
 	// partitioned ex-leader that stepped down — answers with the leader hint
@@ -1154,97 +1034,151 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, kind string) {
 	if !ok {
 		return
 	}
-	raw, rok := s.readBody(w, r)
-	if !rok {
+	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err != nil {
+		writeError(w, http.StatusBadRequest, CodeBadRequest, "reading request: "+err.Error())
 		return
 	}
-	var req retimeRequest
-	if err := json.Unmarshal(raw, &req); err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, "decoding request: "+err.Error())
+	specs, ok := s.decodeMembers(w, raw, kind)
+	if !ok {
 		return
 	}
-	// Validate everything up front so a bad job never occupies queue space
-	// or a worker.
-	if _, err := blif.Read(strings.NewReader(req.BLIF)); err != nil {
-		status, eb := MapError(err)
-		writeError(w, status, eb.Code, eb.Detail)
+	idemKey, fingerprint, ok := s.checkIdempotency(w, r, tenantID, kind, raw)
+	if !ok {
 		return
 	}
-	if _, err := req.Options.coreOptions(); err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
-		return
-	}
-	if req.Failpoints != "" {
-		if !s.cfg.EnableFailpoints {
-			writeError(w, http.StatusForbidden, CodeBadRequest,
-				"failpoints are disabled on this server (start with -failpoints)")
-			return
-		}
-		if _, err := failpoint.ParseSet(req.Failpoints); err != nil {
-			writeError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
-			return
-		}
-	}
-
-	idemKey, fingerprint, idemOK := s.checkIdempotency(w, r, tenantID, kind, raw)
-	if !idemOK {
-		return
-	}
-
-	s.mu.Lock()
-	if s.draining || !s.started {
-		s.mu.Unlock()
+	if !s.accepting() {
 		writeError(w, http.StatusServiceUnavailable, CodeShuttingDown, "server is not accepting jobs")
 		return
 	}
-	s.seq++
-	job := &Job{
-		Spec: JobSpec{
-			ID:         fmt.Sprintf("job-%06d", s.seq),
-			Kind:       kind,
-			BLIF:       req.BLIF,
-			Options:    req.Options,
-			Failpoints: req.Failpoints,
-			Tenant:     specTenant(tenantID),
-		},
-		Status:   StatusQueued,
-		QueuedAt: time.Now(),
-		done:     make(chan struct{}),
+	for i := range specs {
+		specs[i].Tenant = specTenant(tenantID)
 	}
-	s.jobs[job.Spec.ID] = job
-	s.mu.Unlock()
-
-	if err := s.sched.Enqueue(tenantID, job); err != nil {
-		// Admission refused — the job never ran, so forgetting it is safe.
-		s.mu.Lock()
-		delete(s.jobs, job.Spec.ID)
-		s.mu.Unlock()
+	batch := kind == submitBatch
+	jobs := s.table.admit(specs, batch)
+	if err := s.sched.Enqueue(tenantID, jobs...); err != nil {
+		// Admission refused: none of the jobs were queued, so they unwind as
+		// if never submitted.
+		s.table.forget(jobs)
 		s.writeAdmissionReject(w, err)
 		return
 	}
-	s.submitted.Add(1)
-	s.recordIdempotency(idemKey, fingerprint, job.Spec.ID)
+	s.submitted.Add(int64(len(jobs)))
+	id := jobs[0].Spec.ID
+	if batch {
+		s.batchesSubmitted.Add(1)
+		s.batchJobs.Add(int64(len(jobs)))
+		id = jobs[0].Spec.Batch
+	}
+	if idemKey != "" {
+		s.table.idemPut(idemKey, idemRecord{id: id, fingerprint: fingerprint})
+	}
 	if s.election != nil {
-		s.election.Kick() // replicate the new job to the standby now, not next beat
+		s.election.Kick() // replicate the new jobs to the standby now, not next beat
 	}
 
+	if batch {
+		ids := make([]string, len(jobs))
+		for i, job := range jobs {
+			ids[i] = job.Spec.ID
+		}
+		writeJSON(w, http.StatusAccepted, struct {
+			ID     string   `json:"id"`
+			Tenant string   `json:"tenant"`
+			Total  int      `json:"total"`
+			Jobs   []string `json:"jobs"`
+		}{id, tenantID, len(jobs), ids})
+		return
+	}
+	job := jobs[0]
 	if wait := r.URL.Query().Get("wait"); wait == "1" || wait == "true" {
 		select {
 		case <-job.done:
 			s.writeJob(w, job)
 		case <-r.Context().Done():
-			writeError(w, http.StatusServiceUnavailable, CodeCanceled, "client went away; job continues: "+job.Spec.ID)
+			writeError(w, http.StatusServiceUnavailable, CodeCanceled, "client went away; job continues: "+id)
 		}
 		return
 	}
-	writeJSON(w, http.StatusAccepted, jobView{ID: job.Spec.ID, Status: StatusQueued})
+	writeJSON(w, http.StatusAccepted, jobView{ID: id, Status: StatusQueued})
+}
+
+// decodeMembers decodes a submission body into its member specs — a single
+// submission is one member of the endpoint's kind — and validates each. A
+// rejection is written to w (ok=false); a batch member's detail carries its
+// "jobs[i]: " index.
+func (s *Server) decodeMembers(w http.ResponseWriter, raw []byte, kind string) ([]JobSpec, bool) {
+	var members []batchJobSpec
+	var err error
+	if kind == submitBatch {
+		var req batchRequest
+		err = json.Unmarshal(raw, &req)
+		members = req.Jobs
+	} else {
+		var req retimeRequest
+		err = json.Unmarshal(raw, &req)
+		members = []batchJobSpec{{Kind: kind, BLIF: req.BLIF, Options: req.Options, Failpoints: req.Failpoints}}
+	}
+	if err != nil {
+		writeError(w, http.StatusBadRequest, CodeBadRequest, "decoding request: "+err.Error())
+		return nil, false
+	}
+	if len(members) == 0 {
+		writeError(w, http.StatusBadRequest, CodeBadRequest, "a batch needs at least one job")
+		return nil, false
+	}
+	specs := make([]JobSpec, len(members))
+	for i, m := range members {
+		prefix := ""
+		if kind == submitBatch {
+			prefix = fmt.Sprintf("jobs[%d]: ", i)
+		}
+		switch m.Kind {
+		case "retime":
+			m.Kind = KindRetime
+		case KindRetime, KindExplore:
+		default:
+			writeError(w, http.StatusBadRequest, CodeBadRequest,
+				fmt.Sprintf("%sunknown kind %q (use \"retime\" or \"explore\")", prefix, m.Kind))
+			return nil, false
+		}
+		if _, err := blif.Read(strings.NewReader(m.BLIF)); err != nil {
+			status, eb := MapError(err)
+			eb.Detail = prefix + eb.Detail
+			writeErrorBody(w, status, eb)
+			return nil, false
+		}
+		if _, err := m.Options.coreOptions(); err != nil {
+			writeError(w, http.StatusBadRequest, CodeBadRequest, prefix+err.Error())
+			return nil, false
+		}
+		if m.Failpoints != "" {
+			if !s.cfg.EnableFailpoints {
+				writeError(w, http.StatusForbidden, CodeBadRequest,
+					"failpoints are disabled on this server (start with -failpoints)")
+				return nil, false
+			}
+			if _, err := failpoint.ParseSet(m.Failpoints); err != nil {
+				writeError(w, http.StatusBadRequest, CodeBadRequest, prefix+err.Error())
+				return nil, false
+			}
+		}
+		specs[i] = JobSpec{Kind: m.Kind, BLIF: m.BLIF, Options: m.Options, Failpoints: m.Failpoints}
+	}
+	return specs, true
+}
+
+// accepting reports whether the server takes new work: started and not
+// draining.
+func (s *Server) accepting() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.started && !s.draining
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	job, ok := s.jobs[r.PathValue("id")]
-	s.mu.Unlock()
-	if !ok {
+	job := s.table.get(r.PathValue("id"))
+	if job == nil {
 		writeError(w, http.StatusNotFound, CodeBadRequest, "no such job")
 		return
 	}
@@ -1273,7 +1207,6 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, CodeBadRequest, "unknown status filter "+strconv.Quote(filter))
 		return
 	}
-	tenantFilter := q.Get("tenant")
 	limit := defaultJobsLimit
 	if v := q.Get("limit"); v != "" {
 		n, err := strconv.Atoi(v)
@@ -1289,30 +1222,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	type keyed struct {
-		view jobView
-		nano int64
-	}
-	s.mu.Lock()
-	all := make([]keyed, 0, len(s.jobs))
-	for _, job := range s.jobs {
-		if filter != "" && string(job.Status) != filter {
-			continue
-		}
-		if tenantFilter != "" && tenantOf(job.Spec) != tenantFilter {
-			continue
-		}
-		all = append(all, keyed{s.viewLocked(job, false), job.QueuedAt.UnixNano()})
-	}
-	s.mu.Unlock()
-	// Stable (queued_at, id) order: batch members share an admission instant,
-	// so the ID tiebreak is what keeps the cursor exact.
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].nano != all[j].nano {
-			return all[i].nano < all[j].nano
-		}
-		return all[i].view.ID < all[j].view.ID
-	})
+	all := s.table.list(filter, q.Get("tenant"))
 	start := 0
 	if afterID != "" {
 		start = sort.Search(len(all), func(i int) bool {
@@ -1354,42 +1264,9 @@ func parseJobsCursor(c string) (nano int64, id string, ok bool) {
 	return n, c[i+1:], true
 }
 
-// viewLocked renders job under s.mu. withResult controls whether the result
-// payload (potentially a large netlist or a whole front) is included.
-func (s *Server) viewLocked(job *Job, withResult bool) jobView {
-	view := jobView{
-		ID:         job.Spec.ID,
-		Kind:       job.Spec.Kind,
-		Status:     job.Status,
-		Tenant:     job.Spec.Tenant,
-		Batch:      job.Spec.Batch,
-		Attempts:   job.Attempts,
-		Worker:     job.Worker,
-		QueuedAt:   stamp(job.QueuedAt),
-		StartedAt:  stamp(job.StartedAt),
-		FinishedAt: stamp(job.FinishedAt),
-		Progress:   job.Progress,
-		Error:      job.Err,
-	}
-	if !job.StartedAt.IsZero() {
-		view.WaitMS = job.StartedAt.Sub(job.QueuedAt).Milliseconds()
-	}
-	if withResult {
-		view.Result = job.Result
-	}
-	return view
-}
-
-// writeJob renders a job; failed jobs answer with their mapped HTTP status
-// so that "GET a panicked job" is a 500 and "GET an infeasible job" a 422.
+// writeJob renders a job with its result, under its HTTP status.
 func (s *Server) writeJob(w http.ResponseWriter, job *Job) {
-	s.mu.Lock()
-	view := s.viewLocked(job, true)
-	status := http.StatusOK
-	if job.Status == StatusFailed {
-		status = job.HTTP
-	}
-	s.mu.Unlock()
+	view, status := s.table.view(job)
 	writeJSON(w, status, view)
 }
 
@@ -1399,10 +1276,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
-	s.mu.Lock()
-	ready := s.started && !s.draining
-	s.mu.Unlock()
-	if !ready {
+	if !s.accepting() {
 		w.WriteHeader(http.StatusServiceUnavailable)
 		_, _ = w.Write([]byte("draining\n"))
 		return
@@ -1436,7 +1310,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	// Multi-tenant serving counters: batch lifecycle plus one labelled row
 	// set per tenant the scheduler has ever seen.
 	put("batches_submitted", s.batchesSubmitted.Load())
-	put("batches_completed", s.batchesCompleted.Load())
+	put("batches_completed", s.table.batchesCompleted.Load())
 	put("batch_jobs_submitted", s.batchJobs.Load())
 	put("idempotent_replays", s.idemReplays.Load())
 	now := time.Now()

@@ -18,7 +18,7 @@ import (
 
 // testBLIF returns the quickstart circuit (two load-enable registers feeding
 // an unbalanced datapath — retiming moves the layer) as BLIF text.
-func testBLIF(t *testing.T) string {
+func testBLIF(t testing.TB) string {
 	t.Helper()
 	c := netlist.New("quickstart")
 	a := c.AddInput("a")

@@ -93,17 +93,13 @@ func (s *Scheduler[T]) queueLocked(id string) *tenantQueue[T] {
 	return q
 }
 
-// Enqueue admits one job for tenant id, or rejects it with a *QuotaError
-// (per-tenant max_queued) or ErrQueueFull (global capacity). Admission is
-// atomic with the quota check, so concurrent submitters cannot oversubscribe.
-func (s *Scheduler[T]) Enqueue(id string, v T) error {
-	return s.enqueue(id, []T{v}, true)
-}
-
-// EnqueueBatch admits all of vs for tenant id or none of them: the batch-size
-// quota, the queued quota, and the global capacity are checked against the
-// whole batch first, so a partially admitted batch can never exist.
-func (s *Scheduler[T]) EnqueueBatch(id string, vs []T) error {
+// Enqueue admits all of vs for tenant id or none of them, rejecting with a
+// *QuotaError (per-tenant max_batch when vs holds several jobs, or
+// max_queued) or ErrQueueFull (global capacity). The quotas and the capacity
+// are checked against all of vs atomically with the admission, so concurrent
+// submitters cannot oversubscribe and a partially admitted batch can never
+// exist.
+func (s *Scheduler[T]) Enqueue(id string, vs ...T) error {
 	return s.enqueue(id, vs, true)
 }
 

@@ -176,7 +176,7 @@ func TestQuotaMaxQueued(t *testing.T) {
 func TestQuotaMaxBatch(t *testing.T) {
 	cfg := Config{Tenants: map[string]Limits{"b": {MaxBatch: 3}}}
 	s := NewScheduler[int](cfg, 0)
-	err := s.EnqueueBatch("b", []int{1, 2, 3, 4})
+	err := s.Enqueue("b", []int{1, 2, 3, 4}...)
 	var qe *QuotaError
 	if !errors.As(err, &qe) || qe.Quota != QuotaBatch || qe.Limit != 3 {
 		t.Fatalf("oversize batch: err=%v", err)
@@ -184,7 +184,7 @@ func TestQuotaMaxBatch(t *testing.T) {
 	if s.Len() != 0 {
 		t.Fatalf("rejected batch left %d jobs queued", s.Len())
 	}
-	if err := s.EnqueueBatch("b", []int{1, 2, 3}); err != nil {
+	if err := s.Enqueue("b", []int{1, 2, 3}...); err != nil {
 		t.Fatalf("exact-size batch: %v", err)
 	}
 	if s.Len() != 3 {
@@ -195,11 +195,11 @@ func TestQuotaMaxBatch(t *testing.T) {
 func TestBatchAtomicUnderMaxQueued(t *testing.T) {
 	cfg := Config{Tenants: map[string]Limits{"b": {MaxQueued: 5}}}
 	s := NewScheduler[int](cfg, 0)
-	if err := s.EnqueueBatch("b", []int{1, 2, 3}); err != nil {
+	if err := s.Enqueue("b", []int{1, 2, 3}...); err != nil {
 		t.Fatal(err)
 	}
 	// 3 queued + 3 more would exceed 5: all-or-nothing, none admitted.
-	err := s.EnqueueBatch("b", []int{4, 5, 6})
+	err := s.Enqueue("b", []int{4, 5, 6}...)
 	var qe *QuotaError
 	if !errors.As(err, &qe) || qe.Quota != QuotaQueued {
 		t.Fatalf("err=%v", err)
@@ -224,7 +224,7 @@ func TestGlobalCapacity(t *testing.T) {
 	if _, _, ok := s.Next(); !ok {
 		t.Fatal("Next !ok")
 	}
-	if err := s.EnqueueBatch("a", []int{1, 2}); !errors.Is(err, ErrQueueFull) {
+	if err := s.Enqueue("a", []int{1, 2}...); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("batch over capacity: err=%v", err)
 	}
 	// Restore also bounded by capacity.

@@ -8,8 +8,10 @@ import (
 // DecomposeSyncResets rewrites every register's synchronous set/clear into
 // logic in front of the D pin (Fig. 1c style): the XC4000E flip-flop has no
 // synchronous set/clear, so the paper's flow decomposes those inputs before
-// mapping. D' = rst ? value : D, built as a Mux. An undefined reset value
-// decomposes to 0. The input circuit is modified in place and returned.
+// mapping. D' = rst ? value : D, built as a Mux. The reset wins over a low
+// load enable (netlist.Reg), so a register with an enable also gets
+// EN' = EN ∨ rst, built as an Or. An undefined reset value decomposes to 0.
+// The input circuit is modified in place and returned.
 func DecomposeSyncResets(c *netlist.Circuit) *netlist.Circuit {
 	for i := range c.Regs {
 		r := &c.Regs[i]
@@ -23,6 +25,10 @@ func DecomposeSyncResets(c *netlist.Circuit) *netlist.Circuit {
 		_, nd := c.AddGate("", netlist.Mux,
 			[]netlist.SignalID{r.SR, r.D, c.Const(v)}, DelayLUT+DelayRoute)
 		r.D = nd
+		if r.HasEN() {
+			_, r.EN = c.AddGate("", netlist.Or,
+				[]netlist.SignalID{r.EN, r.SR}, DelayLUT+DelayRoute)
+		}
 		r.SR = netlist.NoSignal
 		r.SRVal = logic.BX
 	}
