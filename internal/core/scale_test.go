@@ -10,6 +10,7 @@ import (
 	"mcretiming/internal/gen"
 	"mcretiming/internal/graph"
 	"mcretiming/internal/mcgraph"
+	"mcretiming/internal/retime"
 )
 
 // retimeScale runs the full MinAreaAtMinPeriod flow on a scale-family
@@ -145,16 +146,18 @@ func TestScaleWarmLadder(t *testing.T) {
 // it runs the delay-independent model half — the §4.1 bounds pass
 // (ComputeBoundsCtx) and the §4.2 sharing graph (AreaGraph) — and then solves
 // minperiod warm-started and cold, requiring the two bit-identical and the
-// warm search to pay exactly one cold SPFA start, under a wall-clock budget that keeps the CI
-// scale-smoke job honest. The bounds pass moves whole register-layer
+// warm search to pay exactly one cold SPFA start. Last, minarea runs at the
+// minimum period on the cuts the warm search collected and must return a
+// legal retiming that meets it. All of it stays under a wall-clock budget
+// that keeps the CI scale-smoke job honest. The bounds pass moves whole register-layer
 // prefixes per vertex, so its work tracks the vertex and edge count rather
 // than vertices × pipeline depth; its wall time is logged.
 //
 // Two deliberate scopings:
 //
-//   - The minperiod solves run on the plain projection (ToGraph, nil bounds),
-//     not the full Retime flow, so warm and cold are compared on exactly
-//     the graph the solve core scales over.
+//   - The minperiod and minarea solves run on the plain projection (ToGraph,
+//     nil bounds), not the full Retime flow, so warm and cold are compared
+//     on exactly the graph the solve core scales over.
 //   - A wide-shallow pipeline (2000×250), not a deep one: SPFA label
 //     displacement grows with pipeline depth under nil bounds, so a 100×5000
 //     pipeline spends minutes per probe moving labels thousands of steps.
@@ -196,7 +199,8 @@ func TestScaleHuge(t *testing.T) {
 
 	cs0 := graph.ColdStartCount()
 	t0 = time.Now()
-	phiW, rW, err := g.MinPeriodLazy(ctx, nil, nil, graph.NewProbeLadder())
+	pool := &graph.CutPool{}
+	phiW, rW, err := g.MinPeriodLazy(ctx, nil, pool, graph.NewProbeLadder())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,9 +219,22 @@ func TestScaleHuge(t *testing.T) {
 		t.Fatalf("warm minperiod diverged from cold: phi %d vs %d", phiW, phiC)
 	}
 
+	t0 = time.Now()
+	rA, err := retime.MinAreaLazy(ctx, g, phiW, nil, pool, retime.Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	areaWall := time.Since(t0)
+	if err := g.CheckLegal(rA); err != nil {
+		t.Fatalf("minarea retiming: %v", err)
+	}
+	if p, err := g.Period(rA); err != nil || p > phiW {
+		t.Fatalf("minarea retiming has period %d (%v), want ≤ %d", p, err, phiW)
+	}
+
 	total := time.Since(start)
-	t.Logf("huge: %d vertices, %d steps possible, bounds=%v bounds+share=%v, phi=%d ps, warm=%v cold=%v total=%v",
-		g.NumVertices(), info.StepsPossible, boundsWall, modelWall, phiC, warmWall, coldWall, total)
+	t.Logf("huge: %d vertices, %d steps possible, bounds=%v bounds+share=%v, phi=%d ps, warm=%v cold=%v minarea=%v total=%v",
+		g.NumVertices(), info.StepsPossible, boundsWall, modelWall, phiC, warmWall, coldWall, areaWall, total)
 	if total > budget {
 		t.Fatalf("10⁶-vertex run took %v, budget %v", total, budget)
 	}

@@ -1,0 +1,64 @@
+package core
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"testing"
+
+	"mcretiming/internal/blif"
+	"mcretiming/internal/gen"
+	"mcretiming/internal/netlist"
+	"mcretiming/internal/xc4000"
+)
+
+// table2GoldenSums pins the SHA-256 of the BLIF that Retime
+// (MinAreaAtMinPeriod) writes for every Table-2 input: the ten mapped
+// profiles plus the mapped 2600-gate random circuit of seed 1. Unlike the
+// engine-equivalence suite, whose dense oracle shares the min-cost-flow
+// solver with production, these sums were recorded from the
+// successive-shortest-paths solver, so a change in the flow solver that
+// moved any minarea result would show here.
+var table2GoldenSums = map[string]string{
+	"C1":    "f1bbc4930266bdbae1c5bfeaeef551e170d7f679e1828798a38e1a1fce316d23",
+	"C2":    "02dee51cdf0d70c53553b58c266d0da34c2615a86cd92513bb19ecb2b5342f51",
+	"C3":    "a423cf6bec7f47c71dba5e412738627d36c45c98d0216db0b55ae6c73b641c52",
+	"C4":    "156afdeddd07a86585b25c7fd079e75d36b34f7417ff72374a20257781d15a9a",
+	"C5":    "593b93adf348d38616c2d8807d771d8be3471d3297ecd584affb24ede26c930f",
+	"C6":    "b5d6574ef537eba069ef0df3a7b40fced70c8301d28da8d2868b99d11cdbe305",
+	"C7":    "0ac96e71e848218e48f4a1f01200559dbd7f0821f4c7f22f460cbaf200adb73c",
+	"C8":    "46914f73d441bb4abbb78ae7119926612a4bed73dfd726bbe91f14d4cf307771",
+	"C9":    "a3dbd1961bd360cf6a77a57a003f30bf0acd27e47c3800d0dee73da0991a20c3",
+	"C10":   "ebb97eace6b1cec0f8ee2bd98b529126069edc3b23b7d21193054d6fa675398f",
+	"rand1": "49ea557eddebe7f3fae9b0530ffd1de1ac8bcbc129c13cd6c103e03f3eafa7bf",
+}
+
+func TestTable2GoldenSums(t *testing.T) {
+	inputs := map[string]*netlist.Circuit{"rand1": gen.Random(1, 2600)}
+	for _, p := range gen.Profiles {
+		c, err := p.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		inputs[p.Name] = c
+	}
+	for name, c := range inputs {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			mapped, err := xc4000.Map(xc4000.DecomposeSyncResets(c.Clone()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, _, err := Retime(mapped, Options{Objective: MinAreaAtMinPeriod})
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := sha256.New()
+			if err := blif.Write(h, out); err != nil {
+				t.Fatal(err)
+			}
+			if got := hex.EncodeToString(h.Sum(nil)); got != table2GoldenSums[name] {
+				t.Errorf("%s: retimed BLIF sha256 %s, want %s", name, got, table2GoldenSums[name])
+			}
+		})
+	}
+}

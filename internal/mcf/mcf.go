@@ -9,11 +9,14 @@
 // node the supply c(v), and reads the optimal retiming back off the
 // shortest-path potentials of the optimal residual network.
 //
-// The solver is the successive-shortest-paths algorithm: one initial SPFA
-// absorbs negative arc costs into node potentials, then every augmentation
-// is an early-terminating Dijkstra over nonnegative reduced costs. Negative
-// arc costs are fine; negative cycles (impossible for a bounded retiming
-// LP) are rejected.
+// The solver is the primal-dual algorithm: one initial SPFA absorbs negative
+// arc costs into node potentials, then each phase runs one early-terminating
+// multi-source Dijkstra from every excess node over nonnegative reduced
+// costs, and a Dinic blocking flow pushes every augmenting path the
+// resulting zero-reduced-cost subgraph holds. Negative arc costs are fine;
+// negative cycles (impossible for a bounded retiming LP) are rejected. The
+// successive-shortest-paths solve it replaced (one Dijkstra per augmenting
+// path) survives as the test oracle.
 package mcf
 
 import (
@@ -44,10 +47,10 @@ type Solver struct {
 	// arcRef locates user arcs: (node, index) of the forward arc.
 	arcRef [][2]int32
 
-	// MaxAugmentations caps the number of shortest-path augmentations a
-	// single Solve may perform — and the number of repair Dijkstras a single
-	// Reoptimize may perform; 0 means unlimited. On exhaustion the call
-	// returns an error wrapping rterr.ErrBudgetExceeded.
+	// MaxAugmentations caps the number of augmenting paths a single Solve
+	// may push — and the number of repair Dijkstras a single Reoptimize may
+	// perform; 0 means unlimited. On exhaustion the call returns an error
+	// wrapping rterr.ErrBudgetExceeded.
 	MaxAugmentations int
 
 	// pi holds the node potentials of the last successful Solve (every
@@ -90,16 +93,31 @@ var ErrInfeasible = errors.New("mcf: infeasible (supply cannot reach demand)")
 // Solve routes all supplies to demands at minimum cost and returns the cost.
 // Supplies must balance to zero.
 //
-// Algorithm: successive shortest paths with node potentials. One initial
-// Bellman–Ford (SPFA) absorbs negative arc costs into the potentials; every
-// augmentation after that is a Dijkstra over nonnegative reduced costs.
+// Algorithm: primal-dual with node potentials (Ahuja–Magnanti–Orlin,
+// "Network Flows", ch. 9). One initial Bellman–Ford (SPFA) absorbs negative
+// arc costs into the potentials. Each phase then runs one multi-source
+// Dijkstra over nonnegative reduced costs from every excess node, and a
+// blocking flow saturates the zero-reduced-cost subgraph it leaves behind.
 func (s *Solver) Solve() (int64, error) {
 	return s.SolveCtx(context.Background())
 }
 
 // SolveCtx is Solve with cooperative cancellation: ctx is polled before
-// every augmentation and its error returned. Each augmentation bumps the
-// "flow-augmentations" counter of any trace sink carried by ctx.
+// every phase and every augmenting path, and its error returned. Each phase
+// bumps the "flow-phases" counter and each augmenting path the
+// "flow-augmentations" counter of any trace sink carried by ctx;
+// MaxAugmentations counts augmenting paths too.
+//
+// A phase settles nodes outward from all excess nodes at once and stops at
+// the first deficit node, at distance D. Folding min(dist, D) into the
+// potentials keeps every reduced cost nonnegative and makes every shortest
+// path to that deficit tight. The phase then repeats Dinic rounds on the
+// admissible subgraph (residual arcs with zero reduced cost): BFS levels
+// from the excess nodes, then augmenting paths from each excess node along
+// increasing levels to any node still in deficit, with current-arc pointers
+// so that each round scans every arc at most once beyond the paths it
+// pushes. A push only creates zero-reduced-cost reverse arcs, so the
+// potentials stay valid for the next phase and for Reoptimize.
 func (s *Solver) SolveCtx(ctx context.Context) (int64, error) {
 	sink := trace.From(ctx)
 	var total int64
@@ -109,70 +127,212 @@ func (s *Solver) SolveCtx(ctx context.Context) (int64, error) {
 	if total != 0 {
 		return 0, fmt.Errorf("mcf: supplies sum to %d, want 0", total)
 	}
-	excess := append([]int64(nil), s.supply...)
-	pi, ok := s.initialPotentials()
+	pi, ok := s.residualDistances()
 	if !ok {
 		return 0, errors.New("mcf: negative cycle in residual network")
 	}
+	f := &flowState{
+		s:      s,
+		excess: append([]int64(nil), s.supply...),
+		pi:     pi,
+		dist:   make([]int64, s.n),
+		level:  make([]int32, s.n),
+		cur:    make([]int32, s.n),
+	}
 	var cost int64
-	dist := make([]int64, s.n)
-	prevNode := make([]int32, s.n)
-	prevArc := make([]int32, s.n)
 	augmentations := 0
 	for {
 		if err := ctx.Err(); err != nil {
 			return 0, err
 		}
-		src := -1
-		for v, e := range excess {
-			if e > 0 {
-				src = v
-				break
-			}
-		}
-		if src == -1 {
-			s.pi = pi
+		if !f.collectSources() {
+			s.pi = f.pi
 			s.nextNew = len(s.arcRef)
 			return cost, nil
 		}
-		augmentations++
-		if s.MaxAugmentations > 0 && augmentations > s.MaxAugmentations {
-			return 0, fmt.Errorf("mcf: augmentation budget %d exhausted: %w", s.MaxAugmentations, rterr.ErrBudgetExceeded)
-		}
-		sink.Add("flow-augmentations", 1)
-		deficit := s.dijkstra(src, pi, excess, dist, prevNode, prevArc)
-		if deficit == -1 {
+		sink.Add("flow-phases", 1)
+		if !f.reprice() {
 			return 0, ErrInfeasible
 		}
-		// Fold the new distances into the potentials (unreached nodes keep
-		// their old potential relative to the deficit node's distance).
-		for v := 0; v < s.n; v++ {
-			if dist[v] < math.MaxInt64 && dist[v] < dist[deficit] {
-				pi[v] += dist[v]
-			} else {
-				pi[v] += dist[deficit]
+		for f.levels() {
+			for _, src := range f.sources {
+				for f.excess[src] > 0 {
+					t := f.advance(src)
+					if t < 0 {
+						break
+					}
+					if err := ctx.Err(); err != nil {
+						return 0, err
+					}
+					augmentations++
+					if s.MaxAugmentations > 0 && augmentations > s.MaxAugmentations {
+						return 0, fmt.Errorf("mcf: augmentation budget %d exhausted: %w", s.MaxAugmentations, rterr.ErrBudgetExceeded)
+					}
+					sink.Add("flow-augmentations", 1)
+					cost += f.augment(src, t)
+				}
 			}
+			f.collectSources()
 		}
-		// Bottleneck along the path.
-		amt := excess[src]
-		if -excess[deficit] < amt {
-			amt = -excess[deficit]
-		}
-		for v := deficit; v != src; v = int(prevNode[v]) {
-			a := &s.adj[prevNode[v]][prevArc[v]]
-			if a.cap < amt {
-				amt = a.cap
-			}
-		}
-		for v := deficit; v != src; v = int(prevNode[v]) {
-			a := &s.adj[prevNode[v]][prevArc[v]]
-			a.cap -= amt
-			s.adj[v][a.rev].cap += amt
-			cost += amt * a.cost
-		}
-		excess[src] -= amt
-		excess[deficit] += amt
 	}
+}
+
+// flowState is the working state of one SolveCtx: node excesses and
+// potentials, plus the scratch arrays its phases reuse.
+type flowState struct {
+	s      *Solver
+	excess []int64
+	pi     []int64
+	dist   []int64 // phase Dijkstra labels
+	level  []int32 // BFS level in the admissible subgraph; -1 = unreached or dead
+	cur    []int32 // current-arc pointer per node
+	// sources lists the nodes with positive excess in index order; queue is
+	// the BFS queue and path the nodes of the path advance is extending.
+	sources, queue, path []int32
+	heap                 pqMCF
+}
+
+// collectSources refills f.sources and reports whether it is nonempty.
+func (f *flowState) collectSources() bool {
+	f.sources = f.sources[:0]
+	for v, e := range f.excess {
+		if e > 0 {
+			f.sources = append(f.sources, int32(v))
+		}
+	}
+	return len(f.sources) > 0
+}
+
+// reprice runs one Dijkstra over reduced costs from every source at once,
+// stopping as soon as the closest deficit node is settled at distance D, and
+// folds min(dist, D) into the potentials. It reports false if no deficit is
+// reachable. Unsettled labels are all ≥ D when it stops, so capping them at
+// D keeps every residual reduced cost nonnegative, while every settled node
+// on a shortest path to the deficit gets its exact distance, making that
+// path tight.
+func (f *flowState) reprice() bool {
+	s, dist := f.s, f.dist
+	for i := range dist {
+		dist[i] = math.MaxInt64
+	}
+	f.heap = f.heap[:0]
+	for _, v := range f.sources {
+		dist[v] = 0
+		f.heap.push(pqItem{v, 0})
+	}
+	for len(f.heap) > 0 {
+		it := f.heap[0]
+		f.heap.pop()
+		if it.dist > dist[it.v] {
+			continue
+		}
+		if f.excess[it.v] < 0 {
+			for v, d := range dist {
+				f.pi[v] += min(d, it.dist)
+			}
+			return true
+		}
+		for ai := range s.adj[it.v] {
+			a := &s.adj[it.v][ai]
+			if a.cap <= 0 {
+				continue
+			}
+			rc := a.cost + f.pi[it.v] - f.pi[a.to]
+			if nd := it.dist + rc; nd < dist[a.to] {
+				dist[a.to] = nd
+				f.heap.push(pqItem{a.to, nd})
+			}
+		}
+	}
+	return false
+}
+
+// admissible reports whether arc a out of u lies in the level graph: it has
+// residual capacity and zero reduced cost, and climbs exactly one BFS level.
+func (f *flowState) admissible(u int32, a *arc) bool {
+	return a.cap > 0 && f.level[a.to] == f.level[u]+1 && a.cost+f.pi[u]-f.pi[a.to] == 0
+}
+
+// levels assigns BFS levels over residual zero-reduced-cost arcs from every
+// source, resets the current-arc pointers, and reports whether any deficit
+// node was reached.
+func (f *flowState) levels() bool {
+	s := f.s
+	for v := range f.level {
+		f.level[v] = -1
+		f.cur[v] = 0
+	}
+	f.queue = f.queue[:0]
+	for _, v := range f.sources {
+		f.level[v] = 0
+		f.queue = append(f.queue, v)
+	}
+	reached := false
+	for qi := 0; qi < len(f.queue); qi++ {
+		u := f.queue[qi]
+		if f.excess[u] < 0 {
+			reached = true
+		}
+		for ai := range s.adj[u] {
+			a := &s.adj[u][ai]
+			if a.cap > 0 && f.level[a.to] < 0 && a.cost+f.pi[u]-f.pi[a.to] == 0 {
+				f.level[a.to] = f.level[u] + 1
+				f.queue = append(f.queue, a.to)
+			}
+		}
+	}
+	return reached
+}
+
+// advance extends a path from src along admissible arcs until it reaches a
+// node in deficit, which it returns with the path's other nodes in f.path
+// (the arc taken out of each is its current arc). A node with no admissible
+// way on is retired from the level graph and the path backs up past it; if
+// src itself retires, advance returns -1. It is iterative because a path can
+// run through a large share of the nodes.
+func (f *flowState) advance(src int32) int32 {
+	s := f.s
+	f.path = f.path[:0]
+	u := src
+	for f.excess[u] >= 0 {
+		adj := s.adj[u]
+		for int(f.cur[u]) < len(adj) && !f.admissible(u, &adj[f.cur[u]]) {
+			f.cur[u]++
+		}
+		if int(f.cur[u]) < len(adj) {
+			f.path = append(f.path, u)
+			u = adj[f.cur[u]].to
+			continue
+		}
+		f.level[u] = -1
+		if len(f.path) == 0 {
+			return -1
+		}
+		u = f.path[len(f.path)-1]
+		f.path = f.path[:len(f.path)-1]
+		f.cur[u]++
+	}
+	return u
+}
+
+// augment pushes the bottleneck of src's excess, t's deficit and the
+// residual capacities along f.path from src to t, and returns its cost.
+func (f *flowState) augment(src, t int32) int64 {
+	s := f.s
+	amt := min(f.excess[src], -f.excess[t])
+	for _, u := range f.path {
+		amt = min(amt, s.adj[u][f.cur[u]].cap)
+	}
+	var cost int64
+	for _, u := range f.path {
+		a := &s.adj[u][f.cur[u]]
+		a.cap -= amt
+		s.adj[a.to][a.rev].cap += amt
+		cost += amt * a.cost
+	}
+	f.excess[src] -= amt
+	f.excess[t] += amt
+	return cost
 }
 
 // Reoptimize re-establishes optimality after arcs were added to an already
@@ -353,12 +513,18 @@ func (s *Solver) repairDijkstra(src, dst int, limit int64, dist []int64, prevNod
 	return false
 }
 
-// initialPotentials runs one SPFA from a virtual source over all nodes so
-// that every residual arc has nonnegative reduced cost afterwards.
-func (s *Solver) initialPotentials() ([]int64, bool) {
-	pi := make([]int64, s.n)
+// residualDistances runs one FIFO Bellman–Ford (SPFA) from a virtual source
+// joined to every node by a zero-cost arc, over the arcs with residual
+// capacity, so that every such arc has nonnegative reduced cost under the
+// result. It reports false on a negative cycle. Without one, FIFO order
+// queues each node at most once per pass and n passes suffice, so a node
+// queued more than n+1 times proves a cycle; counting label improvements
+// instead would misfire, since parallel arcs can improve a node several
+// times within one pass.
+func (s *Solver) residualDistances() ([]int64, bool) {
+	dist := make([]int64, s.n)
 	inQ := make([]bool, s.n)
-	relax := make([]int32, s.n)
+	queued := make([]int32, s.n)
 	queue := make([]int32, 0, s.n)
 	for v := 0; v < s.n; v++ {
 		queue = append(queue, int32(v))
@@ -373,59 +539,20 @@ func (s *Solver) initialPotentials() ([]int64, bool) {
 			if a.cap <= 0 {
 				continue
 			}
-			if nd := pi[u] + a.cost; nd < pi[a.to] {
-				pi[a.to] = nd
-				relax[a.to]++
-				if relax[a.to] > int32(s.n)+1 {
-					return nil, false
-				}
+			if nd := dist[u] + a.cost; nd < dist[a.to] {
+				dist[a.to] = nd
 				if !inQ[a.to] {
+					queued[a.to]++
+					if queued[a.to] > int32(s.n)+1 {
+						return nil, false
+					}
 					queue = append(queue, a.to)
 					inQ[a.to] = true
 				}
 			}
 		}
 	}
-	return pi, true
-}
-
-// dijkstra computes shortest residual distances from src under the reduced
-// costs cost(u,v) + pi[u] − pi[v] ≥ 0, stopping as soon as the closest
-// deficit node is settled (its distance is then final); it returns that
-// node, or -1 if no deficit is reachable. Distances of unsettled nodes may
-// be upper bounds only — the caller's potential update caps them at the
-// sink's distance, which keeps reduced costs nonnegative.
-func (s *Solver) dijkstra(src int, pi []int64, excess, dist []int64, prevNode, prevArc []int32) int {
-	for i := range dist {
-		dist[i] = math.MaxInt64
-		prevNode[i] = -1
-	}
-	dist[src] = 0
-	h := pqMCF{{int32(src), 0}}
-	for len(h) > 0 {
-		it := h[0]
-		h.pop()
-		if it.dist > dist[it.v] {
-			continue
-		}
-		if excess[it.v] < 0 {
-			return int(it.v)
-		}
-		for ai := range s.adj[it.v] {
-			a := &s.adj[it.v][ai]
-			if a.cap <= 0 {
-				continue
-			}
-			rc := a.cost + pi[it.v] - pi[a.to]
-			if nd := it.dist + rc; nd < dist[a.to] {
-				dist[a.to] = nd
-				prevNode[a.to] = it.v
-				prevArc[a.to] = int32(ai)
-				h.push(pqItem{a.to, nd})
-			}
-		}
-	}
-	return -1
+	return dist, true
 }
 
 type pqItem struct {
@@ -490,35 +617,9 @@ func (s *Solver) Flow(handle int) int64 {
 // under π, so for the retiming dual, r(v) = π(v) is an optimal primal
 // solution. Call only after Solve succeeded.
 func (s *Solver) ResidualPotentials() ([]int64, error) {
-	dist := make([]int64, s.n)
-	inQ := make([]bool, s.n)
-	relax := make([]int32, s.n)
-	queue := make([]int32, 0, s.n)
-	for v := 0; v < s.n; v++ {
-		queue = append(queue, int32(v))
-		inQ[v] = true
-	}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		inQ[u] = false
-		for ai := range s.adj[u] {
-			a := &s.adj[u][ai]
-			if a.cap <= 0 {
-				continue
-			}
-			if nd := dist[u] + a.cost; nd < dist[a.to] {
-				dist[a.to] = nd
-				relax[a.to]++
-				if relax[a.to] > int32(s.n)+1 {
-					return nil, errors.New("mcf: negative residual cycle (flow not optimal)")
-				}
-				if !inQ[a.to] {
-					queue = append(queue, a.to)
-					inQ[a.to] = true
-				}
-			}
-		}
+	dist, ok := s.residualDistances()
+	if !ok {
+		return nil, errors.New("mcf: negative residual cycle (flow not optimal)")
 	}
 	return dist, nil
 }
