@@ -31,14 +31,24 @@
 // with delay 0 emit no line, keeping plain-BLIF output unchanged. The
 // extension is what lets a retiming cluster ship a timed circuit to a
 // worker as text and get byte-identical results back.
+//
+// Read streams: it judges each logical line as the scanner delivers it and
+// folds each cover row into its .names truth table on arrival, so no line
+// outlives its scan. It accepts at most 1<<20 lines and 1<<20 bytes per
+// statement, and a scanner error anywhere in the input wins over any
+// statement error before it.
 package blif
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
+	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"mcretiming/internal/logic"
 	"mcretiming/internal/netlist"
@@ -62,80 +72,103 @@ func malformed(format string, args ...any) error {
 func Write(w io.Writer, c *netlist.Circuit) error {
 	bw := bufio.NewWriter(w)
 	names := c.UniqueSignalNames()
-	name := func(sig netlist.SignalID) string { return names[sig] }
-	fmt.Fprintf(bw, ".model %s\n", sanitize(c.Name))
-	fmt.Fprint(bw, ".inputs")
-	for _, pi := range c.PIs {
-		fmt.Fprintf(bw, " %s", name(pi))
+	// list writes " NAME" for every signal of sigs.
+	list := func(sigs []netlist.SignalID) {
+		for _, s := range sigs {
+			bw.WriteByte(' ')
+			bw.WriteString(names[s])
+		}
 	}
-	fmt.Fprintln(bw)
-	fmt.Fprint(bw, ".outputs")
-	for _, po := range c.POs {
-		fmt.Fprintf(bw, " %s", name(po))
-	}
-	fmt.Fprintln(bw)
+	bw.WriteString(".model ")
+	bw.WriteString(sanitize(c.Name))
+	bw.WriteString("\n.inputs")
+	list(c.PIs)
+	bw.WriteString("\n.outputs")
+	list(c.POs)
+	bw.WriteByte('\n')
 
-	var werr error
 	c.LiveRegs(func(r *netlist.Reg) {
-		fmt.Fprintf(bw, ".latch %s %s re %s 3\n",
-			name(r.D), name(r.Q), name(r.Clk))
+		bw.WriteString(".latch ")
+		bw.WriteString(names[r.D])
+		bw.WriteByte(' ')
+		bw.WriteString(names[r.Q])
+		bw.WriteString(" re ")
+		bw.WriteString(names[r.Clk])
+		bw.WriteString(" 3\n")
 		if r.HasEN() || r.HasSR() || r.HasAR() {
-			fmt.Fprintf(bw, "# .mcreg %s", name(r.Q))
+			bw.WriteString("# .mcreg ")
+			bw.WriteString(names[r.Q])
 			if r.HasEN() {
-				fmt.Fprintf(bw, " en=%s", name(r.EN))
+				bw.WriteString(" en=")
+				bw.WriteString(names[r.EN])
 			}
 			if r.HasSR() {
-				fmt.Fprintf(bw, " sr=%s:%s", name(r.SR), r.SRVal)
+				bw.WriteString(" sr=")
+				bw.WriteString(names[r.SR])
+				bw.WriteByte(':')
+				bw.WriteString(r.SRVal.String())
 			}
 			if r.HasAR() {
-				fmt.Fprintf(bw, " ar=%s:%s", name(r.AR), r.ARVal)
+				bw.WriteString(" ar=")
+				bw.WriteString(names[r.AR])
+				bw.WriteByte(':')
+				bw.WriteString(r.ARVal.String())
 			}
-			fmt.Fprintln(bw)
+			bw.WriteByte('\n')
 		}
 	})
+	var werr error
+	// Scratch for a cover row and a delay, declared once: bw.Write would
+	// move a per-gate array to the heap.
+	var row [netlist.MaxLutInputs + 3]byte
+	var num [20]byte
 	c.LiveGates(func(g *netlist.Gate) {
 		if werr != nil {
 			return
 		}
-		if len(g.In) > netlist.MaxLutInputs {
+		n := len(g.In)
+		if n > netlist.MaxLutInputs {
 			werr = fmt.Errorf("blif: gate %s wider than %d inputs", g.Name, netlist.MaxLutInputs)
 			return
 		}
-		fmt.Fprint(bw, ".names")
-		for _, in := range g.In {
-			fmt.Fprintf(bw, " %s", name(in))
-		}
-		fmt.Fprintf(bw, " %s\n", name(g.Out))
+		bw.WriteString(".names")
+		list(g.In)
+		bw.WriteByte(' ')
+		bw.WriteString(names[g.Out])
+		bw.WriteByte('\n')
 		tt, terr := g.TruthTable()
 		if terr != nil {
 			werr = terr
 			return
 		}
-		n := len(g.In)
+		// One "PATTERN 1" row per on-set minterm, input 0 first.
+		end := n
+		if n > 0 {
+			row[end] = ' '
+			end++
+		}
+		row[end], row[end+1] = '1', '\n'
 		for m := 0; m < 1<<n; m++ {
 			if tt>>m&1 == 0 {
 				continue
 			}
 			for b := 0; b < n; b++ {
-				if m>>b&1 == 1 {
-					fmt.Fprint(bw, "1")
-				} else {
-					fmt.Fprint(bw, "0")
-				}
+				row[b] = '0' + byte(m>>b&1)
 			}
-			if n > 0 {
-				fmt.Fprint(bw, " ")
-			}
-			fmt.Fprintln(bw, "1")
+			bw.Write(row[:end+2])
 		}
 		if g.Delay != 0 {
-			fmt.Fprintf(bw, "# .mcdelay %s %d\n", name(g.Out), g.Delay)
+			bw.WriteString("# .mcdelay ")
+			bw.WriteString(names[g.Out])
+			bw.WriteByte(' ')
+			bw.Write(strconv.AppendInt(num[:0], g.Delay, 10))
+			bw.WriteByte('\n')
 		}
 	})
 	if werr != nil {
 		return werr
 	}
-	fmt.Fprintln(bw, ".end")
+	bw.WriteString(".end\n")
 	return bw.Flush()
 }
 
@@ -146,199 +179,329 @@ func sanitize(s string) string {
 	return strings.ReplaceAll(s, " ", "_")
 }
 
-// mcregExt is one parsed "# .mcreg" extension line.
-type mcregExt struct {
-	en, sr, ar string
-	srv, arv   logic.Bit
-}
-
 // Read parses a BLIF model into a circuit.
 func Read(r io.Reader) (*netlist.Circuit, error) {
-	c := netlist.New("unnamed")
-	sigs := make(map[string]netlist.SignalID)
-	sig := func(name string) netlist.SignalID {
-		if id, ok := sigs[name]; ok {
-			return id
-		}
-		id := c.AddSignal(name)
-		sigs[name] = id
-		return id
+	p := &reader{
+		c:       netlist.New("unnamed"),
+		ids:     make(map[string]int32),
+		exts:    make(map[int32]regExt),
+		pending: -1,
 	}
-
-	// Logical lines: join continuations, keep "# .mcreg" comments.
-	var lines []string
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64<<10), maxLineBytes)
-	var cont string
+	// cont gathers a statement continued over lines ending in a backslash.
+	var cont []byte
 	raw := 0
 	for sc.Scan() {
 		raw++
 		if raw > maxLines {
 			return nil, malformed("more than %d lines", maxLines)
 		}
-		line := strings.TrimSpace(sc.Text())
-		if strings.HasPrefix(line, "#") {
-			if strings.HasPrefix(line, "# .mcreg") || strings.HasPrefix(line, "# .mcdelay") {
-				lines = append(lines, line)
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) > 0 && line[0] == '#' {
+			if bytes.HasPrefix(line, []byte("# .mcreg")) || bytes.HasPrefix(line, []byte("# .mcdelay")) {
+				p.statement(line)
 			}
 			continue
 		}
-		if strings.HasSuffix(line, "\\") {
-			cont += strings.TrimSuffix(line, "\\") + " "
+		if len(line) > 0 && line[len(line)-1] == '\\' {
+			cont = append(append(cont, line[:len(line)-1]...), ' ')
 			if len(cont) > maxLineBytes {
 				return nil, malformed("continued statement longer than %d bytes", maxLineBytes)
 			}
 			continue
 		}
-		line = strings.TrimSpace(cont + line)
-		cont = ""
-		if line != "" {
-			lines = append(lines, line)
+		if len(cont) > 0 {
+			cont = append(cont, line...)
+			line = bytes.TrimSpace(cont)
+			cont = cont[:0]
+		}
+		if len(line) > 0 {
+			p.statement(line)
 		}
 	}
+	// Scanner errors win over statement errors: the limits hold for the
+	// whole input, whatever its statements say.
 	if err := sc.Err(); err != nil {
 		if errors.Is(err, bufio.ErrTooLong) {
 			return nil, malformed("line longer than %d bytes", maxLineBytes)
 		}
 		return nil, fmt.Errorf("blif: %w", err)
 	}
-
-	type names struct {
-		args []string
-		rows []string
+	if p.err != nil {
+		return nil, p.err
 	}
-	var pending *names
-	var allNames []*names
-	exts := make(map[string]mcregExt)
-	delays := make(map[string]int64)
-	type latch struct {
-		d, q, clk string
-		init      byte
-	}
-	var latches []latch
-	var outputs []string
+	return p.finish()
+}
 
-	flush := func() {
-		if pending != nil {
-			allNames = append(allNames, pending)
-			pending = nil
+// reader is the state of one Read. Signal names are interned into syms as
+// they are scanned; a name becomes a circuit signal only where the
+// whole-input order says so — inputs during the scan, then latch pins, then
+// .names pins — so signal IDs do not depend on streaming.
+type reader struct {
+	c      *netlist.Circuit
+	ids    map[string]int32 // name -> index into syms
+	syms   []symbol
+	fields [][]byte // the current line's fields, reused across lines
+	lineNo int      // logical lines seen, comments included
+	err    error    // first statement error; the scan goes on to EOF
+
+	latches []latch
+	names   []namesStmt
+	pins    []int32 // every .names statement's arguments, back to back
+	pending int     // index into names of the .names taking cover rows, or -1
+	outputs []int32
+	exts    map[int32]regExt // by the symbol of the latch output it extends
+}
+
+// symbol is one interned signal name.
+type symbol struct {
+	name   string
+	sig    netlist.SignalID // NoSignal until the signal is created
+	driven bool             // a latch or .names drives it
+	delay  int64            // from "# .mcdelay"
+}
+
+// regExt is one "# .mcreg" extension line; en, sr and ar are symbol
+// indices, or -1 where the line names no signal.
+type regExt struct {
+	en, sr, ar int32
+	srv, arv   logic.Bit
+}
+
+// latch is one .latch statement; clk is -1 for the implicit global clock.
+type latch struct {
+	d, q, clk int32
+	init      byte
+}
+
+// namesStmt is one .names statement, its cover folded in as rows arrive.
+type namesStmt struct {
+	lo, hi          int // its arguments: pins[lo:hi], the output last
+	on, off         uint64
+	seenOn, seenOff bool
+	decided         bool  // a constant's first row has been read
+	err             error // the first bad row
+}
+
+// statement judges one logical line.
+func (p *reader) statement(line []byte) {
+	p.lineNo++
+	if p.err != nil {
+		return
+	}
+	f := p.split(line)
+	switch string(f[0]) {
+	case ".model":
+		p.pending = -1
+		if len(f) > 1 {
+			p.c.Name = string(f[1])
 		}
+	case ".inputs":
+		p.pending = -1
+		c := p.c
+		for _, name := range f[1:] {
+			id := p.sig(p.intern(name))
+			if c.Signals[id].Driver.Kind != netlist.DriverNone {
+				p.err = malformed("line %d: duplicate input %q", p.lineNo, name)
+				return
+			}
+			c.Signals[id].Driver = netlist.Driver{Kind: netlist.DriverInput}
+			c.PIs = append(c.PIs, id)
+		}
+	case ".outputs":
+		p.pending = -1
+		for _, name := range f[1:] {
+			p.outputs = append(p.outputs, p.intern(name))
+		}
+	case ".names":
+		p.pending = -1
+		if len(f) < 2 {
+			p.err = malformed("line %d: .names needs an output", p.lineNo)
+			return
+		}
+		lo := len(p.pins)
+		for _, name := range f[1:] {
+			p.pins = append(p.pins, p.intern(name))
+		}
+		p.pending = len(p.names)
+		p.names = append(p.names, namesStmt{lo: lo, hi: len(p.pins)})
+	case ".latch":
+		p.pending = -1
+		if len(f) < 3 {
+			p.err = malformed("line %d: .latch needs input and output", p.lineNo)
+			return
+		}
+		l := latch{d: p.intern(f[1]), q: p.intern(f[2]), clk: -1, init: '3'}
+		rest := f[3:]
+		if len(rest) >= 2 && isLatchType(string(rest[0])) {
+			l.clk = p.intern(rest[1])
+			rest = rest[2:]
+		}
+		if len(rest) == 1 && len(rest[0]) == 1 {
+			l.init = rest[0][0]
+		}
+		p.latches = append(p.latches, l)
+	case "#":
+		// "# .mcreg OUT k=v..."
+		if len(f) >= 3 && string(f[1]) == ".mcreg" {
+			ext := regExt{en: -1, sr: -1, ar: -1, srv: logic.BX, arv: logic.BX}
+			for _, kv := range f[3:] {
+				k, v, ok := bytes.Cut(kv, []byte("="))
+				if !ok {
+					continue
+				}
+				switch string(k) {
+				case "en":
+					ext.en = p.internOpt(v)
+				case "sr", "ar":
+					name, val, _ := bytes.Cut(v, []byte(":"))
+					b := parseBit(string(val))
+					if string(k) == "sr" {
+						ext.sr, ext.srv = p.internOpt(name), b
+					} else {
+						ext.ar, ext.arv = p.internOpt(name), b
+					}
+				}
+			}
+			p.exts[p.intern(f[2])] = ext
+		}
+		// "# .mcdelay OUT D" — lenient like .mcreg: an unparseable
+		// comment extension is ignored, never an error.
+		if len(f) == 4 && string(f[1]) == ".mcdelay" {
+			if d, ok := parseDelay(f[3]); ok {
+				p.syms[p.intern(f[2])].delay = d
+			}
+		}
+	case ".end":
+		p.pending = -1
+	default:
+		if p.pending < 0 {
+			p.err = malformed("line %d: unexpected %q", p.lineNo, f[0])
+			return
+		}
+		nm := &p.names[p.pending]
+		nm.row(line, f, nm.hi-nm.lo-1)
 	}
-	for i, line := range lines {
-		fields := strings.Fields(line)
-		switch fields[0] {
-		case ".model":
-			flush()
-			if len(fields) > 1 {
-				c.Name = fields[1]
-			}
-		case ".inputs":
-			flush()
-			for _, name := range fields[1:] {
-				id := sig(name)
-				if c.Signals[id].Driver.Kind != netlist.DriverNone {
-					return nil, malformed("line %d: duplicate input %q", i+1, name)
-				}
-				c.Signals[id].Driver = netlist.Driver{Kind: netlist.DriverInput}
-				c.PIs = append(c.PIs, id)
-			}
-		case ".outputs":
-			flush()
-			outputs = append(outputs, fields[1:]...)
-		case ".names":
-			flush()
-			if len(fields) < 2 {
-				return nil, malformed("line %d: .names needs an output", i+1)
-			}
-			pending = &names{args: fields[1:]}
-		case ".latch":
-			flush()
-			if len(fields) < 3 {
-				return nil, malformed("line %d: .latch needs input and output", i+1)
-			}
-			l := latch{d: fields[1], q: fields[2], init: '3'}
-			rest := fields[3:]
-			if len(rest) >= 2 && isLatchType(rest[0]) {
-				l.clk = rest[1]
-				rest = rest[2:]
-			}
-			if len(rest) == 1 && len(rest[0]) == 1 {
-				l.init = rest[0][0]
-			}
-			latches = append(latches, l)
-		case "#":
-			// "# .mcreg OUT k=v..."
-			if len(fields) >= 3 && fields[1] == ".mcreg" {
-				ext := mcregExt{srv: logic.BX, arv: logic.BX}
-				for _, f := range fields[3:] {
-					k, v, ok := strings.Cut(f, "=")
-					if !ok {
-						continue
-					}
-					switch k {
-					case "en":
-						ext.en = v
-					case "sr", "ar":
-						name, val, _ := strings.Cut(v, ":")
-						b := parseBit(val)
-						if k == "sr" {
-							ext.sr, ext.srv = name, b
-						} else {
-							ext.ar, ext.arv = name, b
-						}
-					}
-				}
-				exts[fields[2]] = ext
-			}
-			// "# .mcdelay OUT D" — lenient like .mcreg: an unparseable
-			// comment extension is ignored, never an error.
-			if len(fields) == 4 && fields[1] == ".mcdelay" {
-				var d int64
-				if _, err := fmt.Sscanf(fields[3], "%d", &d); err == nil && d >= 0 {
-					delays[fields[2]] = d
-				}
-			}
-		case ".end":
-			flush()
+}
+
+// row folds one cover row of a .names with nin inputs into its truth table.
+// Rows are "<pattern> <value>" with pattern characters 0, 1, -; an output
+// value of 1 adds the row's minterms to the on-set, 0 to the off-set. A
+// constant (nin 0) is decided by its first row alone: "1", or "0". Rows of a
+// .names wider than MaxLutInputs are never expanded: finish rejects it by
+// width.
+func (nm *namesStmt) row(line []byte, f [][]byte, nin int) {
+	if nm.err != nil || nm.decided || nin > netlist.MaxLutInputs {
+		return
+	}
+	if nin == 0 {
+		nm.decided = true
+		switch string(line) {
+		case "1":
+			nm.on = 1
+		case "0":
 		default:
-			if pending == nil {
-				return nil, malformed("line %d: unexpected %q", i+1, fields[0])
-			}
-			pending.rows = append(pending.rows, line)
+			nm.err = fmt.Errorf("bad constant row %q", line)
+		}
+		return
+	}
+	if len(f) != 2 {
+		nm.err = fmt.Errorf("bad cover row %q", line)
+		return
+	}
+	pat, val := f[0], f[1]
+	if len(pat) != nin {
+		nm.err = fmt.Errorf("row %q: pattern width %d, want %d", line, len(pat), nin)
+		return
+	}
+	mask := uint64(1)<<(1<<nin) - 1
+	for i, ch := range pat {
+		switch ch {
+		case '1':
+			mask &= varMask[i]
+		case '0':
+			mask &^= varMask[i]
+		case '-':
+		default:
+			mask = 0 // no minterm matches an unknown pattern character
 		}
 	}
-	flush()
+	switch string(val) {
+	case "1":
+		nm.on |= mask
+		nm.seenOn = true
+	case "0":
+		nm.off |= mask
+		nm.seenOff = true
+	default:
+		nm.err = fmt.Errorf("row %q: output %q", line, val)
+	}
+}
 
-	// Latches first so .names outputs never collide with register Qs.
-	driven := make(map[string]bool)
-	for _, l := range latches {
-		if driven[l.q] {
-			return nil, malformed("latch output %q driven twice", l.q)
+// varMask[i] is the truth table of input i over six inputs: bit m is set
+// when minterm m has input i at 1.
+var varMask = [netlist.MaxLutInputs]uint64{
+	0xAAAAAAAAAAAAAAAA, 0xCCCCCCCCCCCCCCCC, 0xF0F0F0F0F0F0F0F0,
+	0xFF00FF00FF00FF00, 0xFFFF0000FFFF0000, 0xFFFFFFFF00000000,
+}
+
+// truth returns the truth table of a .names with nin inputs. Mixing
+// on-set and off-set rows is an error, as in standard BLIF; an off-set
+// cover's on-set is the complement of its rows.
+func (nm *namesStmt) truth(nin int) (uint64, error) {
+	switch {
+	case nm.err != nil:
+		return 0, nm.err
+	case nm.seenOn && nm.seenOff:
+		return 0, errors.New("cover mixes on-set and off-set rows")
+	case nm.seenOff:
+		full := uint64(1)<<(1<<nin) - 1
+		return full &^ nm.off, nil
+	}
+	return nm.on, nil
+}
+
+// finish builds what the scan recorded, in the order a whole-input reader
+// would: latches first, so .names outputs never collide with register Qs,
+// then the .names, then the outputs.
+func (p *reader) finish() (*netlist.Circuit, error) {
+	c := p.c
+	if len(p.latches)+len(p.names) > 0 {
+		// Every symbol may become a signal, plus an implicit clock. (Without
+		// statements no slice grows: an empty circuit keeps nil slices.)
+		c.Signals = slices.Grow(c.Signals, len(p.syms)+1-len(c.Signals))
+		c.Regs = slices.Grow(c.Regs, len(p.latches))
+		c.Gates = slices.Grow(c.Gates, len(p.names))
+	}
+	for _, l := range p.latches {
+		if p.syms[l.q].driven {
+			return nil, malformed("latch output %q driven twice", p.syms[l.q].name)
 		}
-		driven[l.q] = true
-		d, q := sig(l.d), sig(l.q)
-		var clk netlist.SignalID = netlist.NoSignal
-		if l.clk != "" {
-			clk = sig(l.clk)
+		p.syms[l.q].driven = true
+		d, q := p.sig(l.d), p.sig(l.q)
+		var ck netlist.SignalID
+		if l.clk >= 0 {
+			ck = p.sig(l.clk)
 		} else {
-			clk = sig("clk") // BLIF allows a global implicit clock
-			if c.Signals[clk].Driver.Kind == netlist.DriverNone {
-				c.Signals[clk].Driver = netlist.Driver{Kind: netlist.DriverInput}
-				c.PIs = append(c.PIs, clk)
+			ck = p.sig(p.intern([]byte("clk"))) // BLIF allows a global implicit clock
+			if c.Signals[ck].Driver.Kind == netlist.DriverNone {
+				c.Signals[ck].Driver = netlist.Driver{Kind: netlist.DriverInput}
+				c.PIs = append(c.PIs, ck)
 			}
 		}
-		rid := c.AddRegTo("", d, q, clk)
+		rid := c.AddRegTo("", d, q, ck)
 		reg := &c.Regs[rid]
-		if ext, ok := exts[l.q]; ok {
-			if ext.en != "" {
-				reg.EN = sig(ext.en)
+		if ext, ok := p.exts[l.q]; ok {
+			if ext.en >= 0 {
+				reg.EN = p.sig(ext.en)
 			}
-			if ext.sr != "" {
-				reg.SR = sig(ext.sr)
+			if ext.sr >= 0 {
+				reg.SR = p.sig(ext.sr)
 				reg.SRVal = ext.srv
 			}
-			if ext.ar != "" {
-				reg.AR = sig(ext.ar)
+			if ext.ar >= 0 {
+				reg.AR = p.sig(ext.ar)
 				reg.ARVal = ext.arv
 			}
 		}
@@ -348,31 +511,34 @@ func Read(r io.Reader) (*netlist.Circuit, error) {
 			reg.SRVal = logic.FromBool(l.init == '1')
 		}
 	}
-	for _, nm := range allNames {
-		out := nm.args[len(nm.args)-1]
-		ins := nm.args[:len(nm.args)-1]
-		if driven[out] {
-			return nil, malformed(".names output %q driven twice", out)
+	var in []netlist.SignalID
+	for i := range p.names {
+		nm := &p.names[i]
+		out := p.pins[nm.hi-1]
+		ins := p.pins[nm.lo : nm.hi-1]
+		name := p.syms[out].name
+		if p.syms[out].driven {
+			return nil, malformed(".names output %q driven twice", name)
 		}
-		driven[out] = true
+		p.syms[out].driven = true
 		if len(ins) > netlist.MaxLutInputs {
-			return nil, malformed(".names %s has %d inputs (max %d)", out, len(ins), netlist.MaxLutInputs)
+			return nil, malformed(".names %s has %d inputs (max %d)", name, len(ins), netlist.MaxLutInputs)
 		}
-		tt, err := coverToTruth(nm.rows, len(ins))
+		tt, err := nm.truth(len(ins))
 		if err != nil {
-			return nil, malformed(".names %s: %v", out, err)
+			return nil, malformed(".names %s: %v", name, err)
 		}
-		in := make([]netlist.SignalID, len(ins))
-		for i, name := range ins {
-			in[i] = sig(name)
+		in = in[:0]
+		for _, s := range ins {
+			in = append(in, p.sig(s))
 		}
-		c.AddGateTo(out, netlist.Lut, in, sig(out), delays[out])
-		c.Gates[len(c.Gates)-1].TT = tt
+		g := c.AddGateTo(name, netlist.Lut, in, p.sig(out), p.syms[out].delay)
+		c.Gates[g].TT = tt
 	}
-	for _, name := range outputs {
-		id, ok := sigs[name]
-		if !ok {
-			return nil, malformed("output %q never defined", name)
+	for _, o := range p.outputs {
+		id := p.syms[o].sig
+		if id == netlist.NoSignal {
+			return nil, malformed("output %q never defined", p.syms[o].name)
 		}
 		c.MarkOutput(id)
 	}
@@ -382,6 +548,81 @@ func Read(r io.Reader) (*netlist.Circuit, error) {
 		return nil, malformed("%v", err)
 	}
 	return c, nil
+}
+
+// intern returns the symbol index of name, adding it on first sight.
+func (p *reader) intern(name []byte) int32 {
+	if i, ok := p.ids[string(name)]; ok {
+		return i
+	}
+	i := int32(len(p.syms))
+	s := string(name)
+	p.ids[s] = i
+	p.syms = append(p.syms, symbol{name: s, sig: netlist.NoSignal})
+	return i
+}
+
+// internOpt is intern for an optional name: -1 when it is empty.
+func (p *reader) internOpt(name []byte) int32 {
+	if len(name) == 0 {
+		return -1
+	}
+	return p.intern(name)
+}
+
+// sig returns the signal of symbol i, creating it on first use.
+func (p *reader) sig(i int32) netlist.SignalID {
+	if p.syms[i].sig == netlist.NoSignal {
+		p.syms[i].sig = p.c.AddSignal(p.syms[i].name)
+	}
+	return p.syms[i].sig
+}
+
+// split cuts line into fields exactly as strings.Fields would, reusing
+// p.fields. ASCII lines are split here; a line with any byte at or above
+// 0x80 goes to bytes.Fields, which knows Unicode white space.
+func (p *reader) split(line []byte) [][]byte {
+	f := p.fields[:0]
+	start := -1
+	for i, b := range line {
+		if b >= utf8.RuneSelf {
+			return bytes.Fields(line)
+		}
+		if asciiSpace[b] {
+			if start >= 0 {
+				f = append(f, line[start:i])
+				start = -1
+			}
+		} else if start < 0 {
+			start = i
+		}
+	}
+	if start >= 0 {
+		f = append(f, line[start:])
+	}
+	p.fields = f
+	return f
+}
+
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// parseDelay reads a "# .mcdelay" value as fmt.Sscanf's %d verb does —
+// an optional sign, then the decimal digits up to the first other byte —
+// and accepts it when it parses and is at least 0.
+func parseDelay(s []byte) (int64, bool) {
+	end := 0
+	if end < len(s) && (s[end] == '+' || s[end] == '-') {
+		end++
+	}
+	digits := end
+	for end < len(s) && s[end] >= '0' && s[end] <= '9' {
+		end++
+	}
+	if end == digits {
+		return 0, false
+	}
+	d, err := strconv.ParseInt(string(s[:end]), 10, 64)
+	return d, err == nil && d >= 0
 }
 
 func isLatchType(s string) bool {
@@ -400,76 +641,4 @@ func parseBit(s string) logic.Bit {
 		return logic.B1
 	}
 	return logic.BX
-}
-
-// coverToTruth expands a PLA cover into a truth table. Rows are
-// "<pattern> <value>" with pattern characters 0, 1, -; an output value of 1
-// adds the row's minterms, 0 rows define the off-set (then the on-set is
-// the complement of their union). Mixing 1-rows and 0-rows is an error, as
-// in standard BLIF.
-func coverToTruth(rows []string, nin int) (uint64, error) {
-	if nin == 0 {
-		// Constant: a single row "1" or "0" (or nothing = const 0).
-		for _, row := range rows {
-			switch strings.TrimSpace(row) {
-			case "1":
-				return 1, nil
-			case "0", "":
-				return 0, nil
-			default:
-				return 0, fmt.Errorf("bad constant row %q", row)
-			}
-		}
-		return 0, nil
-	}
-	var on, off uint64
-	seenOn, seenOff := false, false
-	for _, row := range rows {
-		fields := strings.Fields(row)
-		if len(fields) != 2 {
-			return 0, fmt.Errorf("bad cover row %q", row)
-		}
-		pat, val := fields[0], fields[1]
-		if len(pat) != nin {
-			return 0, fmt.Errorf("row %q: pattern width %d, want %d", row, len(pat), nin)
-		}
-		var mask uint64
-		addMinterms(&mask, pat, 0, 0)
-		switch val {
-		case "1":
-			on |= mask
-			seenOn = true
-		case "0":
-			off |= mask
-			seenOff = true
-		default:
-			return 0, fmt.Errorf("row %q: output %q", row, val)
-		}
-	}
-	if seenOn && seenOff {
-		return 0, fmt.Errorf("cover mixes on-set and off-set rows")
-	}
-	if seenOff {
-		full := uint64(1)<<(1<<nin) - 1
-		return full &^ off, nil
-	}
-	return on, nil
-}
-
-// addMinterms ors into mask every minterm matching pat[i:] given the
-// partial assignment acc of the first i inputs.
-func addMinterms(mask *uint64, pat string, i int, acc int) {
-	if i == len(pat) {
-		*mask |= 1 << acc
-		return
-	}
-	switch pat[i] {
-	case '0':
-		addMinterms(mask, pat, i+1, acc)
-	case '1':
-		addMinterms(mask, pat, i+1, acc|1<<i)
-	case '-':
-		addMinterms(mask, pat, i+1, acc)
-		addMinterms(mask, pat, i+1, acc|1<<i)
-	}
 }

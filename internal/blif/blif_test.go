@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"time"
 
 	"mcretiming/internal/gen"
 	"mcretiming/internal/logic"
@@ -217,15 +218,44 @@ func TestConstantNames(t *testing.T) {
 }
 
 func TestReadErrors(t *testing.T) {
-	cases := []string{
-		".model x\n.inputs a\n.outputs y\n.names a y\n1- 1\n.end\n",           // width mismatch
-		".model x\n.inputs a b\n.outputs y\n.names a b y\n11 1\n00 0\n.end\n", // mixed sets
-		".model x\n.outputs y\n.end\n",                                        // undefined output
-		".model x\n.inputs a\n.outputs a\nbogus line\n.end\n",                 // stray row
+	cases := []struct {
+		name, src, want string
+	}{
+		{"width mismatch",
+			".model x\n.inputs a\n.outputs y\n.names a y\n1- 1\n.end\n",
+			`blif: .names y: row "1- 1": pattern width 2, want 1: malformed input`},
+		{"mixed sets",
+			".model x\n.inputs a b\n.outputs y\n.names a b y\n11 1\n00 0\n.end\n",
+			"blif: .names y: cover mixes on-set and off-set rows: malformed input"},
+		{"undefined output",
+			".model x\n.outputs y\n.end\n",
+			`blif: output "y" never defined: malformed input`},
+		{"stray row",
+			".model x\n.inputs a\n.outputs a\nbogus line\n.end\n",
+			`blif: line 4: unexpected "bogus": malformed input`},
+		// A scanner error anywhere in the input wins over an earlier
+		// statement error.
+		{"statement error then over-long line",
+			".model x\n.inputs a\n.outputs a\nbogus line\n" + strings.Repeat("a", maxLineBytes+1) + "\n.end\n",
+			"blif: line longer than 1048576 bytes: malformed input"},
+		// A .names wider than MaxLutInputs is rejected by width; its rows are
+		// never expanded (30 dashes would be 2^30 minterms).
+		{"wide names with dash row",
+			".model x\n.inputs a b c d e f g\n.outputs y\n.names a b c d e f g y\n" + strings.Repeat("-", 30) + " 1\n.end\n",
+			"blif: .names y has 7 inputs (max 6): malformed input"},
 	}
-	for i, src := range cases {
-		if _, err := Read(strings.NewReader(src)); err == nil {
-			t.Errorf("case %d accepted", i)
+	for _, tc := range cases {
+		start := time.Now()
+		_, err := Read(strings.NewReader(tc.src))
+		if took := time.Since(start); took > time.Second {
+			t.Errorf("%s: took %v", tc.name, took)
+		}
+		if err == nil {
+			t.Errorf("%s: accepted", tc.name)
+			continue
+		}
+		if got := err.Error(); got != tc.want {
+			t.Errorf("%s: error %q, want %q", tc.name, got, tc.want)
 		}
 	}
 }

@@ -77,7 +77,7 @@ type spfaScratch struct {
 	adj     [][]int32
 	dist    []int64
 	inQueue []bool
-	relaxed []int32
+	queued  []int32 // runSPFA's queue insertions per vertex (the backstop)
 	parent  []int32 // vertex that last relaxed each vertex (-1 = none)
 	// parentCons records which constraint performed each vertex's last
 	// relaxation (parallel to parent), so a detected negative cycle can be
@@ -107,7 +107,7 @@ func newSPFAScratch(n int) *spfaScratch {
 		adj:        make([][]int32, n),
 		dist:       make([]int64, n),
 		inQueue:    make([]bool, n),
-		relaxed:    make([]int32, n),
+		queued:     make([]int32, n),
 		parent:     make([]int32, n),
 		parentCons: make([]int32, n),
 		mark:       make([]int8, n),
@@ -314,12 +314,14 @@ func resolveDifferenceBuf(n int, cons []Constraint, from int, sc *spfaScratch) (
 // counter (the backstop, kept for safety) reaches its n+1 bound. The counter
 // bound is sound from any labeling whose entries are valid path weights:
 // absent a negative cycle such labels stabilize within n−1 FIFO passes and a
-// vertex relaxes at most once per pass.
+// vertex is queued at most once per pass. It counts queue insertions, not
+// label improvements: parallel constraints can improve a vertex several
+// times within one pass.
 func runSPFA(n int, cons []Constraint, sc *spfaScratch, queue []VertexID) ([]int32, bool) {
-	adj, dist, inQueue, relaxed, parent := sc.adj, sc.dist, sc.inQueue, sc.relaxed, sc.parent
+	adj, dist, inQueue, queued, parent := sc.adj, sc.dist, sc.inQueue, sc.queued, sc.parent
 	parentCons := sc.parentCons
 	for i := 0; i < n; i++ {
-		relaxed[i] = 0
+		queued[i] = 0
 	}
 	// FIFO by head index, compacted in place once the consumed prefix
 	// reaches half the slice: the inQueue guard bounds the live window at n
@@ -344,11 +346,6 @@ func runSPFA(n int, cons []Constraint, sc *spfaScratch, queue []VertexID) ([]int
 				dist[c.X] = nd
 				parent[c.X] = int32(y)
 				parentCons[c.X] = ci
-				relaxed[c.X]++
-				if relaxed[c.X] > int32(n)+1 {
-					sc.certPD = 0
-					return nil, false // negative cycle (backstop)
-				}
 				steps++
 				if steps >= nextCheck {
 					nextCheck += n
@@ -358,6 +355,11 @@ func runSPFA(n int, cons []Constraint, sc *spfaScratch, queue []VertexID) ([]int
 					}
 				}
 				if !inQueue[c.X] {
+					queued[c.X]++
+					if queued[c.X] > int32(n)+1 {
+						sc.certPD = 0
+						return nil, false // negative cycle (backstop)
+					}
 					queue = append(queue, c.X)
 					inQueue[c.X] = true
 				}

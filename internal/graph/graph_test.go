@@ -167,6 +167,28 @@ func TestSolveDifferenceSimple(t *testing.T) {
 	}
 }
 
+// Parallel constraints improve a vertex once per constraint within one FIFO
+// pass: here r1 four times while r0 is scanned, more than the n+1 = 3 a
+// label-improvement count allowed. The system is feasible, so the backstop,
+// which counts queue insertions, must not fire.
+func TestSolveDifferenceParallelConstraints(t *testing.T) {
+	var cons []Constraint
+	for b := int32(-1); b >= -4; b-- {
+		cons = append(cons, Constraint{Y: 0, X: 1, B: b})
+	}
+	r, ok := SolveDifference(2, cons)
+	if !ok {
+		t.Fatal("feasible system with parallel constraints reported infeasible")
+	}
+	if r[0] != 0 || r[1] != -4 {
+		t.Errorf("solution %v, want [0 -4]", r)
+	}
+	// Closing the loop with r0 - r1 <= 3 makes a cycle of weight -1.
+	if _, ok := SolveDifference(2, append(cons, Constraint{Y: 1, X: 0, B: 3})); ok {
+		t.Fatal("infeasible system reported feasible")
+	}
+}
+
 // Random DAG-ish graphs: MinPeriod must return a legal retiming achieving
 // the reported period, and no feasible candidate below it may exist.
 func TestMinPeriodRandomized(t *testing.T) {

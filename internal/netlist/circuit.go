@@ -1,10 +1,6 @@
 package netlist
 
-import (
-	"fmt"
-
-	"mcretiming/internal/logic"
-)
+import "mcretiming/internal/logic"
 
 // Circuit is a mutable gate-level netlist.
 //
@@ -35,7 +31,7 @@ func New(name string) *Circuit {
 func (c *Circuit) AddSignal(name string) SignalID {
 	id := SignalID(len(c.Signals))
 	if name == "" {
-		name = fmt.Sprintf("n%d", id)
+		name = generatedName('n', int(id))
 	}
 	c.Signals = append(c.Signals, Signal{ID: id, Name: name})
 	return id
@@ -66,7 +62,7 @@ func (c *Circuit) AddGate(name string, t GateType, in []SignalID, delay int64) (
 func (c *Circuit) AddGateTo(name string, t GateType, in []SignalID, out SignalID, delay int64) GateID {
 	id := GateID(len(c.Gates))
 	if name == "" {
-		name = fmt.Sprintf("g%d", id)
+		name = generatedName('g', int(id))
 	}
 	c.Gates = append(c.Gates, Gate{
 		ID: id, Name: name, Type: t, In: append([]SignalID(nil), in...),
@@ -95,7 +91,7 @@ func (c *Circuit) AddReg(name string, d, clk SignalID) (RegID, SignalID) {
 func (c *Circuit) AddRegTo(name string, d, q, clk SignalID) RegID {
 	id := RegID(len(c.Regs))
 	if name == "" {
-		name = fmt.Sprintf("r%d", id)
+		name = generatedName('r', int(id))
 	}
 	c.Regs = append(c.Regs, Reg{
 		ID: id, Name: name, D: d, Q: q, Clk: clk,

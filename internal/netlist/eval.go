@@ -167,7 +167,8 @@ func (g *Gate) TruthTable() (uint64, error) {
 		return g.TT & mask, nil
 	}
 	var tt uint64
-	in := make([]bool, n)
+	var buf [MaxLutInputs]bool
+	in := buf[:n]
 	for m := 0; m < 1<<n; m++ {
 		for i := range in {
 			in[i] = m>>i&1 == 1

@@ -1,6 +1,6 @@
 package netlist
 
-import "fmt"
+import "strconv"
 
 // UniqueSignalNames returns one name per signal, guaranteed distinct:
 // serialization must never merge two signals because circuit passes (e.g.
@@ -12,12 +12,12 @@ func (c *Circuit) UniqueSignalNames() []string {
 	for i := range c.Signals {
 		name := c.Signals[i].Name
 		if name == "" {
-			name = fmt.Sprintf("n%d", i)
+			name = generatedName('n', i)
 		}
 		if seen[name] {
 			base := name
 			for k := 1; ; k++ {
-				name = fmt.Sprintf("%s__dup%d", base, k)
+				name = base + "__dup" + strconv.Itoa(k)
 				if !seen[name] {
 					break
 				}
@@ -27,4 +27,12 @@ func (c *Circuit) UniqueSignalNames() []string {
 		names[i] = name
 	}
 	return names
+}
+
+// generatedName returns prefix followed by the decimal id, "n12" for
+// ('n', 12): the name of an object created without one.
+func generatedName(prefix byte, id int) string {
+	var buf [24]byte
+	buf[0] = prefix
+	return string(strconv.AppendInt(buf[:1], int64(id), 10))
 }

@@ -1,7 +1,9 @@
 package netlist
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -296,4 +298,31 @@ func TestBuildFanouts(t *testing.T) {
 		t.Error("q not marked PO")
 	}
 	_ = g1
+}
+
+// Generated names read as the fmt verbs that used to build them.
+func TestGeneratedNames(t *testing.T) {
+	for _, id := range []int{0, 7, 9, 10, 99, 100, 12345, 1<<31 - 1} {
+		for _, p := range []byte("ngr") {
+			if got, want := generatedName(p, id), fmt.Sprintf("%c%d", p, id); got != want {
+				t.Errorf("generatedName(%c, %d) = %q, want %q", p, id, got, want)
+			}
+		}
+	}
+	c := New("names")
+	a := c.AddSignal("x")
+	c.AddSignal("x")
+	c.AddSignal("x__dup1")
+	c.AddSignal("")
+	c.AddSignal("x")
+	got := c.UniqueSignalNames()
+	want := []string{"x", "x__dup1", "x__dup1__dup1", "n3", "x__dup2"}
+	if a != 0 || !reflect.DeepEqual(got, want) {
+		t.Errorf("UniqueSignalNames = %q, want %q", got, want)
+	}
+	g := c.AddGateTo("", Buf, []SignalID{a}, c.AddSignal(""), 0)
+	r := c.AddRegTo("", a, c.AddSignal(""), a)
+	if c.Gates[g].Name != "g0" || c.Regs[r].Name != "r0" || c.Signals[5].Name != "n5" {
+		t.Errorf("generated names %q %q %q", c.Gates[g].Name, c.Regs[r].Name, c.Signals[5].Name)
+	}
 }

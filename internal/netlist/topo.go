@@ -47,34 +47,57 @@ func (c *Circuit) BuildFanouts() *Fanouts {
 // combinational logic: every gate appears after the drivers of its inputs.
 // Register Q outputs and primary inputs are sources. It returns an error if
 // the combinational logic contains a cycle.
+//
+// The order is Kahn's with a LIFO ready stack: ready gates start in ID
+// order, and emitting a gate readies its readers in ID order.
 func (c *Circuit) TopoGates() ([]GateID, error) {
+	n := len(c.Gates)
 	// indeg counts, per gate, how many of its inputs are driven by
-	// not-yet-emitted gates.
-	indeg := make(map[GateID]int)
-	readers := make(map[GateID][]GateID) // driver gate -> reader gates
-	var ready []GateID
+	// not-yet-emitted gates. The readers of driver gate d are
+	// readers[off[d]:off[d+1]] (compressed rows): counted into off[d+2],
+	// summed, then filled by advancing off[d+1] from d's start to its end.
+	indeg := make([]int32, n)
+	off := make([]int32, n+2)
 	live := 0
-	c.LiveGates(func(g *Gate) {
+	for i := range c.Gates {
+		g := &c.Gates[i]
+		if g.Dead {
+			continue
+		}
 		live++
-		n := 0
 		for _, in := range g.In {
-			d := c.Signals[in].Driver
-			if d.Kind == DriverGate && !c.Gates[d.Gate].Dead {
-				n++
-				readers[d.Gate] = append(readers[d.Gate], g.ID)
+			if d := c.Signals[in].Driver; d.Kind == DriverGate && !c.Gates[d.Gate].Dead {
+				indeg[i]++
+				off[d.Gate+2]++
 			}
 		}
-		indeg[g.ID] = n
-		if n == 0 {
-			ready = append(ready, g.ID)
+	}
+	for d := 2; d < len(off); d++ {
+		off[d] += off[d-1]
+	}
+	readers := make([]GateID, off[n+1])
+	var ready []GateID
+	for i := range c.Gates {
+		g := &c.Gates[i]
+		if g.Dead {
+			continue
 		}
-	})
+		for _, in := range g.In {
+			if d := c.Signals[in].Driver; d.Kind == DriverGate && !c.Gates[d.Gate].Dead {
+				readers[off[d.Gate+1]] = GateID(i)
+				off[d.Gate+1]++
+			}
+		}
+		if indeg[i] == 0 {
+			ready = append(ready, GateID(i))
+		}
+	}
 	order := make([]GateID, 0, live)
 	for len(ready) > 0 {
 		g := ready[len(ready)-1]
 		ready = ready[:len(ready)-1]
 		order = append(order, g)
-		for _, r := range readers[g] {
+		for _, r := range readers[off[g]:off[g+1]] {
 			indeg[r]--
 			if indeg[r] == 0 {
 				ready = append(ready, r)

@@ -5,6 +5,14 @@ import (
 	"fmt"
 )
 
+// gateArity holds the fewest and most inputs of each gate type.
+var gateArity = [numGateTypes][2]int{
+	Buf: {1, 1}, Not: {1, 1}, Mux: {3, 3}, Carry: {3, 3},
+	Const0: {0, 0}, Const1: {0, 0},
+	And: {1, 64}, Or: {1, 64}, Nand: {1, 64}, Nor: {1, 64},
+	Xor: {1, 64}, Xnor: {1, 64}, Lut: {0, MaxLutInputs},
+}
+
 // Validate checks structural sanity of the circuit:
 //
 //   - every signal ID referenced by gates, registers and ports is in range,
@@ -43,14 +51,8 @@ func (c *Circuit) Validate() error {
 				bad("gate %s: input %d signal %d out of range", g.Name, i, in)
 			}
 		}
-		want := map[GateType][2]int{
-			Buf: {1, 1}, Not: {1, 1}, Mux: {3, 3}, Carry: {3, 3},
-			Const0: {0, 0}, Const1: {0, 0},
-			And: {1, 64}, Or: {1, 64}, Nand: {1, 64}, Nor: {1, 64},
-			Xor: {1, 64}, Xnor: {1, 64}, Lut: {0, MaxLutInputs},
-		}
-		if w, ok := want[g.Type]; ok {
-			if len(g.In) < w[0] || len(g.In) > w[1] {
+		if g.Type < numGateTypes {
+			if w := gateArity[g.Type]; len(g.In) < w[0] || len(g.In) > w[1] {
 				bad("gate %s: %s with %d inputs", g.Name, g.Type, len(g.In))
 			}
 		} else {
