@@ -47,58 +47,75 @@ const (
 )
 
 // component is the §5.2 trace-back region of one conflict: the ancestor
-// moves of the conflicting registers.
+// moves of the conflicting registers. Membership is stamped on the records
+// and serials with the collection's epoch.
 type component struct {
-	recs    []*record
-	serials map[int64]bool
-	// order lists the serials in discovery order. Solver variable numbering
-	// must come from here, not from ranging the map: map iteration order
-	// would make the BDD variable order — and with it the minimum
-	// assignment's don't-care choices — vary run to run.
-	order  []int64
-	inComp map[*record]bool
+	epoch uint32
+	recs  []*record
+	// order lists the serials in discovery order; a serial's index in it is
+	// its solver variable (serialState.varIdx), so the BDD variable order —
+	// and with it the minimum assignment's don't-care choices — is fixed.
+	order []int64
+	fixed []bool // fixed[i]: order[i] keeps its value (see globalJustify)
 }
 
-// closure collects the ancestor component of seed: for every consumed
-// serial the record that created it, recursively, down to originals.
-func (j *Justifier) closure(seed *record) *component {
-	comp := &component{
-		recs:    []*record{seed},
-		serials: make(map[int64]bool),
-		inComp:  map[*record]bool{seed: true},
-	}
-	var addSerial func(s int64)
-	addSerial = func(s int64) {
-		if comp.serials[s] {
-			return
+// frame is one record of closure's depth-first walk: next indexes its
+// consumed serials, then its created ones.
+type frame struct {
+	rec  *record
+	next int
+}
+
+// closure collects into j.comp the ancestor component of seed: for every
+// consumed serial the record that created it, recursively, down to
+// originals. It visits serials in the order of a depth-first recursion and
+// gives up, returning false, once the component passes maxGlobalVars
+// serials.
+func (j *Justifier) closure(seed *record) bool {
+	c := &j.comp
+	c.epoch++
+	seed.stamp = c.epoch
+	c.recs = append(c.recs[:0], seed)
+	c.order = c.order[:0]
+	stack := append(j.stack[:0], frame{rec: seed})
+	defer func() { j.stack = stack[:0] }()
+	for len(stack) > 0 {
+		top := &stack[len(stack)-1]
+		consumed, created := top.rec.consumed(), top.rec.created()
+		var s int64
+		switch {
+		case top.next < len(consumed):
+			s = consumed[top.next]
+		case top.next < len(consumed)+len(created):
+			s = created[top.next-len(consumed)]
+		default:
+			stack = stack[:len(stack)-1]
+			continue
 		}
-		comp.serials[s] = true
-		comp.order = append(comp.order, s)
-		if r := j.creator[s]; r != nil && !comp.inComp[r] {
-			comp.inComp[r] = true
-			comp.recs = append(comp.recs, r)
-			for _, t := range r.consumed() {
-				addSerial(t)
-			}
-			for _, t := range r.created() {
-				addSerial(t)
-			}
+		top.next++
+		st := &j.ser[s]
+		if st.mark == c.epoch {
+			continue
+		}
+		st.mark, st.varIdx = c.epoch, int32(len(c.order))
+		c.order = append(c.order, s)
+		if len(c.order) > maxGlobalVars {
+			return false
+		}
+		if r := st.creator; r != nil && r.stamp != c.epoch {
+			r.stamp = c.epoch
+			c.recs = append(c.recs, r)
+			stack = append(stack, frame{rec: r})
 		}
 	}
-	for _, s := range seed.consumed() {
-		addSerial(s)
-	}
-	for _, s := range seed.created() {
-		addSerial(s)
-	}
-	return comp
+	return true
 }
 
 // pinned reports whether an out-of-component record already consumed s —
 // its value is a committed decision the re-solve must not change.
-func (j *Justifier) pinned(comp *component, s int64) bool {
-	for _, r := range j.consumers[s] {
-		if !comp.inComp[r] {
+func (j *Justifier) pinned(s int64) bool {
+	for _, r := range j.ser[s].consumers {
+		if r.stamp != j.comp.epoch {
 			return true
 		}
 	}
@@ -112,167 +129,143 @@ func (j *Justifier) pinned(comp *component, s int64) bool {
 // and pinned serials with known values become unit constraints; unknown
 // fixed levels are universally quantified (a derived value may not depend
 // on an undefined level). On success every free serial is rewritten with
-// maximal don't-cares.
+// maximal don't-cares; the graph picks the values up at Flush.
 func (j *Justifier) globalJustify(seed *record, dom domain, active bool) bool {
 	if !active {
 		return true
 	}
-	comp := j.closure(seed)
-	if len(comp.serials) > maxGlobalVars {
+	if !j.closure(seed) {
 		return false
 	}
-
-	fixed := func(s int64) bool { return j.origin[s] || j.pinned(comp, s) }
+	c := &j.comp
+	c.fixed = c.fixed[:0]
 	var hasQuantified bool
-	for _, s := range comp.order {
-		if fixed(s) && !j.value(s, dom).Known() {
+	for _, s := range c.order {
+		fixed := j.ser[s].origin || j.pinned(s)
+		c.fixed = append(c.fixed, fixed)
+		if fixed && !j.value(s, dom).Known() {
 			hasQuantified = true
-			break
 		}
 	}
 
-	var assign map[int64]logic.Bit
 	var ok bool
 	if j.Engine == EngineSAT && !hasQuantified {
-		assign, ok = j.solveSAT(comp, dom, fixed)
+		ok = j.solveSAT(dom)
 	} else {
 		var overBudget bool
-		assign, ok, overBudget = j.solveBDD(comp, dom, fixed)
+		ok, overBudget = j.solveBDD(dom)
 		// Degradation ladder: a blown node budget says nothing about
 		// satisfiability, so retry with the SAT backend — unless the system
 		// has quantified unknowns, which plain SAT cannot express.
 		if !ok && overBudget && !hasQuantified && j.ctxErr() == nil {
 			j.Stats.Escalations++
-			assign, ok = j.solveSAT(comp, dom, fixed)
+			ok = j.solveSAT(dom)
 		}
 	}
 	if !ok {
 		return false
 	}
 
-	// Write the solution back to every free serial; fixed serials keep
-	// their identities.
-	for _, s := range comp.order {
-		if fixed(s) {
+	// Write the solution (j.assign, by variable) back to every free serial;
+	// fixed serials keep their identities.
+	for i, s := range c.order {
+		if c.fixed[i] {
 			continue
 		}
-		vv := j.vals[s]
-		vv[dom] = assign[s]
-		j.vals[s] = vv
-	}
-	// Push updated values onto the register instances still on edges.
-	for ei := range j.M.Edges {
-		regs := j.M.Edges[ei].Regs
-		for k := range regs {
-			if comp.serials[regs[k].Serial] && !fixed(regs[k].Serial) {
-				vv := j.vals[regs[k].Serial]
-				if dom == domSync {
-					regs[k].S = vv[domSync]
-				} else {
-					regs[k].A = vv[domAsync]
-				}
-			}
-		}
+		st := &j.ser[s]
+		st.val[dom] = j.assign[i]
+		st.held[dom] = false
 	}
 	return true
 }
 
 // solveBDD builds the conjunction of the component's gate constraints as a
-// BDD and extracts a minimum satisfying assignment. overBudget reports that
-// a failure was caused by the node budget rather than unsatisfiability, so
-// the caller can escalate to SAT.
-func (j *Justifier) solveBDD(comp *component, dom domain, fixed func(int64) bool) (assign map[int64]logic.Bit, ok, overBudget bool) {
-	m := bdd.New()
+// BDD and extracts a minimum satisfying assignment into j.assign. overBudget
+// reports that a failure was caused by the node budget rather than
+// unsatisfiability, so the caller can escalate to SAT.
+func (j *Justifier) solveBDD(dom domain) (ok, overBudget bool) {
+	c := &j.comp
+	m := j.bdd
+	m.Reset()
 	m.MaxNodes = budgetOf(j.BDDNodes, DefaultBDDNodes)
-	fail := func() (map[int64]logic.Bit, bool, bool) {
-		return nil, false, errors.Is(m.Err(), rterr.ErrBudgetExceeded)
-	}
-	varOf := make(map[int64]int, len(comp.order))
-	for i, s := range comp.order {
-		varOf[s] = i
+	fail := func() (bool, bool) {
+		return false, errors.Is(m.Err(), rterr.ErrBudgetExceeded)
 	}
 
 	system := bdd.True
-	var quantify []int64
-	for _, s := range comp.order {
-		if !fixed(s) {
+	var quantify []int
+	for i, s := range c.order {
+		if !c.fixed[i] {
 			continue
 		}
 		if v := j.value(s, dom); v.Known() {
-			system = m.And(system, m.Lit(varOf[s], v.Bool()))
+			system = m.And(system, m.Lit(i, v.Bool()))
 		} else {
-			quantify = append(quantify, s)
+			quantify = append(quantify, i)
 		}
 	}
-	for _, r := range comp.recs {
+	for _, r := range c.recs {
 		if j.ctxErr() != nil {
-			return nil, false, false // Backward surfaces the context error
+			return false, false // Backward surfaces the context error
 		}
 		tt, err := r.gate.TruthTable()
 		if err != nil {
-			return nil, false, false // untabulatable gate: genuinely stuck
+			return false, false // untabulatable gate: genuinely stuck
 		}
-		pins := make([]int, len(r.fanin))
-		for i, s := range r.fanin {
-			pins[i] = varOf[s]
+		j.pins = j.pins[:0]
+		for _, s := range r.fanin {
+			j.pins = append(j.pins, int(j.ser[s].varIdx))
 		}
-		gf := m.FromTruth(tt, pins)
+		gf := m.FromTruth(tt, j.pins)
 		for _, out := range r.out {
-			system = m.And(system, m.Xnor(gf, m.Var(varOf[out])))
+			system = m.And(system, m.Xnor(gf, m.Var(int(j.ser[out].varIdx))))
 			if system == bdd.False || m.Err() != nil {
 				return fail()
 			}
 		}
 	}
 	// Undefined fixed levels: the solution must hold for every completion.
-	for _, s := range quantify {
-		v := varOf[s]
+	for _, v := range quantify {
 		system = m.And(m.Restrict(system, v, false), m.Restrict(system, v, true))
 		if system == bdd.False || m.Err() != nil {
 			return fail()
 		}
 	}
-	raw, ok := m.MinAssignment(system)
+	j.lits, ok = m.AppendMinAssignment(j.lits[:0], system)
 	if !ok {
 		return fail()
 	}
-	assign = make(map[int64]logic.Bit, len(comp.order))
-	for _, s := range comp.order {
-		if b, ok := raw[varOf[s]]; ok {
-			assign[s] = logic.FromBool(b)
-		} else {
-			assign[s] = logic.BX
-		}
+	j.assign = allX(j.assign, len(c.order))
+	for _, l := range j.lits {
+		j.assign[l.Var] = logic.FromBool(l.Val)
 	}
-	return assign, true, false
+	return true, false
 }
 
 // solveSAT encodes the component as CNF: one clause per gate input pattern
 // ("if the inputs match pattern m, the output is tt[m]"), unit clauses for
-// fixed values, then a model with greedy don't-care lifting.
-func (j *Justifier) solveSAT(comp *component, dom domain, fixed func(int64) bool) (map[int64]logic.Bit, bool) {
-	varOf := make(map[int64]int, len(comp.order))
-	for i, ser := range comp.order {
-		varOf[ser] = i
-	}
-	s := sat.New(len(varOf))
+// fixed values, then a model with greedy don't-care lifting into j.assign.
+func (j *Justifier) solveSAT(dom domain) bool {
+	c := &j.comp
+	varOf := func(s int64) int { return int(j.ser[s].varIdx) }
+	s := sat.New(len(c.order))
 	s.MaxConflicts = budgetOf(j.SATConflicts, DefaultSATConflicts)
 	keep := make(map[int]bool)
-	for _, ser := range comp.order {
-		if !fixed(ser) {
+	for i, ser := range c.order {
+		if !c.fixed[i] {
 			continue
 		}
 		v := j.value(ser, dom)
 		if !v.Known() {
-			return nil, false // quantified: caller routes to BDD
+			return false // quantified: caller routes to BDD
 		}
-		s.AddClause(sat.L(varOf[ser], !v.Bool()))
-		keep[varOf[ser]] = true
+		s.AddClause(sat.L(i, !v.Bool()))
+		keep[i] = true
 	}
-	for _, r := range comp.recs {
+	for _, r := range c.recs {
 		tt, err := r.gate.TruthTable()
 		if err != nil {
-			return nil, false // untabulatable gate: genuinely stuck
+			return false // untabulatable gate: genuinely stuck
 		}
 		n := len(r.fanin)
 		for m := 0; m < 1<<n; m++ {
@@ -281,25 +274,23 @@ func (j *Justifier) solveSAT(comp *component, dom domain, fixed func(int64) bool
 				lits := make([]sat.Lit, 0, n+1)
 				for i, fs := range r.fanin {
 					// "input i differs from pattern bit i"
-					lits = append(lits, sat.L(varOf[fs], m>>i&1 == 1))
+					lits = append(lits, sat.L(varOf(fs), m>>i&1 == 1))
 				}
-				lits = append(lits, sat.L(varOf[out], !outVal))
+				lits = append(lits, sat.L(varOf(out), !outVal))
 				s.AddClause(lits...)
 			}
 		}
 	}
 	ok, err := s.SolveCtx(j.context())
 	if !ok || err != nil {
-		return nil, false // a context error is surfaced by Backward
+		return false // a context error is surfaced by Backward
 	}
 	model := s.Lift(keep)
-	assign := make(map[int64]logic.Bit, len(comp.order))
-	for _, ser := range comp.order {
-		if b, ok := model[varOf[ser]]; ok {
-			assign[ser] = logic.FromBool(b)
-		} else {
-			assign[ser] = logic.BX
+	j.assign = allX(j.assign, len(c.order))
+	for i := range c.order {
+		if b, ok := model[i]; ok {
+			j.assign[i] = logic.FromBool(b)
 		}
 	}
-	return assign, true
+	return true
 }

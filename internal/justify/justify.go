@@ -19,11 +19,18 @@
 //
 // Synchronous and asynchronous reset values propagate independently, so the
 // two domains are justified as separate systems.
+//
+// All state is flat: serials are dense (originals are register IDs, later
+// ones come from the graph's serial counter), so per-serial state is one
+// slice indexed by serial; component membership uses epoch stamps; and one
+// bdd.Manager, Reset before every local and global solve, serves the whole
+// relocation. Values reach the graph once, when Relocate calls Flush.
 package justify
 
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"mcretiming/internal/bdd"
 	"mcretiming/internal/failpoint"
@@ -50,6 +57,7 @@ type record struct {
 	// output (consumed by a backward move, created — one — by a forward).
 	fanin []int64
 	out   []int64
+	stamp uint32 // component epoch this record was last collected in
 }
 
 // consumed returns the serials this move removed from the graph.
@@ -97,29 +105,95 @@ type Justifier struct {
 	// which sends the caller down the §5.2 add-bound-and-re-solve path.
 	SATConflicts int
 
-	vals      map[int64][2]logic.Bit // serial -> {sync, async} value
-	origin    map[int64]bool         // serial is an original register
-	creator   map[int64]*record      // serial -> record that created it
-	consumers map[int64][]*record    // serial -> records that consumed it
+	ser []serialState // indexed by serial
+	bdd *bdd.Manager  // Reset before every local and global solve
+
+	// Scratch reused across moves and solves.
+	comp         component
+	stack        []frame
+	removedShown [][2]logic.Bit
+	pinBuf       [2][]logic.Bit
+	lits         []bdd.Literal
+	pins         []int
+	assign       []logic.Bit
+}
+
+// serialState is everything the justifier knows about one serial.
+type serialState struct {
+	val       [2]logic.Bit // {sync, async} value
+	origin    bool         // an original register
+	creator   *record      // the move that created it; nil for originals
+	consumers []*record    // the moves that consumed it
+	mark      uint32       // component epoch it was last collected in
+	varIdx    int32        // its solver variable in that component
+
+	// held[d] says the graph still shows heldVal[d] rather than val[d]: an
+	// undone backward step put its removed layer back as it was, after a
+	// global solve of that step had rewritten val. A later global solve
+	// that rewrites val[d] clears held[d].
+	held    [2]bool
+	heldVal [2]logic.Bit
+}
+
+// shown returns the values the graph shows for the serial.
+func (st *serialState) shown() [2]logic.Bit {
+	v := st.val
+	for d := range v {
+		if st.held[d] {
+			v[d] = st.heldVal[d]
+		}
+	}
+	return v
+}
+
+// hold records that the graph shows v for the serial.
+func (st *serialState) hold(v [2]logic.Bit) {
+	for d := range v {
+		st.held[d] = v[d] != st.val[d]
+		st.heldVal[d] = v[d]
+	}
 }
 
 // New returns a Justifier for a relocation on m. It snapshots the values of
 // every register instance currently on the graph as original values.
 func New(m *mcgraph.MC) *Justifier {
-	j := &Justifier{
-		M:         m,
-		vals:      make(map[int64][2]logic.Bit),
-		origin:    make(map[int64]bool),
-		creator:   make(map[int64]*record),
-		consumers: make(map[int64][]*record),
-	}
+	j := &Justifier{M: m, bdd: bdd.New()}
 	for i := range m.Edges {
 		for _, inst := range m.Edges[i].Regs {
-			j.vals[inst.Serial] = [2]logic.Bit{inst.S, inst.A}
-			j.origin[inst.Serial] = true
+			st := j.state(inst.Serial)
+			st.val = [2]logic.Bit{inst.S, inst.A}
+			st.origin = true
 		}
 	}
 	return j
+}
+
+// state returns the state of serial s, growing the table for a serial not
+// seen before; a fresh serial starts fully unknown.
+func (j *Justifier) state(s int64) *serialState {
+	if int(s) >= len(j.ser) {
+		old := len(j.ser)
+		j.ser = slices.Grow(j.ser, int(s)+1-old)[:int(s)+1]
+		for i := old; i < len(j.ser); i++ {
+			j.ser[i] = serialState{val: [2]logic.Bit{logic.BX, logic.BX}}
+		}
+	}
+	return &j.ser[s]
+}
+
+// Flush implements mcgraph.Hooks: it copies every serial's reset values
+// onto its register instances. The moves leave the instances' values
+// stale, so Relocate calls Flush once on its way out.
+func (j *Justifier) Flush(m *mcgraph.MC) {
+	for ei := range m.Edges {
+		regs := m.Edges[ei].Regs
+		for k := range regs {
+			if s := regs[k].Serial; int(s) < len(j.ser) {
+				v := j.ser[s].shown()
+				regs[k].S, regs[k].A = v[domSync], v[domAsync]
+			}
+		}
+	}
 }
 
 // ctxErr returns the cancellation error of j.Ctx, or nil when no context
@@ -175,8 +249,8 @@ func (j *Justifier) Forward(v graph.VertexID, removed []mcgraph.RegInst, inserte
 		newVals[dom] = g.Eval3(in3)
 	}
 	inserted.S, inserted.A = newVals[0], newVals[1]
+	j.state(inserted.Serial).val = newVals
 	j.register(rec)
-	j.vals[inserted.Serial] = newVals
 	j.Stats.ForwardImpl++
 	return inserted, nil
 }
@@ -197,32 +271,35 @@ func (j *Justifier) Backward(v graph.VertexID, removed, inserted []mcgraph.RegIn
 		return inserted, err
 	}
 	cls := &j.M.Classes[inserted[0].Class]
-	rec := &record{backward: true, gate: g}
-	for _, r := range removed {
-		rec.out = append(rec.out, r.Serial)
+	rec := &record{backward: true, gate: g, fanin: make([]int64, len(inserted)), out: make([]int64, len(removed))}
+	for i, r := range removed {
+		rec.out[i] = r.Serial
 	}
-	for _, r := range inserted {
-		rec.fanin = append(rec.fanin, r.Serial)
-		// Fresh serials start fully unknown (the map's zero value would
-		// read as 0/0, which is a concrete level).
-		j.vals[r.Serial] = [2]logic.Bit{logic.BX, logic.BX}
+	for i, r := range inserted {
+		rec.fanin[i] = r.Serial
+		j.state(r.Serial).val = [2]logic.Bit{logic.BX, logic.BX}
 	}
 
 	// The two domains are independent systems: their reset values never
 	// interact, so each is justified locally on its own.
-	var pinVals [2][]logic.Bit
 	var domOK [2]bool
 	for _, dom := range [...]domain{domSync, domAsync} {
 		if (dom == domSync && !cls.HasSR()) || (dom == domAsync && !cls.HasAR()) {
-			pinVals[dom], domOK[dom] = allX(len(inserted)), true
+			j.pinBuf[dom], domOK[dom] = allX(j.pinBuf[dom], len(inserted)), true
 			continue
 		}
-		pinVals[dom], domOK[dom] = j.localBackward(g, rec.out, len(inserted), dom)
+		j.pinBuf[dom], domOK[dom] = j.localBackward(j.pinBuf[dom], g, rec.out, len(inserted), dom)
 	}
 	needGlobal := !domOK[domSync] || !domOK[domAsync]
 
 	if needGlobal {
 		j.Stats.GlobalSteps++
+		// What the graph shows for the removed layer: if the step is undone,
+		// the layer goes back exactly so, whatever the solves below write.
+		j.removedShown = j.removedShown[:0]
+		for _, s := range rec.out {
+			j.removedShown = append(j.removedShown, j.ser[s].shown())
+		}
 		okS := j.globalJustify(rec, domSync, cls.HasSR())
 		okA := okS && j.globalJustify(rec, domAsync, cls.HasAR())
 		if !okS || !okA {
@@ -233,13 +310,16 @@ func (j *Justifier) Backward(v graph.VertexID, removed, inserted []mcgraph.RegIn
 			}
 			// The record is NOT registered: the caller undoes the step, so
 			// it must not haunt later global systems.
+			for i, s := range rec.out {
+				j.ser[s].hold(j.removedShown[i])
+			}
 			j.Stats.Conflicts++
 			return inserted, mcgraph.ErrUnjustifiable
 		}
 		j.register(rec)
 		// globalJustify stored the values; read them back.
 		for i := range inserted {
-			vv := j.vals[inserted[i].Serial]
+			vv := j.ser[inserted[i].Serial].val
 			inserted[i].S, inserted[i].A = vv[0], vv[1]
 		}
 		return inserted, nil
@@ -248,71 +328,75 @@ func (j *Justifier) Backward(v graph.VertexID, removed, inserted []mcgraph.RegIn
 	j.register(rec)
 	j.Stats.LocalSteps++
 	for i := range inserted {
-		inserted[i].S = pinVals[domSync][i]
-		inserted[i].A = pinVals[domAsync][i]
-		j.vals[inserted[i].Serial] = [2]logic.Bit{inserted[i].S, inserted[i].A}
+		inserted[i].S = j.pinBuf[domSync][i]
+		inserted[i].A = j.pinBuf[domAsync][i]
+		j.ser[inserted[i].Serial].val = [2]logic.Bit{inserted[i].S, inserted[i].A}
 	}
 	return inserted, nil
 }
 
-// localBackward justifies one domain across one gate: all removed fanout
-// values must agree (meet), and the gate must be able to produce the target.
-// Don't-cares are maximized via a minimum satisfying assignment.
-func (j *Justifier) localBackward(g *netlist.Gate, outSerials []int64, npins int, dom domain) ([]logic.Bit, bool) {
+// localBackward justifies one domain across one gate into dst: all removed
+// fanout values must agree (meet), and the gate must be able to produce the
+// target. Don't-cares are maximized via a minimum satisfying assignment.
+func (j *Justifier) localBackward(dst []logic.Bit, g *netlist.Gate, outSerials []int64, npins int, dom domain) ([]logic.Bit, bool) {
 	target := logic.BX
 	for _, s := range outSerials {
 		v, ok := logic.Meet(target, j.value(s, dom))
 		if !ok {
-			return nil, false // conflicting required values: Fig. 5 case
+			return dst, false // conflicting required values: Fig. 5 case
 		}
 		target = v
 	}
 	if target == logic.BX {
-		return allX(npins), true
+		return allX(dst, npins), true
 	}
 	tt, err := g.TruthTable()
 	if err != nil {
 		// A gate too wide to tabulate cannot be justified across; the caller
 		// bounds the vertex, which is the conservative correct outcome.
-		return nil, false
+		return dst, false
 	}
-	m := bdd.New()
-	vars := make([]int, npins)
-	for i := range vars {
-		vars[i] = i
+	m := j.bdd
+	m.Reset()
+	j.pins = j.pins[:0]
+	for i := 0; i < npins; i++ {
+		j.pins = append(j.pins, i)
 	}
-	f := m.FromTruth(tt, vars)
+	f := m.FromTruth(tt, j.pins)
 	if target == logic.B0 {
 		f = m.Not(f)
 	}
-	assign, ok := m.MinAssignment(f)
+	var ok bool
+	j.lits, ok = m.AppendMinAssignment(j.lits[:0], f)
 	if !ok {
-		return nil, false
+		return dst, false
 	}
-	vals := allX(npins)
-	for pin, b := range assign {
-		vals[pin] = logic.FromBool(b)
+	dst = allX(dst, npins)
+	for _, l := range j.lits {
+		dst[l.Var] = logic.FromBool(l.Val)
 	}
-	return vals, true
+	return dst, true
 }
 
-func allX(n int) []logic.Bit {
-	v := make([]logic.Bit, n)
-	for i := range v {
-		v[i] = logic.BX
+// allX resizes dst to n unknown values.
+func allX(dst []logic.Bit, n int) []logic.Bit {
+	dst = dst[:0]
+	for i := 0; i < n; i++ {
+		dst = append(dst, logic.BX)
 	}
-	return v
+	return dst
 }
 
 func (j *Justifier) value(serial int64, dom domain) logic.Bit {
-	return j.vals[serial][dom]
+	return j.ser[serial].val[dom]
 }
 
 func (j *Justifier) register(rec *record) {
 	for _, s := range rec.created() {
-		j.creator[s] = rec
+		j.ser[s].creator = rec
 	}
 	for _, s := range rec.consumed() {
-		j.consumers[s] = append(j.consumers[s], rec)
+		st := &j.ser[s]
+		st.consumers = append(st.consumers, rec)
 	}
 }

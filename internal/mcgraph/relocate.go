@@ -20,9 +20,16 @@ import (
 //
 // A Hooks error aborts relocation; ErrJustify wraps non-resolvable reset
 // conflicts so the caller can tighten a bound and re-solve.
+//
+// A Hooks implementation may leave the S/A values of instances already on
+// the graph stale while the moves run (the removed instances it is handed
+// may then carry stale values too). Flush must make them final: Relocate
+// calls it exactly once, on every return, after the last Backward or
+// Forward call.
 type Hooks interface {
 	Backward(v graph.VertexID, removed, inserted []RegInst) ([]RegInst, error)
 	Forward(v graph.VertexID, removed []RegInst, inserted RegInst) (RegInst, error)
+	Flush(m *MC)
 }
 
 // ErrUnjustifiable is the sentinel a Hooks implementation returns from
@@ -69,6 +76,9 @@ func (NaiveHooks) Backward(_ graph.VertexID, _, inserted []RegInst) ([]RegInst, 
 func (NaiveHooks) Forward(_ graph.VertexID, _ []RegInst, inserted RegInst) (RegInst, error) {
 	return inserted, nil
 }
+
+// Flush does nothing: NaiveHooks never holds values back.
+func (NaiveHooks) Flush(*MC) {}
 
 // FaninLayer returns the sink-nearest register of each fanin edge of v, in
 // In(v) order (the layer StepBackward just appended).
@@ -118,6 +128,12 @@ func (m *MC) Relocate(r []int32, hooks Hooks) (*RelocationStats, error) {
 	if hooks == nil {
 		hooks = NaiveHooks{}
 	}
+	stats, err := m.relocate(r, hooks)
+	hooks.Flush(m)
+	return stats, err
+}
+
+func (m *MC) relocate(r []int32, hooks Hooks) (*RelocationStats, error) {
 	n := len(m.Verts)
 	pending := make([]int32, n)
 	stats := &RelocationStats{}
