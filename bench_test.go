@@ -14,6 +14,7 @@ import (
 	"mcretiming/internal/graph"
 	"mcretiming/internal/mcgraph"
 	"mcretiming/internal/netlist"
+	"mcretiming/internal/oracle"
 	"mcretiming/internal/xc4000"
 )
 
@@ -76,7 +77,7 @@ func BenchmarkComputeWD(b *testing.B) {
 	b.ReportMetric(float64(g.NumVertices()), "vertices")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := g.ComputeWD(ctx); err != nil {
+		if _, err := oracle.ComputeWD(ctx, g); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -160,7 +161,7 @@ func BenchmarkTable3NoEnable(b *testing.B) {
 // enable circuit and reports the area gap.
 func BenchmarkFig1LoadEnable(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := bench.RunFig1()
+		r, err := bench.RunFig1(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -219,29 +220,6 @@ func BenchmarkAblationJustify(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationJustifyEngine compares the paper's BDD justification
-// against the SAT backend on the conflict-heavy register-dominated circuit.
-func BenchmarkAblationJustifyEngine(b *testing.B) {
-	for _, variant := range []struct {
-		name string
-		sat  bool
-	}{{"bdd", false}, {"sat", true}} {
-		b.Run(variant.name, func(b *testing.B) {
-			c := genCircuit(b, 6)
-			mapped := mapBaseline(b, c)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := core.Retime(mapped, core.Options{
-					Objective:  core.MinAreaAtMinPeriod,
-					SATJustify: variant.sat,
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationLazyVsDense compares the lazy cutting-plane period
 // constraints against the dense W/D formulation on a mapped circuit — the
 // implementation choice that makes the suite tractable.
@@ -260,7 +238,7 @@ func BenchmarkAblationLazyVsDense(b *testing.B) {
 
 	b.Run("dense-WD", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := g.MinPeriod(nil, bounds); err != nil {
+			if _, _, err := oracle.MinPeriod(g, nil, bounds); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -53,14 +53,14 @@ exit codes:
 	defer stop()
 
 	if *fig1 {
-		r, err := bench.RunFig1Ctx(ctx)
+		r, err := bench.RunFig1(ctx)
 		if err != nil {
 			fatal(err)
 		}
 		bench.PrintFig1(os.Stdout, r)
 		return
 	}
-	rows, err := bench.RunSuiteCtx(ctx)
+	rows, err := bench.RunSuite(ctx)
 	if err != nil {
 		fatal(err)
 	}
@@ -88,7 +88,7 @@ exit codes:
 		fmt.Println()
 		bench.PrintTable3(os.Stdout, rows)
 		fmt.Println()
-		if r, err := bench.RunFig1Ctx(ctx); err == nil {
+		if r, err := bench.RunFig1(ctx); err == nil {
 			bench.PrintFig1(os.Stdout, r)
 		} else {
 			fatal(err)

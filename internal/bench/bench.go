@@ -64,14 +64,10 @@ func ratio(a, b int) float64     { return float64(a) / float64(b) }
 func ratio64(a, b int64) float64 { return float64(a) / float64(b) }
 
 // RunCircuit executes the full experiment pipeline on one generated circuit.
-func RunCircuit(c *netlist.Circuit) (*Row, error) {
-	return RunCircuitCtx(context.Background(), c)
-}
-
-// RunCircuitCtx is RunCircuit under a cancellable context: cancellation
-// (e.g. Ctrl-C in cmd/mcbench) aborts the retiming runs mid-solve and
-// surfaces as a context error instead of the process dying mid-write.
-func RunCircuitCtx(ctx context.Context, c *netlist.Circuit) (*Row, error) {
+// Cancelling ctx (e.g. Ctrl-C in cmd/mcbench) aborts the retiming runs
+// mid-solve and surfaces as a context error instead of the process dying
+// mid-write.
+func RunCircuit(ctx context.Context, c *netlist.Circuit) (*Row, error) {
 	row := &Row{Name: c.Name}
 
 	// Table 1 flow: decompose synchronous set/clear (XC4000E registers have
@@ -130,13 +126,9 @@ func RunCircuitCtx(ctx context.Context, c *netlist.Circuit) (*Row, error) {
 }
 
 // RunSuite executes the pipeline over the whole generated suite.
-func RunSuite() ([]*Row, error) {
-	return RunSuiteCtx(context.Background())
-}
-
-// RunSuiteCtx is RunSuite under a cancellable context; cancellation stops
-// between (and inside) circuits with a context error.
-func RunSuiteCtx(ctx context.Context) ([]*Row, error) {
+// Cancelling ctx stops it between (and inside) circuits with a context
+// error.
+func RunSuite(ctx context.Context) ([]*Row, error) {
 	suite, err := gen.Suite()
 	if err != nil {
 		return nil, err
@@ -146,7 +138,7 @@ func RunSuiteCtx(ctx context.Context) ([]*Row, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		row, err := RunCircuitCtx(ctx, c)
+		row, err := RunCircuit(ctx, c)
 		if err != nil {
 			return nil, err
 		}

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -14,7 +15,7 @@ func TestRunCircuitPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	row, err := RunCircuit(c2)
+	row, err := RunCircuit(context.Background(), c2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +45,7 @@ func TestPrintTablesRender(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	row, err := RunCircuit(c2)
+	row, err := RunCircuit(context.Background(), c2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func TestPrintTablesRender(t *testing.T) {
 }
 
 func TestFig1Comparison(t *testing.T) {
-	r, err := RunFig1()
+	r, err := RunFig1(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +99,7 @@ func TestSuiteHeadlineClaims(t *testing.T) {
 	if testing.Short() {
 		t.Skip("whole-suite run")
 	}
-	rows, err := RunSuite()
+	rows, err := RunSuite(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,13 +46,8 @@ func fig1Circuit() *netlist.Circuit {
 	return c
 }
 
-// RunFig1 runs both flows of Fig. 1 and returns the comparison.
-func RunFig1() (*Fig1Result, error) {
-	return RunFig1Ctx(context.Background())
-}
-
-// RunFig1Ctx is RunFig1 under a cancellable context.
-func RunFig1Ctx(ctx context.Context) (*Fig1Result, error) {
+// RunFig1 runs both flows of Fig. 1 under ctx and returns the comparison.
+func RunFig1(ctx context.Context) (*Fig1Result, error) {
 	res := &Fig1Result{}
 
 	orig := fig1Circuit()

@@ -53,10 +53,12 @@ const DefaultMaxRetries = 8
 // Steps 4-5 have a single solve core: the matrix-free minperiod search over
 // lazily generated period cuts, its probes warm-started through one
 // graph.ProbeLadder per solve session, then the cutting-plane minarea loop.
-// The dense W/D formulation and the cold-probe search survive only as
-// reference code for the equivalence tests — except that CheckInvariants
-// re-derives the minimum period densely on graphs of at most 400 vertices
-// and fails the flow on any disagreement.
+// The dense W/D formulation (internal/oracle) and the cold-probe search are
+// reference code for the equivalence tests only; no binary runs them.
+//
+// Global justification uses BDDs, the paper's engine. A BDD that exceeds
+// Budgets.BDDNodes escalates to the SAT backend; there is no switch to run
+// SAT first.
 type Options struct {
 	Objective    Objective
 	TargetPeriod int64 // picoseconds; used by MinAreaAtPeriod
@@ -68,9 +70,6 @@ type Options struct {
 	// undefined reset values. Only sound for circuits whose registers have
 	// no set/clear controls; exposed for tests and ablation benches.
 	DisableJustify bool
-	// SATJustify switches global justification from BDDs (the paper's
-	// engine) to the SAT backend.
-	SATJustify bool
 	// ForwardOnly forbids backward moves (r(v) > 0): no backward
 	// justification can ever be needed, at the price of optimization
 	// freedom. The paper notes backward steps carry all the reset-state
@@ -84,8 +83,10 @@ type Options struct {
 	// pipeline pass: graph well-formedness, nonnegative retimed weights,
 	// class compatibility of shared register layers (Eq. 2), zero-delay
 	// separation vertices, and the claimed period. A violation aborts the
-	// flow with an error wrapping rterr.ErrInvariant. The package's own test
-	// binary forces this on; production callers opt in.
+	// flow with an error wrapping rterr.ErrInvariant. Production callers opt
+	// in. The package's own test binary forces this on and, on graphs of at
+	// most 400 vertices, also cross-checks every minimum period against the
+	// dense W/D oracle.
 	CheckInvariants bool
 
 	// Budgets bounds the flow's solvers; exhaustion triggers the degradation

@@ -12,8 +12,12 @@ import (
 
 // checkInvariantsDefault is forced on for the whole core test binary: every
 // Retime call in these tests runs the internal/check invariant checker after
-// each pipeline pass.
-func init() { checkInvariantsDefault = true }
+// each pipeline pass, and every minimum period of at most
+// denseCrossCheckMaxV vertices is re-derived by the dense oracle.
+func init() {
+	checkInvariantsDefault = true
+	minPeriodCrossCheck = denseMinPeriodCheck
+}
 
 // conflictCircuit is the paper's Fig. 5 scenario as a flow input: the slow
 // gate u1 upstream of v2 makes the minperiod solution move the output
@@ -93,14 +97,18 @@ func TestBudgetDegradationLadder(t *testing.T) {
 			},
 		},
 		{
-			// SAT primary with a starved conflict budget: exhaustion counts
-			// as an unresolved conflict and the flow takes the paper's §5.2
+			// Every global solve escalates to SAT (one BDD node), and SAT
+			// runs on a starved conflict budget: exhaustion counts as an
+			// unresolved conflict and the flow takes the paper's §5.2
 			// add-bound-and-re-solve path. On this tiny instance the solver
-			// may finish without a single conflict, so only success and
-			// equivalence are asserted unconditionally.
+			// may finish without a single conflict, so beyond success and
+			// equivalence only the escalation is asserted unconditionally.
 			name: "sat-conflicts-starved-resolves",
-			opts: Options{Objective: MinAreaAtMinPeriod, SATJustify: true, Budgets: Budgets{SATConflicts: 1}},
+			opts: Options{Objective: MinAreaAtMinPeriod, Budgets: Budgets{BDDNodes: 1, SATConflicts: 1}},
 			verify: func(t *testing.T, rep *Report) {
+				if rep.JustifyEscalations == 0 {
+					t.Error("no BDD→SAT escalation recorded")
+				}
 				if rep.JustifyConflicts > 0 && rep.Retries == 0 {
 					t.Error("conflicts reported but no §5.2 re-solve happened")
 				}

@@ -29,7 +29,11 @@ func TestRandomCircuitsRetimeEquivalent(t *testing.T) {
 			continue
 		}
 		obj := objectives[iter%len(objectives)]
-		out, rep, err := Retime(c, Options{Objective: obj, SATJustify: iter%3 == 0})
+		opts := Options{Objective: obj}
+		if iter%3 == 0 {
+			opts.Budgets.BDDNodes = 1 // every global justification escalates to SAT
+		}
+		out, rep, err := Retime(c, opts)
 		if err != nil {
 			t.Fatalf("iter %d (%s): %v", iter, c.Name, err)
 		}
@@ -83,7 +87,7 @@ func FuzzRetimeVerify(f *testing.F) {
 		case 1:
 			opts.Objective = MinPeriod
 		case 2:
-			opts.SATJustify = true
+			opts.Budgets = Budgets{BDDNodes: 1} // every global justification escalates to SAT
 		case 3:
 			opts.Budgets = Budgets{BDDNodes: 64, SATConflicts: 64, FlowAugmentations: 256, MinAreaRounds: 4}
 		}

@@ -5,21 +5,55 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 
+	"mcretiming/internal/graph"
 	"mcretiming/internal/hdlio"
 	"mcretiming/internal/mcf"
 	"mcretiming/internal/netlist"
+	"mcretiming/internal/oracle"
 	"mcretiming/internal/pass"
-	"mcretiming/internal/retime"
 	"mcretiming/internal/rterr"
 )
 
 // The flow has one production solve core (runMinPeriod/runMinArea: the
 // warm-started lazy search and the cutting-plane minarea loop). The oracles
-// below swap that core for the reference solvers the graph and retime
-// packages keep — and reuse every other pass of the flow verbatim, so any
-// divergence they find localizes to the period/area solvers.
+// below swap that core for reference solvers — the cold-probe lazy search
+// and the dense engines of internal/oracle — and reuse every other pass of
+// the flow verbatim, so any divergence they find localizes to the
+// period/area solvers.
+
+// denseCrossCheckMaxV caps the graph size at which this test binary's
+// minPeriodCrossCheck re-derives the minimum period with the dense W/D
+// oracle: past it, the O(V²) matrices would dominate the test run.
+const denseCrossCheckMaxV = 400
+
+// denseCrossChecks counts the dense minimum-period cross-checks run so far.
+var denseCrossChecks atomic.Int64
+
+// denseMinPeriodCheck is the minPeriodCrossCheck this test binary installs
+// (see degrade_test.go's init): on graphs of at most denseCrossCheckMaxV
+// vertices it requires the production minimum period to equal the dense
+// oracle's.
+func denseMinPeriodCheck(ctx context.Context, g *graph.Graph, b *graph.Bounds, phi int64) error {
+	if g.NumVertices() > denseCrossCheckMaxV {
+		return nil
+	}
+	denseCrossChecks.Add(1)
+	wd, err := oracle.ComputeWD(ctx, g)
+	if err != nil {
+		return err
+	}
+	densePhi, _, err := oracle.MinPeriod(g, wd, b)
+	if err != nil {
+		return err
+	}
+	if densePhi != phi {
+		return fmt.Errorf("sparse min period %d disagrees with dense reference %d: %w", phi, densePhi, rterr.ErrInvariant)
+	}
+	return nil
+}
 
 // circuitText serializes a circuit for bit-identical comparison.
 func circuitText(t *testing.T, c *netlist.Circuit) string {
@@ -31,20 +65,20 @@ func circuitText(t *testing.T, c *netlist.Circuit) string {
 	return sb.String()
 }
 
-// oracle names a reference solve core.
-type oracle int
+// refCore names a reference solve core.
+type refCore int
 
 const (
 	// oracleCold is the lazy search with probe warm-starting off: every
 	// binary-search probe re-seeds and re-solves the full difference system.
-	oracleCold oracle = iota
+	oracleCold refCore = iota
 	// oracleDense is the W/D formulation: candidate binary search and full
 	// period-constraint enumeration for minperiod, the dense min-cost-flow
 	// program for minarea.
 	oracleDense
 )
 
-func (o oracle) String() string {
+func (o refCore) String() string {
 	if o == oracleDense {
 		return "dense"
 	}
@@ -54,7 +88,7 @@ func (o oracle) String() string {
 // retimeOracle is Retime with the solve core of steps 4-5 replaced by the
 // reference path o. Steps 1-3, relocation, the §5.2 retry loop and the
 // invariant checker are the production passes.
-func retimeOracle(c *netlist.Circuit, opts Options, o oracle) (*netlist.Circuit, *Report, error) {
+func retimeOracle(c *netlist.Circuit, opts Options, o refCore) (*netlist.Circuit, *Report, error) {
 	pc := startFlow(context.Background(), c, opts)
 	minPeriod, minArea := runMinPeriod, runMinArea
 	p := preparePasses()
@@ -84,19 +118,19 @@ func retimeOracle(c *netlist.Circuit, opts Options, o oracle) (*netlist.Circuit,
 // graph, candidate binary search, full period-constraint enumeration.
 func runMinPeriodDense(pc *pass.Context[flowState]) error {
 	s := pc.State
-	wd, err := s.g.ComputeWD(pc.Ctx())
+	wd, err := oracle.ComputeWD(pc.Ctx(), s.g)
 	if err != nil {
 		return err
 	}
 	switch s.opts.Objective {
 	case MinPeriod, MinAreaAtMinPeriod:
-		phi, r, err := s.g.MinPeriod(wd, s.bounds)
+		phi, r, err := oracle.MinPeriod(s.g, wd, s.bounds)
 		if err != nil {
 			return err
 		}
 		s.phi, s.r = phi, r
 	case MinAreaAtPeriod:
-		r, ok := s.g.Feasible(s.opts.TargetPeriod, wd, s.bounds)
+		r, ok := oracle.Feasible(s.g, s.opts.TargetPeriod, wd, s.bounds)
 		if !ok {
 			return fmt.Errorf("core: target period %d infeasible: %w", s.opts.TargetPeriod, rterr.ErrInfeasiblePeriod)
 		}
@@ -115,11 +149,11 @@ func runMinAreaDense(pc *pass.Context[flowState]) error {
 	if s.opts.Objective == MinPeriod {
 		return nil
 	}
-	wd, err := s.g.ComputeWD(pc.Ctx())
+	wd, err := oracle.ComputeWD(pc.Ctx(), s.g)
 	if err != nil {
 		return err
 	}
-	r, err := retime.MinAreaDense(s.g, wd, s.phi, s.bounds)
+	r, err := oracle.MinAreaDense(s.g, wd, s.phi, s.bounds)
 	if err != nil {
 		if pc.Err() != nil {
 			return err
@@ -138,7 +172,7 @@ func runMinAreaDense(pc *pass.Context[flowState]) error {
 
 // oracleText runs retimeOracle and returns the output circuit's canonical
 // text with its report.
-func oracleText(t *testing.T, c *netlist.Circuit, opts Options, o oracle) (string, *Report) {
+func oracleText(t *testing.T, c *netlist.Circuit, opts Options, o refCore) (string, *Report) {
 	t.Helper()
 	out, rep, err := retimeOracle(c, opts, o)
 	if err != nil {

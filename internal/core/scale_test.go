@@ -14,25 +14,21 @@ import (
 )
 
 // retimeScale runs the full MinAreaAtMinPeriod flow on a scale-family
-// pipeline and fails if any dense W/D matrix was materialized: the matrix-
-// free engine's defining property at scale, enforced through the ComputeWD
-// count hook. Returns the report for shape assertions.
+// pipeline and returns the report for shape assertions. No dense W/D matrix
+// can be materialized: the engines that build one live in internal/oracle,
+// which no production package imports (a CI step checks the binaries).
 func retimeScale(t *testing.T, width, stages int) *Report {
 	t.Helper()
 	c, err := gen.ScalePipeline(1, width, stages, gen.ClassMix{Plain: 1, EN: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := graph.WDComputeCount()
 	out, rep, err := Retime(c, Options{Objective: MinAreaAtMinPeriod})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out == nil {
 		t.Fatal("no output circuit")
-	}
-	if d := graph.WDComputeCount() - before; d != 0 {
-		t.Fatalf("solve materialized %d dense W/D matrices; the sparse engine must not allocate any", d)
 	}
 	// Alternating depth-1/depth-3 stages: the as-built critical path is three
 	// gate levels, the balanced optimum two — retiming must improve the

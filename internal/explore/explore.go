@@ -122,11 +122,13 @@ func newKeys(c *netlist.Circuit, o core.Options) (*keys, error) {
 	if err := blif.Write(&buf, c); err != nil {
 		return nil, fmt.Errorf("explore: serialize circuit: %w", err)
 	}
-	// "engine=sparse" names the only solve core. It stays in the text because
-	// v2 stores hold entries keyed with it, and those are still exactly right.
-	fp := fmt.Sprintf("%s engine=sparse sharing=%t justify=%t sat=%t fwd=%t retries=%d budgets=%d/%d/%d/%d",
+	// "engine=sparse" names the only solve core and "sat=false" the only
+	// justification order (BDD first, SAT on escalation). Both stay in the
+	// text because v2 stores hold entries keyed with them, and those are
+	// still exactly right.
+	fp := fmt.Sprintf("%s engine=sparse sharing=%t justify=%t sat=false fwd=%t retries=%d budgets=%d/%d/%d/%d",
 		fingerprintVersion,
-		!o.DisableSharing, !o.DisableJustify, o.SATJustify, o.ForwardOnly, o.MaxRetries,
+		!o.DisableSharing, !o.DisableJustify, o.ForwardOnly, o.MaxRetries,
 		o.Budgets.BDDNodes, o.Budgets.SATConflicts, o.Budgets.FlowAugmentations, o.Budgets.MinAreaRounds)
 	return &keys{ckt: buf.Bytes(), fp: []byte(fp)}, nil
 }

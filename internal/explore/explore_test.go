@@ -390,7 +390,6 @@ func TestKeysOptionsDiscriminate(t *testing.T) {
 	}{
 		{"sharing", core.Options{DisableSharing: true}},
 		{"justify", core.Options{DisableJustify: true}},
-		{"sat", core.Options{SATJustify: true}},
 		{"fwd", core.Options{ForwardOnly: true}},
 		{"retries", core.Options{MaxRetries: 3}},
 		{"bdd budget", core.Options{Budgets: core.Budgets{BDDNodes: 1000}}},

@@ -14,7 +14,7 @@ import (
 // of a clustered sweep. It keeps a small LRU of core.Prepared values keyed by
 // circuit bytes + option fingerprint, so the stream of points a coordinator
 // routes to one worker (consistent hashing sends a sweep's points to the same
-// node) pays for Prepare once and reuses the shared W/D matrices and anchor
+// node) pays for Prepare once and reuses the shared cut pool and anchor
 // across points, exactly like the in-process sweep does.
 //
 // Every answer is byte-identical to the coordinator solving the same point

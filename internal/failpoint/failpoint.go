@@ -6,12 +6,19 @@
 // A site is a string like "graph.minperiod" evaluated by a single
 // Inject(ctx, site) call placed in production code. The fast path — no
 // failpoint armed anywhere in the process — is one atomic load, so the hooks
-// are cheap enough to live permanently in solver inner loops. The cluster
-// layer adds sites of its own: "cluster.heartbeat" (a worker lease beat),
-// "store.remote" (a shared-store round trip), and the HA pair's
-// "cluster.replicate" / "cluster.lease" (the two directions of the
-// leader↔standby stream; arming both globally simulates a symmetric
-// partition in-process).
+// are cheap enough to live permanently in solver inner loops. The sites are:
+//
+//   - the engine: "graph.feasible" (one lazy feasibility round),
+//     "graph.minperiod" (a minimum-period search), "justify.backward" (a
+//     backward justification), "pass.<name>" (each pipeline pass, e.g.
+//     "pass.minarea") and "server.job" (one service job);
+//   - the result store: "store.load", "store.save" and "store.remote" (a
+//     shared-store round trip);
+//   - the cluster: "cluster.heartbeat" (a worker lease beat),
+//     "cluster.dispatch" (routing a job to the workers), "cluster.forward"
+//     (one HTTP attempt at a worker), and the HA pair's "cluster.replicate"
+//     and "cluster.lease" (the two directions of the leader↔standby stream;
+//     arming both globally simulates a symmetric partition in-process).
 //
 // Failpoints are armed two ways:
 //

@@ -3,7 +3,6 @@ package graph
 import (
 	"context"
 	"math/rand"
-	"slices"
 	"testing"
 )
 
@@ -34,38 +33,6 @@ func randomSolvableGraph(rng *rand.Rand) *Graph {
 	}
 }
 
-// The streamed candidate generator must reproduce the dense matrices'
-// candidate list exactly (cutoff 0) and its suffix at any cutoff.
-func TestCandidatePeriodsMatchesDense(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	ctx := context.Background()
-	for iter := 0; iter < 30; iter++ {
-		g := randomSolvableGraph(rng)
-		dense := mustWD(t, g).Candidates()
-		got, err := g.CandidatePeriods(ctx, 0)
-		if err != nil {
-			t.Fatalf("iter %d: %v", iter, err)
-		}
-		if !slices.Equal(got, dense) {
-			t.Fatalf("iter %d: streamed %v != dense %v", iter, got, dense)
-		}
-		cutoff := g.MaxDelay()
-		got, err = g.CandidatePeriods(ctx, cutoff)
-		if err != nil {
-			t.Fatalf("iter %d: %v", iter, err)
-		}
-		var want []int64
-		for _, d := range dense {
-			if d >= cutoff {
-				want = append(want, d)
-			}
-		}
-		if !slices.Equal(got, want) {
-			t.Fatalf("iter %d: pruned %v != dense suffix %v (cutoff %d)", iter, got, want, cutoff)
-		}
-	}
-}
-
 // The minimum feasible period is never below MaxDelay, so pruning candidates
 // under it cannot hide the minperiod solution.
 func TestCandidateCutoffSound(t *testing.T) {
@@ -79,23 +46,5 @@ func TestCandidateCutoffSound(t *testing.T) {
 		if dmax := g.MaxDelay(); phi < dmax {
 			t.Fatalf("iter %d: min period %d below max vertex delay %d", iter, phi, dmax)
 		}
-	}
-}
-
-// WDComputeCount must tick for dense materializations and stay flat across
-// the streamed generator — it is the scale-smoke guard's probe.
-func TestWDComputeCountHook(t *testing.T) {
-	g := randomSolvableGraph(rand.New(rand.NewSource(13)))
-	before := WDComputeCount()
-	if _, err := g.CandidatePeriods(context.Background(), 0); err != nil {
-		t.Fatal(err)
-	}
-	if d := WDComputeCount() - before; d != 0 {
-		t.Fatalf("CandidatePeriods bumped the dense-compute counter by %d", d)
-	}
-	mustWD(t, g)
-	mustWD(t, g)
-	if d := WDComputeCount() - before; d != 2 {
-		t.Fatalf("dense-compute counter delta %d, want 2", d)
 	}
 }

@@ -92,8 +92,8 @@ func TestCutPoolDedupPreservesSolutions(t *testing.T) {
 		}
 		base := g.BaseConstraints(nil)
 		for _, phi := range []int64{0, 5, 10, 15, 25, 40} {
-			rNaive, okNaive := SolveDifference(n, append(base[:len(base):len(base)], naive.forPeriod(phi)...))
-			rDedup, okDedup := SolveDifference(n, append(base[:len(base):len(base)], dedup.ForPeriod(phi)...))
+			rNaive, okNaive := solveDifference(n, append(base[:len(base):len(base)], naive.forPeriod(phi)...))
+			rDedup, okDedup := solveDifference(n, append(base[:len(base):len(base)], dedup.ForPeriod(phi)...))
 			if okNaive != okDedup {
 				t.Fatalf("iter %d phi %d: feasibility %v != %v", iter, phi, okDedup, okNaive)
 			}
@@ -111,5 +111,22 @@ func TestCutPoolDedupPreservesSolutions(t *testing.T) {
 		if seeded.Len() != dedup.Len() {
 			t.Fatalf("iter %d: NewCutPool len %d != Add len %d", iter, seeded.Len(), dedup.Len())
 		}
+	}
+}
+
+func TestCutPoolFiltering(t *testing.T) {
+	p := &CutPool{}
+	p.Add([]Cut{
+		{Constraint{Y: 1, X: 2, B: 3}, 100},
+		{Constraint{Y: 2, X: 3, B: 1}, 50},
+	})
+	if got := len(p.ForPeriod(75)); got != 1 {
+		t.Errorf("cuts at phi=75: %d, want 1", got)
+	}
+	if got := len(p.ForPeriod(10)); got != 2 {
+		t.Errorf("cuts at phi=10: %d, want 2", got)
+	}
+	if got := len(p.ForPeriod(100)); got != 0 {
+		t.Errorf("cuts at phi=100: %d, want 0", got)
 	}
 }

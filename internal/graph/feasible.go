@@ -1,11 +1,8 @@
 package graph
 
 import (
-	"context"
 	"fmt"
 	"math"
-
-	"mcretiming/internal/rterr"
 )
 
 // Unbounded sentinels for Bounds entries.
@@ -69,11 +66,9 @@ type Constraint struct {
 }
 
 // spfaScratch holds the working buffers of one SPFA difference-constraint
-// solve plus the constraint slice of the dense feasibility path, so the
-// minperiod binary search reuses one set of allocations across all probes.
+// solve, so the minperiod binary search reuses one set of allocations across
+// all probes.
 type spfaScratch struct {
-	cons    []Constraint // base prefix (probe-invariant) + period constraints
-	nbase   int          // length of the base prefix inside cons
 	adj     [][]int32
 	dist    []int64
 	inQueue []bool
@@ -185,63 +180,12 @@ func (sc *spfaScratch) cycleCertPD(v int32) int64 {
 	return minPD
 }
 
-// Feasible decides whether clock period phi is feasible under the circuit
-// constraints, the period constraints derived from wd, and the class bounds
-// (nil = none). On success it returns a legal retiming with r[Host] = 0.
-//
-// This is the paper's §5.1 formulation: the class constraints become
-// difference constraints against the host vertex, and the whole system is
-// solved as shortest paths (SPFA) from a virtual source.
-func (g *Graph) Feasible(phi int64, wd *WD, bounds *Bounds) ([]int32, bool) {
-	sc := newSPFAScratch(g.NumVertices())
-	sc.cons = g.BaseConstraints(bounds)
-	sc.nbase = len(sc.cons)
-	return g.feasibleWith(phi, wd, sc)
-}
-
-// feasibleWith is Feasible over a prepared scratch whose cons prefix
-// (sc.nbase constraints) already holds the circuit and bounds constraints.
-func (g *Graph) feasibleWith(phi int64, wd *WD, sc *spfaScratch) ([]int32, bool) {
-	n := g.NumVertices()
-	cons := sc.cons[:sc.nbase]
-	for u := 0; u < n; u++ {
-		row := u * n
-		for v := 0; v < n; v++ {
-			if wd.W[row+v] != InfW && wd.D[row+v] > phi {
-				// period: r(u) − r(v) ≤ W(u,v) − 1
-				cons = append(cons, Constraint{Y: VertexID(v), X: VertexID(u), B: wd.W[row+v] - 1})
-			}
-		}
-	}
-	sc.cons = cons[:sc.nbase] // keep the grown backing array for the next probe
-	r, ok := solveDifferenceBuf(n, cons, sc)
-	if !ok {
-		return nil, false
-	}
-	// Normalize so the host stays at 0; copy out of the scratch-owned buffer.
-	h := r[Host]
-	out := make([]int32, len(r))
-	for i := range r {
-		out[i] = r[i] - h
-	}
-	return out, true
-}
-
-// SolveDifference solves a system of difference constraints
-// r(x) − r(y) ≤ b over n variables by SPFA from a virtual source connected
-// to every variable with weight 0. It returns a solution, or ok=false if
-// the system is infeasible (negative cycle).
-func SolveDifference(n int, cons []Constraint) ([]int32, bool) {
-	r, ok := solveDifferenceBuf(n, cons, newSPFAScratch(n))
-	if !ok {
-		return nil, false
-	}
-	return append([]int32(nil), r...), true
-}
-
-// solveDifferenceBuf is SolveDifference inside sc's buffers; the returned
-// slice is sc.out (see runSPFA). Every call is a cold start — all n vertices seeded, the whole constraint
-// graph re-propagated — and bumps the ColdStartCount regression hook.
+// solveDifferenceBuf solves the difference constraints r(X) − r(Y) ≤ B over
+// n variables by SPFA from a virtual source joined to every variable with
+// weight 0, inside sc's buffers. It returns a solution — sc.out, see runSPFA —
+// or ok=false if the system is infeasible (a negative cycle). Every call is a
+// cold start — all n vertices seeded, the whole constraint graph
+// re-propagated — and bumps the ColdStartCount regression hook.
 func solveDifferenceBuf(n int, cons []Constraint, sc *spfaScratch) ([]int32, bool) {
 	spfaColdStarts.Add(1)
 	adj := sc.adj // constraint indices by source y
@@ -371,44 +315,4 @@ func runSPFA(n int, cons []Constraint, sc *spfaScratch, queue []VertexID) ([]int
 		out[i] = int32(d)
 	}
 	return out, true
-}
-
-// MinPeriod finds the minimum feasible clock period under the given bounds
-// by binary search over the candidate D values, and returns it with a legal
-// retiming achieving it. wd may be nil (computed internally). The SPFA
-// buffers and the probe-invariant circuit+bounds constraints are built once
-// and shared by every probe of the search.
-func (g *Graph) MinPeriod(wd *WD, bounds *Bounds) (int64, []int32, error) {
-	if wd == nil {
-		var err error
-		if wd, err = g.ComputeWD(context.Background()); err != nil {
-			return 0, nil, err
-		}
-	}
-	cands := wd.Candidates()
-	if len(cands) == 0 {
-		return 0, make([]int32, g.NumVertices()), nil
-	}
-	sc := newSPFAScratch(g.NumVertices())
-	sc.cons = g.BaseConstraints(bounds)
-	sc.nbase = len(sc.cons)
-	// The largest candidate is always feasible (no period constraints).
-	lo, hi := 0, len(cands)-1
-	bestPhi := cands[hi]
-	var bestR []int32
-	if r, ok := g.feasibleWith(bestPhi, wd, sc); ok {
-		bestR = r
-	} else {
-		return 0, nil, fmt.Errorf("graph: even period %d infeasible (conflicting bounds?): %w", bestPhi, rterr.ErrInfeasiblePeriod)
-	}
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if r, ok := g.feasibleWith(cands[mid], wd, sc); ok {
-			bestPhi, bestR = cands[mid], r
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return bestPhi, bestR, nil
 }

@@ -1,13 +1,19 @@
 // Package graph implements the classic Leiserson–Saxe retiming graph
 // G = (V, E, d, w) and the basic retiming machinery built on it:
 //
-//   - the W(u,v) / D(u,v) matrices (minimum path weight, and maximum path
-//     delay over minimum-weight paths),
 //   - clock-period (Δ) computation of a retimed graph,
+//   - the candidate clock periods, streamed from the rows of the W(u,v) /
+//     D(u,v) matrices (minimum path weight, and maximum path delay over
+//     minimum-weight paths) without materializing them,
 //   - feasibility of a target period as a system of difference constraints
-//     solved by Bellman–Ford, including the per-vertex retiming bounds that
-//     multiple-class retiming adds (paper §4.1 and §5.1),
-//   - minimum-period search.
+//     solved by Bellman–Ford over lazily generated period cuts, including
+//     the per-vertex retiming bounds that multiple-class retiming adds
+//     (paper §4.1 and §5.1),
+//   - minimum-period search, warm-started across probes.
+//
+// The dense references — the W/D matrices themselves, FEAS, and feasibility
+// over every period constraint — live in the test-only internal/oracle
+// package.
 //
 // Vertex 0 is always the host vertex v_h modelling the environment; its
 // retiming value is pinned to 0 (registers may not cross the circuit's I/O).
@@ -137,27 +143,14 @@ func (g *Graph) Period(r []int32) (int64, error) {
 func (g *Graph) arrivals(r []int32) ([]int64, error) {
 	n := g.NumVertices()
 	delta := make([]int64, n)
-	if err := g.arrivalsBuf(r, delta, make([]int32, n), make([]VertexID, 0, n)); err != nil {
-		return nil, err
-	}
-	return delta, nil
-}
-
-// arrivalsBuf is arrivals writing into caller-owned buffers (all of length
-// resp. capacity NumVertices), so hot loops — FEAS's |V|−1 iterations, the
-// minperiod binary search — reuse one allocation per buffer across calls.
-func (g *Graph) arrivalsBuf(r []int32, delta []int64, indeg []int32, queue []VertexID) error {
-	n := g.NumVertices()
+	indeg := make([]int32, n)
+	queue := make([]VertexID, 0, n)
 	// Kahn's algorithm over the zero-weight subgraph.
-	for v := 0; v < n; v++ {
-		indeg[v] = 0
-	}
 	for _, e := range g.Edges {
 		if g.weight(e, r) == 0 {
 			indeg[e.To]++
 		}
 	}
-	queue = queue[:0]
 	for v := 0; v < n; v++ {
 		if indeg[v] == 0 {
 			queue = append(queue, VertexID(v))
@@ -186,9 +179,9 @@ func (g *Graph) arrivalsBuf(r []int32, delta []int64, indeg []int32, queue []Ver
 		}
 	}
 	if done != n {
-		return fmt.Errorf("graph: zero-weight cycle (combinational loop) under retiming")
+		return nil, fmt.Errorf("graph: zero-weight cycle (combinational loop) under retiming")
 	}
-	return nil
+	return delta, nil
 }
 
 func (g *Graph) weight(e Edge, r []int32) int32 {

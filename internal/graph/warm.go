@@ -248,10 +248,10 @@ func (l *ProbeLadder) seed(g *Graph, bounds *Bounds, phi int64, pool *CutPool) (
 
 // spfaColdStarts counts full (cold) SPFA difference-system solves — every
 // solveDifferenceBuf call that seeds all n vertices rather than continuing a
-// previous relaxation. Like WDComputeCount for dense matrices, this is a
-// structural regression hook: a warm-started minperiod search performs
-// exactly one cold start no matter how many probes it runs, so tests pin the
-// delta and catch any silent regression to per-probe re-seeding.
+// previous relaxation. It is a structural regression hook: a warm-started
+// minperiod search performs exactly one cold start no matter how many probes
+// it runs, so tests pin the delta and catch any silent regression to
+// per-probe re-seeding.
 var spfaColdStarts atomic.Int64
 
 // ColdStartCount returns the process-cumulative number of cold SPFA solves.

@@ -174,39 +174,6 @@ func TestLadderInvalidationPaths(t *testing.T) {
 	})
 }
 
-// Certificate soundness: the infeasibility certificate lets the binary search
-// jump its lower bound past unprobed periods, so the one thing it must never
-// do is skip a feasible one. For random graphs the certified minimum must be
-// the dense oracle's, and the period just below it must still probe
-// infeasible on the cold reference path.
-func TestCertificateNeverSkipsFeasible(t *testing.T) {
-	ctx := context.Background()
-	rng := rand.New(rand.NewSource(41))
-	for iter := 0; iter < 120; iter++ {
-		g := randLadderGraph(rng, 1)
-		phiDense, _, err := g.MinPeriod(nil, nil)
-		if err != nil {
-			t.Fatalf("iter %d: dense: %v", iter, err)
-		}
-		phi, r, err := g.MinPeriodLazy(ctx, nil, nil, NewProbeLadder())
-		if err != nil {
-			t.Fatalf("iter %d: warm: %v", iter, err)
-		}
-		if phi != phiDense {
-			t.Fatalf("iter %d: certified minimum %d, dense oracle %d", iter, phi, phiDense)
-		}
-		if err := g.CheckLegal(r); err != nil {
-			t.Fatalf("iter %d: %v", iter, err)
-		}
-		if p, _ := g.Period(r); p > phi {
-			t.Fatalf("iter %d: achieved %d > reported %d", iter, p, phi)
-		}
-		if _, ok, err := g.FeasibleLazy(ctx, phi-1, nil, &CutPool{}, nil); err != nil || ok {
-			t.Fatalf("iter %d: period %d feasible below the certified minimum %d (err %v)", iter, phi-1, phi, err)
-		}
-	}
-}
-
 // FuzzProbeLadder drives one shared ladder through a decoded probe sequence
 // and checks every probe against the cold reference (lad == nil): the same
 // verdict and, when feasible, the same retiming. The input decodes into a

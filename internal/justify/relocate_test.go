@@ -290,7 +290,9 @@ func TestGlobalBudgetThenLocalUnbudgeted(t *testing.T) {
 
 // BenchmarkRelocate times relocation of mapped C6 at its first-attempt
 // retiming — 1538 local and 309 global justifications, 138 conflicts —
-// with the production justifier and with the legacy map-based one.
+// with the production justifier, with the legacy map-based one, and with
+// the production justifier running every global justification on the SAT
+// backend instead of BDDs.
 func BenchmarkRelocate(b *testing.B) {
 	f := newFlowSolver(b, mappedProfile(b, 6))
 	r := f.retiming(b)
@@ -300,6 +302,11 @@ func BenchmarkRelocate(b *testing.B) {
 	}{
 		{"flat", func(m *mcgraph.MC) mcgraph.Hooks { return New(m) }},
 		{"legacy", func(m *mcgraph.MC) mcgraph.Hooks { return newLegacy(m) }},
+		{"sat", func(m *mcgraph.MC) mcgraph.Hooks {
+			j := New(m)
+			j.Engine = EngineSAT
+			return j
+		}},
 	} {
 		b.Run(variant.name, func(b *testing.B) {
 			b.ReportAllocs()

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mcretiming/internal/graph"
+	"mcretiming/internal/oracle"
 )
 
 // Lazy minarea must reach the same optimal register count as the dense
@@ -41,11 +42,11 @@ func TestLazyMinAreaMatchesDense(t *testing.T) {
 			}
 		}
 		wd := denseWD(t, g)
-		phi, _, err := g.MinPeriod(wd, bounds)
+		phi, _, err := oracle.MinPeriod(g, wd, bounds)
 		if err != nil {
 			t.Fatalf("iter %d: %v", iter, err)
 		}
-		rDense, err := MinAreaDense(g, wd, phi, bounds)
+		rDense, err := oracle.MinAreaDense(g, wd, phi, bounds)
 		if err != nil {
 			t.Fatalf("iter %d: dense: %v", iter, err)
 		}
@@ -53,7 +54,7 @@ func TestLazyMinAreaMatchesDense(t *testing.T) {
 		if err != nil {
 			t.Fatalf("iter %d: lazy: %v", iter, err)
 		}
-		if got, want := SharedRegCount(g, rLazy), SharedRegCount(g, rDense); got != want {
+		if got, want := oracle.SharedRegCount(g, rLazy), oracle.SharedRegCount(g, rDense); got != want {
 			t.Fatalf("iter %d: lazy count %d != dense count %d", iter, got, want)
 		}
 		if p, err := g.Period(rLazy); err != nil || p > phi {

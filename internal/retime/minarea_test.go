@@ -1,17 +1,21 @@
 package retime
 
+// The dense minarea reference, oracle.MinAreaDense, against brute force on
+// tiny graphs; lazy_test.go then holds the production MinAreaLazy to it.
+
 import (
 	"context"
 	"math/rand"
 	"testing"
 
 	"mcretiming/internal/graph"
+	"mcretiming/internal/oracle"
 )
 
 // denseWD computes g's dense W/D matrices for a test.
-func denseWD(t *testing.T, g *graph.Graph) *graph.WD {
+func denseWD(t *testing.T, g *graph.Graph) *oracle.WD {
 	t.Helper()
-	wd, err := g.ComputeWD(context.Background())
+	wd, err := oracle.ComputeWD(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +39,7 @@ func bruteMinArea(t *testing.T, g *graph.Graph, phi int64, bounds *graph.Bounds,
 			if p, err := g.Period(r); err != nil || p > phi {
 				return
 			}
-			if c := SharedRegCount(g, r); c < best {
+			if c := oracle.SharedRegCount(g, r); c < best {
 				best = c
 			}
 			return
@@ -70,15 +74,15 @@ func chainGraph() *graph.Graph {
 func TestMinAreaChain(t *testing.T) {
 	g := chainGraph()
 	wd := denseWD(t, g)
-	phi, _, err := g.MinPeriod(wd, nil)
+	phi, _, err := oracle.MinPeriod(g, wd, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := MinAreaDense(g, wd, phi, nil)
+	r, err := oracle.MinAreaDense(g, wd, phi, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := SharedRegCount(g, r)
+	got := oracle.SharedRegCount(g, r)
 	want := bruteMinArea(t, g, phi, nil, 3)
 	if got != want {
 		t.Errorf("minarea count = %d, brute force = %d (r=%v)", got, want, r)
@@ -101,11 +105,11 @@ func TestMinAreaExploitsSharing(t *testing.T) {
 	// At a permissive period the two fanout registers already share: cost 1
 	// on u's fanout plus the two PO-edge registers.
 	wd := denseWD(t, g)
-	r, err := MinAreaDense(g, wd, 100, nil)
+	r, err := oracle.MinAreaDense(g, wd, 100, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := SharedRegCount(g, r)
+	got := oracle.SharedRegCount(g, r)
 	want := bruteMinArea(t, g, 100, nil, 3)
 	if got != want {
 		t.Errorf("count = %d, brute = %d (r=%v)", got, want, r)
@@ -119,11 +123,11 @@ func TestMinAreaRespectsBounds(t *testing.T) {
 	for v := range b.Min {
 		b.Min[v], b.Max[v] = 0, 0
 	}
-	phi, _, err := g.MinPeriod(wd, b)
+	phi, _, err := oracle.MinPeriod(g, wd, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := MinAreaDense(g, wd, phi, b)
+	r, err := oracle.MinAreaDense(g, wd, phi, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +141,7 @@ func TestMinAreaRespectsBounds(t *testing.T) {
 func TestMinAreaInfeasiblePeriod(t *testing.T) {
 	g := chainGraph()
 	// Period 1 < max gate delay 2: no retiming can achieve it.
-	if _, err := MinAreaDense(g, nil, 1, nil); err == nil {
+	if _, err := oracle.MinAreaDense(g, nil, 1, nil); err == nil {
 		t.Fatal("MinArea accepted an infeasible period")
 	}
 }
@@ -174,15 +178,15 @@ func TestMinAreaRandomAgainstBruteForce(t *testing.T) {
 			}
 		}
 		wd := denseWD(t, g)
-		phi, _, err := g.MinPeriod(wd, bounds)
+		phi, _, err := oracle.MinPeriod(g, wd, bounds)
 		if err != nil {
 			t.Fatalf("iter %d: %v", iter, err)
 		}
-		r, err := MinAreaDense(g, wd, phi, bounds)
+		r, err := oracle.MinAreaDense(g, wd, phi, bounds)
 		if err != nil {
 			t.Fatalf("iter %d: %v", iter, err)
 		}
-		got := SharedRegCount(g, r)
+		got := oracle.SharedRegCount(g, r)
 		want := bruteMinArea(t, g, phi, bounds, 2)
 		// The brute force window is [-2,2]; MinArea may legitimately match
 		// but never beat a full enumeration, and must not be worse.
@@ -214,14 +218,14 @@ func TestMinPeriodMinAreaTwoPhase(t *testing.T) {
 		t.Fatal(err)
 	}
 	wd := denseWD(t, g)
-	wantPhi, _, err := g.MinPeriod(wd, nil)
+	wantPhi, _, err := oracle.MinPeriod(g, wd, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if phi != wantPhi {
 		t.Errorf("period = %d, want %d", phi, wantPhi)
 	}
-	if got, want := SharedRegCount(g, r), bruteMinArea(t, g, phi, nil, 3); got != want {
+	if got, want := oracle.SharedRegCount(g, r), bruteMinArea(t, g, phi, nil, 3); got != want {
 		t.Errorf("count = %d, brute force %d", got, want)
 	}
 }

@@ -1,11 +1,13 @@
 package server
 
 // Wire compatibility with job specs written while JobOptions still carried an
-// "engine" field ("auto", "sparse", "dense" or "arrival"). Decoding ignores
-// the field, so checkpoints, HA snapshots and live requests that carry it
-// keep working — and because there is one solve core, they return exactly
-// the bytes a spec without it returns. The same holds for "parallelism" on a
-// retime job: the solve is serial, so the field no longer reaches the result.
+// "engine" field ("auto", "sparse", "dense" or "arrival") or a "sat_justify"
+// flag. Decoding ignores both, so checkpoints, HA snapshots and live
+// requests that carry them keep working — and because there is one solve
+// core and one justification order (BDD first, SAT on escalation), they
+// return exactly the bytes a spec without them returns. The same holds for
+// "parallelism" on a retime job: the solve is serial, so the field no longer
+// reaches the result.
 
 import (
 	"bytes"
@@ -17,22 +19,39 @@ import (
 	"testing"
 )
 
-// legacySpecs returns job specs in the pre-removal format, their options
-// carrying a retired engine token: one retime job per token plus an explore
-// job. The map gives each job ID's kind.
-func legacySpecs(t *testing.T) (map[string]string, []map[string]any) {
+// legacyJob is one job of a pre-removal spec: its kind and its options.
+type legacyJob struct {
+	kind    string
+	options map[string]any
+}
+
+// retiredEngineJobs carry a retired engine token: one retime job per token
+// plus an explore job.
+var retiredEngineJobs = []legacyJob{
+	{KindRetime, map[string]any{"engine": "dense"}},
+	{KindRetime, map[string]any{"engine": "arrival"}},
+	{KindRetime, map[string]any{"engine": "auto"}},
+	{KindExplore, map[string]any{"engine": "dense"}},
+}
+
+// satJustifyJobs carry the retired "sat_justify": true, which once made SAT
+// the primary justification backend and changed the explore fingerprint.
+var satJustifyJobs = []legacyJob{
+	{KindRetime, map[string]any{"sat_justify": true}},
+	{KindExplore, map[string]any{"sat_justify": true}},
+}
+
+// legacySpecs returns job specs in the pre-removal format, one per job, on
+// the test circuit. The map gives each job ID's kind.
+func legacySpecs(t *testing.T, jobs []legacyJob) (map[string]string, []map[string]any) {
 	t.Helper()
 	in := testBLIF(t)
 	kinds := map[string]string{}
 	var specs []map[string]any
-	for i, tc := range []struct{ kind, engine string }{
-		{KindRetime, "dense"}, {KindRetime, "arrival"}, {KindRetime, "auto"}, {KindExplore, "dense"},
-	} {
+	for i, j := range jobs {
 		id := fmt.Sprintf("job-%06d", i+1)
-		kinds[id] = tc.kind
-		specs = append(specs, map[string]any{
-			"id": id, "kind": tc.kind, "blif": in, "options": map[string]any{"engine": tc.engine},
-		})
+		kinds[id] = j.kind
+		specs = append(specs, map[string]any{"id": id, "kind": j.kind, "blif": in, "options": j.options})
 	}
 	return kinds, specs
 }
@@ -82,8 +101,21 @@ func assertLegacyJobsMatch(t *testing.T, base string, kinds map[string]string, w
 // TestLegacyEngineCheckpointResumes: checkpoints carrying a retired engine
 // token resume on a restarted server, byte-identical to a fresh solve.
 func TestLegacyEngineCheckpointResumes(t *testing.T) {
+	assertCheckpointResumes(t, retiredEngineJobs)
+}
+
+// TestLegacySATJustifyCheckpointResumes: checkpoints carrying
+// "sat_justify": true resume byte-identical to a fresh solve without it.
+func TestLegacySATJustifyCheckpointResumes(t *testing.T) {
+	assertCheckpointResumes(t, satJustifyJobs)
+}
+
+// assertCheckpointResumes writes jobs as checkpoint files, restarts a server
+// on them, and requires every resumed job to match the control result.
+func assertCheckpointResumes(t *testing.T, jobs []legacyJob) {
+	t.Helper()
 	want := controlResults(t)
-	kinds, specs := legacySpecs(t)
+	kinds, specs := legacySpecs(t, jobs)
 	dir := t.TempDir()
 	for _, spec := range specs {
 		data, err := json.MarshalIndent(spec, "", "  ")
@@ -105,8 +137,22 @@ func TestLegacyEngineCheckpointResumes(t *testing.T) {
 // engine token installs on a standby, and the jobs resume at takeover
 // byte-identical to a fresh solve.
 func TestLegacyEngineReplicatedSnapshot(t *testing.T) {
+	assertSnapshotResumes(t, retiredEngineJobs)
+}
+
+// TestLegacySATJustifyReplicatedSnapshot: an HA snapshot carrying
+// "sat_justify": true resumes at takeover byte-identical to a fresh solve
+// without it.
+func TestLegacySATJustifyReplicatedSnapshot(t *testing.T) {
+	assertSnapshotResumes(t, satJustifyJobs)
+}
+
+// assertSnapshotResumes installs jobs on a standby as a replicated snapshot,
+// takes over, and requires every job to match the control result.
+func assertSnapshotResumes(t *testing.T, jobs []legacyJob) {
+	t.Helper()
 	want := controlResults(t)
-	kinds, specs := legacySpecs(t)
+	kinds, specs := legacySpecs(t, jobs)
 	raw, err := json.Marshal(specs)
 	if err != nil {
 		t.Fatal(err)
@@ -129,25 +175,44 @@ func TestLegacyEngineRequestAccepted(t *testing.T) {
 		{"engine": "auto"}, {"engine": "sparse"}, {"engine": "dense"}, {"engine": "arrival"},
 		{"parallelism": 4},
 	} {
-		data, err := json.Marshal(map[string]any{"blif": testBLIF(t), "options": opts})
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.Post(hs.URL+"/v1/retime?wait=1", "application/json", bytes.NewReader(data))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var view map[string]any
-		err = json.NewDecoder(resp.Body).Decode(&view)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("options %v: status %d, body %v", opts, resp.StatusCode, view)
-		}
-		if got := resultJSON(t, view); !bytes.Equal(got, want[KindRetime]) {
-			t.Fatalf("options %v: result differs from a request without them:\n%s\nvs\n%s", opts, got, want[KindRetime])
-		}
+		assertRequestMatches(t, hs.URL, legacyJob{KindRetime, opts}, want)
+	}
+}
+
+// TestLegacySATJustifyRequestAccepted: live retime and explore requests
+// carrying "sat_justify": true are accepted and return the same bytes as
+// requests without it.
+func TestLegacySATJustifyRequestAccepted(t *testing.T) {
+	want := controlResults(t)
+	_, hs := newTestServer(t, Config{})
+	for _, j := range satJustifyJobs {
+		assertRequestMatches(t, hs.URL, j, want)
+	}
+}
+
+// assertRequestMatches submits j as a live waiting request and compares its
+// result with the control result of its kind.
+func assertRequestMatches(t *testing.T, base string, j legacyJob, want map[string][]byte) {
+	t.Helper()
+	path := map[string]string{KindRetime: "/v1/retime?wait=1", KindExplore: "/v1/explore?wait=1"}[j.kind]
+	data, err := json.Marshal(map[string]any{"blif": testBLIF(t), "options": j.options})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(base+path, "application/json", bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var view map[string]any
+	err = json.NewDecoder(resp.Body).Decode(&view)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("%s options %v: status %d, body %v", path, j.options, resp.StatusCode, view)
+	}
+	if got := resultJSON(t, view); !bytes.Equal(got, want[j.kind]) {
+		t.Fatalf("%s options %v: result differs from a request without them:\n%s\nvs\n%s", path, j.options, got, want[j.kind])
 	}
 }

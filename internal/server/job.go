@@ -17,7 +17,8 @@ import (
 // The zero value asks for minimum area at the minimum feasible period — the
 // same default as the mcretime CLI. Decoding ignores unknown fields, so
 // requests, checkpoints and replicated snapshots that still carry the
-// retired "engine" field run unchanged on the single solve core.
+// retired "engine" or "sat_justify" field run unchanged: on the single solve
+// core, with BDD justification escalating to SAT only past its node budget.
 type JobOptions struct {
 	// Objective: "" or "min-area" (minimum area at minimum period),
 	// "min-period", or "min-area-at-period" (requires TargetPeriodPS).
@@ -27,7 +28,6 @@ type JobOptions struct {
 	ForwardOnly     bool `json:"forward_only,omitempty"`
 	DisableSharing  bool `json:"disable_sharing,omitempty"`
 	DisableJustify  bool `json:"disable_justify,omitempty"`
-	SATJustify      bool `json:"sat_justify,omitempty"`
 	CheckInvariants bool `json:"check_invariants,omitempty"`
 	// Parallelism is the width of an exploration job's period sweep: how
 	// many points solve concurrently (0 = GOMAXPROCS). It never changes the
@@ -59,7 +59,6 @@ func (o JobOptions) coreOptions() (core.Options, error) {
 		ForwardOnly:     o.ForwardOnly,
 		DisableSharing:  o.DisableSharing,
 		DisableJustify:  o.DisableJustify,
-		SATJustify:      o.SATJustify,
 		CheckInvariants: o.CheckInvariants,
 		Budgets: core.Budgets{
 			BDDNodes:          o.Budgets.BDDNodes,

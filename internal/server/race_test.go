@@ -1,7 +1,7 @@
 package server
 
 // The per-job solve-isolation audit: each solve carries its own probe ladder,
-// cut pool and FEAS/SPFA scratch, built for a single pipeline, so the server
+// cut pool and SPFA scratch, built for a single pipeline, so the server
 // path — many concurrent core.RetimeCtx runs in one process — must prove
 // under -race that no solve state aliases across jobs, and that every
 // concurrent run produces the bit-identical result.
@@ -34,9 +34,9 @@ func TestConcurrentRetimeThroughServerRace(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				// Alternate the invariant checker so checked solves (one
-				// dense ComputeWD cross-check each) interleave in-process
-				// with plain ones.
+				// Alternate the invariant checker so checked solves (the
+				// internal/check invariants after every pass) interleave
+				// in-process with plain ones.
 				opts := JobOptions{CheckInvariants: (g+i)%2 == 0}
 				status, body := post(t, hs.URL+"/v1/retime?wait=1", retimeRequest{BLIF: in, Options: opts})
 				if status != http.StatusOK {
