@@ -91,7 +91,7 @@ func (s *cancelOnSpan) BeginSpan(name string) {
 	}
 }
 
-// Mid-run cancellation: the pipeline's pre-pass check has already passed when
+// Mid-run cancellation: the flow's pre-pass check has already passed when
 // the span begins, so the solver's own cancellation polls must catch it.
 func TestRetimeCtxCancelInsideSolverPasses(t *testing.T) {
 	for _, target := range []string{PassMinPeriod, PassMinArea, PassRelocate} {

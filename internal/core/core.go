@@ -13,10 +13,10 @@
 // and a new retiming is computed (§5.2) — the paper never needed this on its
 // benchmark set, and neither do ours, but the loop is there.
 //
-// The flow runs on the pass pipeline of internal/pass: each step is an
-// individually named, individually timed Pass, the §5.2 loop is the Retry
-// combinator, cancellation arrives through a context.Context, and structured
-// spans/counters flow into an internal/trace Sink (see pipeline.go).
+// Each step runs as an individually named, individually timed pass, the §5.2
+// loop is a plain loop around the last three, cancellation arrives through a
+// context.Context, and structured spans/counters flow into an internal/trace
+// Sink (see pipeline.go).
 package core
 
 import (
@@ -80,7 +80,7 @@ type Options struct {
 	MaxRetries int
 
 	// CheckInvariants runs the internal/check invariant checker after every
-	// pipeline pass: graph well-formedness, nonnegative retimed weights,
+	// pass of the flow: graph well-formedness, nonnegative retimed weights,
 	// class compatibility of shared register layers (Eq. 2), zero-delay
 	// separation vertices, and the claimed period. A violation aborts the
 	// flow with an error wrapping rterr.ErrInvariant. Production callers opt
@@ -94,7 +94,7 @@ type Options struct {
 	Budgets Budgets
 
 	// Trace receives the structured spans and counters of the run: one span
-	// per pipeline pass (nested under the retry combinator for steps 4-6)
+	// per pass of the flow (nested under the §5.2 loop's span for steps 4-6)
 	// and counters for classes, bounds tightened, cuts generated,
 	// justification local/global/conflict counts and flow augmentations.
 	// nil means no tracing.
@@ -156,8 +156,8 @@ func effectiveMaxRetries(o Options) int {
 	return o.MaxRetries
 }
 
-// PassTime is one pipeline pass's accumulated wall time (summed over §5.2
-// retries for the passes inside the retry combinator).
+// PassTime is one pass's accumulated wall time (summed over §5.2 retries
+// for the passes inside the re-retiming loop).
 type PassTime struct {
 	Name string
 	Wall time.Duration
@@ -186,7 +186,7 @@ type Report struct {
 	// retiming). Empty means the full-quality result.
 	Degraded []string
 
-	// PassTimes is the per-pass wall-time breakdown, in pipeline order. The
+	// PassTimes is the per-pass wall-time breakdown, in flow order. The
 	// three coarse aggregates below are sums over it and are kept for
 	// Table 2 compatibility.
 	PassTimes []PassTime

@@ -12,7 +12,7 @@ import (
 
 // checkInvariantsDefault is forced on for the whole core test binary: every
 // Retime call in these tests runs the internal/check invariant checker after
-// each pipeline pass, and every minimum period of at most
+// each pass, and every minimum period of at most
 // denseCrossCheckMaxV vertices is re-derived by the dense oracle.
 func init() {
 	checkInvariantsDefault = true

@@ -105,7 +105,7 @@ func TestEcoApplyMatchesColdPrepare(t *testing.T) {
 			// Per-period solves agree too (first candidate above the minimum).
 			var phi int64
 			for _, cand := range ecoCands {
-				if cand > eco.MinPeriod() {
+				if cand > ecoRep.PeriodAfter {
 					phi = cand
 					break
 				}

@@ -108,7 +108,8 @@ func assertMatchesDense(t *testing.T, c *netlist.Circuit, opts Options, name str
 // one, subsampled to three evenly spaced values with both ends kept.
 func sweepPeriods(t *testing.T, prep *Prepared) []int64 {
 	t.Helper()
-	if _, _, err := prep.Anchor(context.Background(), nil); err != nil {
+	_, anchorRep, err := prep.Anchor(context.Background(), nil)
+	if err != nil {
 		t.Fatal(err)
 	}
 	cands, err := prep.Candidates(context.Background())
@@ -117,7 +118,7 @@ func sweepPeriods(t *testing.T, prep *Prepared) []int64 {
 	}
 	var above []int64
 	for _, phi := range cands {
-		if phi > prep.MinPeriod() {
+		if phi > anchorRep.PeriodAfter {
 			above = append(above, phi)
 		}
 	}

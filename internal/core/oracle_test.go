@@ -13,14 +13,14 @@ import (
 	"mcretiming/internal/mcf"
 	"mcretiming/internal/netlist"
 	"mcretiming/internal/oracle"
-	"mcretiming/internal/pass"
 	"mcretiming/internal/rterr"
+	"mcretiming/internal/trace"
 )
 
 // The flow has one production solve core (runMinPeriod/runMinArea: the
 // warm-started lazy search and the cutting-plane minarea loop). The oracles
 // below swap that core for reference solvers — the cold-probe lazy search
-// and the dense engines of internal/oracle — and reuse every other pass of
+// and the dense engines of internal/oracle — and reuse every other step of
 // the flow verbatim, so any divergence they find localizes to the
 // period/area solvers.
 
@@ -87,38 +87,30 @@ func (o refCore) String() string {
 
 // retimeOracle is Retime with the solve core of steps 4-5 replaced by the
 // reference path o. Steps 1-3, relocation, the §5.2 retry loop and the
-// invariant checker are the production passes.
+// invariant checker are the production code.
 func retimeOracle(c *netlist.Circuit, opts Options, o refCore) (*netlist.Circuit, *Report, error) {
-	pc := startFlow(context.Background(), c, opts)
+	ctx := traced(context.Background(), opts.Trace)
+	s := &flowState{in: c, opts: opts, rep: &Report{}, pool: &graph.CutPool{}}
+	if err := s.prepare(ctx); err != nil {
+		return nil, nil, err
+	}
 	minPeriod, minArea := runMinPeriod, runMinArea
-	p := preparePasses()
 	switch o {
 	case oracleCold:
-		p = append(p, pass.Pass[flowState]{Name: "cold-probes", Run: func(pc *pass.Context[flowState]) error {
-			pc.State.lad = nil
-			return nil
-		}})
+		s.lad = nil
 	case oracleDense:
 		minPeriod, minArea = runMinPeriodDense, runMinAreaDense
 	}
-	p = append(p, pass.Retry(PassRetry, effectiveMaxRetries(opts),
-		pass.Pipeline[flowState]{
-			checked(pass.Pass[flowState]{Name: PassMinPeriod, Run: minPeriod}),
-			checked(pass.Pass[flowState]{Name: PassMinArea, Run: minArea}),
-			checked(pass.Pass[flowState]{Name: PassRelocate, Run: runRelocate}),
-		},
-		recoverJustifyConflict))
-	if err := p.Run(pc); err != nil {
+	if err := s.solve(ctx, minPeriod, minArea); err != nil {
 		return nil, nil, err
 	}
-	return pc.State.out, pc.State.rep, nil
+	return s.out, s.rep, nil
 }
 
 // runMinPeriodDense is step 4 on the dense reference: W/D of the solver
 // graph, candidate binary search, full period-constraint enumeration.
-func runMinPeriodDense(pc *pass.Context[flowState]) error {
-	s := pc.State
-	wd, err := oracle.ComputeWD(pc.Ctx(), s.g)
+func runMinPeriodDense(ctx context.Context, s *flowState) error {
+	wd, err := oracle.ComputeWD(ctx, s.g)
 	if err != nil {
 		return err
 	}
@@ -144,24 +136,23 @@ func runMinPeriodDense(pc *pass.Context[flowState]) error {
 // runMinAreaDense is step 5 on the dense reference, degrading to the
 // feasible minperiod retiming on an infeasible flow exactly as runMinArea
 // does.
-func runMinAreaDense(pc *pass.Context[flowState]) error {
-	s := pc.State
+func runMinAreaDense(ctx context.Context, s *flowState) error {
 	if s.opts.Objective == MinPeriod {
 		return nil
 	}
-	wd, err := oracle.ComputeWD(pc.Ctx(), s.g)
+	wd, err := oracle.ComputeWD(ctx, s.g)
 	if err != nil {
 		return err
 	}
 	r, err := oracle.MinAreaDense(s.g, wd, s.phi, s.bounds)
 	if err != nil {
-		if pc.Err() != nil {
+		if ctx.Err() != nil {
 			return err
 		}
 		if errors.Is(err, mcf.ErrInfeasible) {
 			s.rep.Degraded = append(s.rep.Degraded,
 				fmt.Sprintf("minarea at period %d: %v; keeping the feasible minperiod retiming", s.phi, err))
-			pc.Sink.Add("minarea-degraded", 1)
+			trace.From(ctx).Add("minarea-degraded", 1)
 			return nil
 		}
 		return err

@@ -4,22 +4,23 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime/debug"
 	"time"
 
 	"mcretiming/internal/check"
+	"mcretiming/internal/failpoint"
 	"mcretiming/internal/graph"
 	"mcretiming/internal/justify"
 	"mcretiming/internal/mcf"
 	"mcretiming/internal/mcgraph"
 	"mcretiming/internal/netlist"
-	"mcretiming/internal/pass"
 	"mcretiming/internal/retime"
 	"mcretiming/internal/rterr"
 	"mcretiming/internal/trace"
 )
 
-// Pass names: the six steps of paper §5 plus the §5.2 retry combinator
-// wrapping steps 4-6. These are the span names a trace sink sees and the
+// Pass names: the six steps of paper §5 plus the §5.2 re-retiming loop
+// around steps 4-6. These are the span names a trace sink sees and the
 // keys of Report.PassTimes.
 const (
 	PassBuild     = "build-mcgraph" // step 1: circuit -> mc-graph, classes
@@ -31,7 +32,7 @@ const (
 	PassRetry     = "solve+implement"
 )
 
-// flowState is the shared state the pipeline passes read and mutate.
+// flowState is the shared state the flow's steps read and mutate.
 type flowState struct {
 	in   *netlist.Circuit
 	opts Options
@@ -49,87 +50,137 @@ type flowState struct {
 	phi int64   // achieved/target period of r
 
 	out *netlist.Circuit
+
+	trail []string // names of the passes currently running, outermost first
 }
 
 // RetimeCtx is Retime with cancellation: ctx aborts the long-running solver
 // loops (lazy cut generation, min-cost-flow augmentation, justification)
 // promptly with the context's error, leaving c unmodified.
 func RetimeCtx(ctx context.Context, c *netlist.Circuit, opts Options) (*netlist.Circuit, *Report, error) {
-	pc := startFlow(ctx, c, opts)
-	if err := pipeline(opts).Run(pc); err != nil {
+	ctx = traced(ctx, opts.Trace)
+	s := &flowState{in: c, opts: opts, rep: &Report{}, pool: &graph.CutPool{}}
+	if err := s.prepare(ctx); err != nil {
 		return nil, nil, err
 	}
-	return pc.State.out, pc.State.rep, nil
+	if err := s.solve(ctx, runMinPeriod, runMinArea); err != nil {
+		return nil, nil, err
+	}
+	return s.out, s.rep, nil
 }
 
-// startFlow builds a fresh flow state for c under opts and the pass context
-// that runs the pipeline over it: trace sink and per-pass wall times folded
-// into the report.
-func startFlow(ctx context.Context, c *netlist.Circuit, opts Options) *pass.Context[flowState] {
+// traced returns ctx (context.Background when nil) carrying sink, from which
+// every step and solver loop of the flow reads it with trace.From. A nil sink
+// means no tracing.
+func traced(ctx context.Context, sink trace.Sink) context.Context {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	sink := opts.Trace
-	if sink == nil {
-		sink = trace.Nop()
+	return trace.With(ctx, sink)
+}
+
+// stepFunc is one step of the flow over its shared state.
+type stepFunc func(ctx context.Context, s *flowState) error
+
+// prepare is the model half of the flow: steps 1-3 of §5.
+func (s *flowState) prepare(ctx context.Context) error {
+	if err := s.run(ctx, PassBuild, runBuild); err != nil {
+		return err
 	}
-	st := &flowState{in: c, opts: opts, rep: &Report{}, pool: &graph.CutPool{}}
-	pc := pass.NewContext(trace.With(ctx, sink), sink, st)
-	pc.Observe = st.observe
-	return pc
-}
-
-// pipeline assembles the retiming flow for opts: steps 1-3, then the §5.2
-// retry combinator around steps 4-6. Every pass is wrapped by the invariant
-// checker, active when opts enables it.
-//
-// The two halves are split out so the exploration sweep (prepared.go) can run
-// the model half once per circuit and the solve half once per target period,
-// with the guarantee that both halves are literally the passes Retime runs.
-func pipeline(opts Options) pass.Pipeline[flowState] {
-	return append(preparePasses(), solvePasses(opts)...)
-}
-
-// preparePasses is the model half of the flow: steps 1-3 of §5.
-func preparePasses() pass.Pipeline[flowState] {
-	return pass.Pipeline[flowState]{
-		checked(pass.Pass[flowState]{Name: PassBuild, Run: runBuild}),
-		checked(pass.Pass[flowState]{Name: PassBounds, Run: runBounds}),
-		checked(pass.Pass[flowState]{Name: PassShare, Run: runShare}),
+	if err := s.run(ctx, PassBounds, runBounds); err != nil {
+		return err
 	}
+	return s.run(ctx, PassShare, runShare)
 }
 
-// solvePasses is the solve+implement half of the flow: steps 4-6 of §5 under
-// the §5.2 re-retiming combinator.
-func solvePasses(opts Options) pass.Pipeline[flowState] {
-	return pass.Pipeline[flowState]{
-		pass.Retry(PassRetry, effectiveMaxRetries(opts),
-			pass.Pipeline[flowState]{
-				checked(pass.Pass[flowState]{Name: PassMinPeriod, Run: runMinPeriod}),
-				checked(pass.Pass[flowState]{Name: PassMinArea, Run: runMinArea}),
-				checked(pass.Pass[flowState]{Name: PassRelocate, Run: runRelocate}),
-			},
-			recoverJustifyConflict),
+// solve is the solve+implement half of the flow: steps 4-6 of §5, with
+// minPeriod and minArea as steps 4 and 5 (the oracle tests pass reference
+// solvers), inside the §5.2 re-retiming loop. When relocation fails with an
+// error recoverJustifyConflict repairs, the three steps run again, at most
+// effectiveMaxRetries times. Cancellation is never retried.
+func (s *flowState) solve(ctx context.Context, minPeriod, minArea stepFunc) error {
+	return s.run(ctx, PassRetry, func(ctx context.Context, _ *flowState) error {
+		for retries := 0; ; retries++ {
+			err := s.run(ctx, PassMinPeriod, minPeriod)
+			if err == nil {
+				err = s.run(ctx, PassMinArea, minArea)
+			}
+			if err == nil {
+				err = s.run(ctx, PassRelocate, runRelocate)
+			}
+			if err == nil || ctx.Err() != nil || retries >= effectiveMaxRetries(s.opts) ||
+				!s.recoverJustifyConflict(ctx, err) {
+				return err
+			}
+		}
+	})
+}
+
+// run executes step as the pass called name. A cancelled ctx stops the flow
+// before the pass starts. The pass runs inside its own trace span and the
+// "pass.<name>" failpoint; a crash is recovered into a PanicError; after a
+// successful step the invariants of internal/check run when
+// Options.CheckInvariants (or the test binary) asks for them; and the pass's
+// wall time is folded into the report.
+func (s *flowState) run(ctx context.Context, name string, step stepFunc) (err error) {
+	if err := ctx.Err(); err != nil {
+		return err
 	}
-}
-
-// checked wraps a pass so the invariant checker of internal/check runs after
-// a successful execution when Options.CheckInvariants asks for it.
-func checked(p pass.Pass[flowState]) pass.Pass[flowState] {
-	return pass.Pass[flowState]{Name: p.Name, Run: func(pc *pass.Context[flowState]) error {
-		if err := p.Run(pc); err != nil {
-			return err
+	sink := trace.From(ctx)
+	sink.BeginSpan(name)
+	s.trail = append(s.trail, name)
+	start := time.Now()
+	defer func() {
+		if r := recover(); r != nil {
+			err = &PanicError{
+				Pass:  name,
+				Trail: append([]string(nil), s.trail...),
+				Value: r,
+				Stack: debug.Stack(),
+			}
 		}
-		s := pc.State
-		if !s.opts.checksEnabled() {
-			return nil
-		}
-		if err := s.checkAfter(p.Name); err != nil {
-			return fmt.Errorf("core: after pass %s: %w", p.Name, err)
-		}
+		s.trail = s.trail[:len(s.trail)-1]
+		sink.EndSpan()
+		s.observe(name, time.Since(start))
+	}()
+	// Chaos hook: "pass.<name>" fires inside the span and inside the panic
+	// recovery above, so an injected crash surfaces as the same PanicError a
+	// real one would.
+	if err := failpoint.Inject(ctx, "pass."+name); err != nil {
+		return err
+	}
+	if err := step(ctx, s); err != nil {
+		return err
+	}
+	if !s.opts.checksEnabled() {
 		return nil
-	}}
+	}
+	if err := s.checkAfter(name); err != nil {
+		return fmt.Errorf("core: after pass %s: %w", name, err)
+	}
+	return nil
 }
+
+// PanicError is the error a crashing pass is converted into at its run
+// boundary: instead of taking the process down, the crash surfaces as a
+// diagnosable error carrying the pass name, the span trail leading to it,
+// the recovered value, and the goroutine stack at the crash site.
+//
+// It wraps rterr.ErrInternal, so errors.Is(err, rterr.ErrInternal) detects
+// engine crashes without depending on this package.
+type PanicError struct {
+	Pass  string   // the pass that crashed
+	Trail []string // pass names on the stack, outermost first
+	Value any      // the recovered value
+	Stack []byte   // debug.Stack() captured at recovery
+}
+
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("pass %q crashed (trail %v): %v", e.Pass, e.Trail, e.Value)
+}
+
+// Unwrap ties pass crashes into the error taxonomy.
+func (e *PanicError) Unwrap() error { return rterr.ErrInternal }
 
 // checkAfter runs the invariants that are meaningful once the named pass has
 // produced its part of the flow state.
@@ -154,8 +205,8 @@ func (s *flowState) checkAfter(name string) error {
 }
 
 // observe folds per-pass wall times into the report: the named breakdown
-// plus the coarse Table 2 aggregates. Combinator wrappers are skipped — their
-// children already account for the time.
+// plus the coarse Table 2 aggregates. The solve+implement loop is skipped:
+// its steps already account for the time.
 func (s *flowState) observe(name string, wall time.Duration) {
 	switch name {
 	case PassBuild, PassBounds, PassShare:
@@ -177,8 +228,7 @@ func (s *flowState) observe(name string, wall time.Duration) {
 }
 
 // runBuild is step 1: the mc-graph and the register classes.
-func runBuild(pc *pass.Context[flowState]) error {
-	s := pc.State
+func runBuild(ctx context.Context, s *flowState) error {
 	m, err := mcgraph.Build(s.in)
 	if err != nil {
 		return err
@@ -187,33 +237,31 @@ func runBuild(pc *pass.Context[flowState]) error {
 	s.rep.NumClasses = len(m.Classes)
 	s.rep.ClassTable = m.ClassSummary()
 	s.rep.RegsBefore = s.in.NumRegs()
-	pc.Sink.Add("classes", int64(len(m.Classes)))
+	trace.From(ctx).Add("classes", int64(len(m.Classes)))
 	return nil
 }
 
 // runBounds is step 2: per-vertex retiming bounds by maximal backward and
 // forward retiming.
-func runBounds(pc *pass.Context[flowState]) error {
-	s := pc.State
-	info, err := s.m.ComputeBoundsCtx(pc.Ctx())
+func runBounds(ctx context.Context, s *flowState) error {
+	info, err := s.m.ComputeBoundsCtx(ctx)
 	if err != nil {
 		return err
 	}
 	s.info = info
 	s.rep.StepsPossible = s.info.StepsPossible
-	pc.Sink.Add("steps-possible", s.info.StepsPossible)
+	trace.From(ctx).Add("steps-possible", s.info.StepsPossible)
 	return nil
 }
 
 // runShare is step 3: the sharing modification (§4.2 separation vertices)
 // and the basic-retiming solver graph, plus the baseline period.
-func runShare(pc *pass.Context[flowState]) error {
-	s := pc.State
+func runShare(ctx context.Context, s *flowState) error {
 	if s.opts.DisableSharing {
 		s.g = s.m.ToGraph()
 		s.bounds = s.info.GraphBounds(s.m)
 	} else {
-		g, bounds, err := s.m.AreaGraph(pc.Ctx(), s.info)
+		g, bounds, err := s.m.AreaGraph(ctx, s.info)
 		if err != nil {
 			return err
 		}
@@ -249,22 +297,21 @@ var minPeriodCrossCheck func(ctx context.Context, g *graph.Graph, b *graph.Bound
 // runMinPeriod is step 4: the minimum feasible clock period under the
 // bounds — or, for MinAreaAtPeriod, the feasibility probe of the target —
 // by the warm-started lazy search.
-func runMinPeriod(pc *pass.Context[flowState]) error {
-	s := pc.State
+func runMinPeriod(ctx context.Context, s *flowState) error {
 	switch s.opts.Objective {
 	case MinPeriod, MinAreaAtMinPeriod:
-		phi, r, err := s.g.MinPeriodLazy(pc.Ctx(), s.bounds, s.pool, s.lad)
+		phi, r, err := s.g.MinPeriodLazy(ctx, s.bounds, s.pool, s.lad)
 		if err != nil {
 			return err
 		}
 		s.phi, s.r = phi, r
 		if s.opts.checksEnabled() && minPeriodCrossCheck != nil {
-			if err := minPeriodCrossCheck(pc.Ctx(), s.g, s.bounds, phi); err != nil {
+			if err := minPeriodCrossCheck(ctx, s.g, s.bounds, phi); err != nil {
 				return fmt.Errorf("core: min period cross-check: %w", err)
 			}
 		}
 	case MinAreaAtPeriod:
-		r, ok, err := s.g.FeasibleLazy(pc.Ctx(), s.opts.TargetPeriod, s.bounds, s.pool, s.lad)
+		r, ok, err := s.g.FeasibleLazy(ctx, s.opts.TargetPeriod, s.bounds, s.pool, s.lad)
 		if err != nil {
 			return err
 		}
@@ -285,8 +332,7 @@ func runMinPeriod(pc *pass.Context[flowState]) error {
 // or the min-cost-flow dual fails, the pass degrades to the feasible
 // minperiod retiming of step 4 and records the downgrade in Report.Degraded
 // instead of failing the whole flow.
-func runMinArea(pc *pass.Context[flowState]) error {
-	s := pc.State
+func runMinArea(ctx context.Context, s *flowState) error {
 	if s.opts.Objective == MinPeriod {
 		return nil
 	}
@@ -294,15 +340,15 @@ func runMinArea(pc *pass.Context[flowState]) error {
 		MaxRounds:         s.opts.Budgets.MinAreaRounds,
 		FlowAugmentations: s.opts.Budgets.FlowAugmentations,
 	}
-	r, err := retime.MinAreaLazy(pc.Ctx(), s.g, s.phi, s.bounds, s.pool, lim)
+	r, err := retime.MinAreaLazy(ctx, s.g, s.phi, s.bounds, s.pool, lim)
 	if err != nil {
-		if pc.Err() != nil {
+		if ctx.Err() != nil {
 			return err
 		}
 		if errors.Is(err, rterr.ErrBudgetExceeded) || errors.Is(err, mcf.ErrInfeasible) {
 			s.rep.Degraded = append(s.rep.Degraded,
 				fmt.Sprintf("minarea at period %d: %v; keeping the feasible minperiod retiming", s.phi, err))
-			pc.Sink.Add("minarea-degraded", 1)
+			trace.From(ctx).Add("minarea-degraded", 1)
 			return nil // s.r still holds step 4's feasible retiming
 		}
 		return err
@@ -313,8 +359,7 @@ func runMinArea(pc *pass.Context[flowState]) error {
 
 // runRelocate is step 6: implement the retiming on a clone of the mc-graph,
 // computing equivalent reset states move by move, and rebuild the circuit.
-func runRelocate(pc *pass.Context[flowState]) error {
-	s := pc.State
+func runRelocate(ctx context.Context, s *flowState) error {
 	work := s.m.Clone()
 	var hooks mcgraph.Hooks
 	var j *justify.Justifier
@@ -322,7 +367,7 @@ func runRelocate(pc *pass.Context[flowState]) error {
 		hooks = mcgraph.NaiveHooks{}
 	} else {
 		j = justify.New(work)
-		j.Ctx = pc.Ctx()
+		j.Ctx = ctx
 		j.BDDNodes = s.opts.Budgets.BDDNodes
 		j.SATConflicts = s.opts.Budgets.SATConflicts
 		hooks = j
@@ -330,11 +375,12 @@ func runRelocate(pc *pass.Context[flowState]) error {
 	stats, err := work.Relocate(s.r, hooks)
 	if j != nil {
 		// Counters accumulate across retries; the Report keeps the final
-		// attempt's totals, as before the pipeline refactor.
-		pc.Sink.Add("justify-local", int64(j.Stats.LocalSteps))
-		pc.Sink.Add("justify-global", int64(j.Stats.GlobalSteps))
-		pc.Sink.Add("justify-conflicts", int64(j.Stats.Conflicts))
-		pc.Sink.Add("justify-escalations", int64(j.Stats.Escalations))
+		// attempt's totals.
+		sink := trace.From(ctx)
+		sink.Add("justify-local", int64(j.Stats.LocalSteps))
+		sink.Add("justify-global", int64(j.Stats.GlobalSteps))
+		sink.Add("justify-conflicts", int64(j.Stats.Conflicts))
+		sink.Add("justify-escalations", int64(j.Stats.Escalations))
 		s.rep.JustifyLocal = j.Stats.LocalSteps
 		s.rep.JustifyGlobal = j.Stats.GlobalSteps
 		s.rep.JustifyConflicts = j.Stats.Conflicts
@@ -362,17 +408,16 @@ func runRelocate(pc *pass.Context[flowState]) error {
 // vertices' bounds and ask for a re-solve. All conflicts of a pass are
 // harvested at once, so a handful of retries suffices. The pooled period
 // cuts stay valid — only the bounds changed.
-func recoverJustifyConflict(pc *pass.Context[flowState], err error) bool {
+func (s *flowState) recoverJustifyConflict(ctx context.Context, err error) bool {
 	var je *mcgraph.ErrJustify
 	if !errors.As(err, &je) {
 		return false
 	}
-	s := pc.State
 	s.rep.Retries++
 	for _, cf := range je.Conflicts {
 		if cf.Achieved < s.bounds.Max[cf.V] {
 			s.bounds.Max[cf.V] = cf.Achieved
-			pc.Sink.Add("bounds-tightened", 1)
+			trace.From(ctx).Add("bounds-tightened", 1)
 		}
 	}
 	return true

@@ -6,8 +6,8 @@ package core
 // half (steps 1-3: mc-graph, bounds, sharing) once, then the solve half
 // (steps 4-6) once per period — concurrently, against shared read-only state.
 //
-// Prepare runs exactly the passes Retime runs for steps 1-3 and freezes the
-// result. From it:
+// Prepare runs exactly the steps 1-3 Retime runs (flowState.prepare) and
+// freezes the result. From it:
 //
 //   - Anchor runs steps 4-6 with the MinAreaAtMinPeriod objective on the
 //     prepared state, using an empty cut pool and the pristine bounds — the
@@ -35,7 +35,6 @@ import (
 
 	"mcretiming/internal/graph"
 	"mcretiming/internal/netlist"
-	"mcretiming/internal/pass"
 	"mcretiming/internal/trace"
 )
 
@@ -49,11 +48,12 @@ type Prepared struct {
 	st      *flowState // frozen post-share state; never mutated after Prepare
 	baseRep Report     // report fields of steps 1-3
 
-	anchorOnce sync.Once
-	anchorOut  *netlist.Circuit
-	anchorRep  *Report
-	anchorErr  error
-	seed       []graph.Cut // cut-pool snapshot taken after the anchor solve
+	// anchorMu guards the memoized anchor: anchorOut, anchorRep and seed are
+	// set together, once, by the first anchor solve that succeeds.
+	anchorMu  sync.Mutex
+	anchorOut *netlist.Circuit
+	anchorRep *Report
+	seed      []graph.Cut // cut-pool snapshot taken after the anchor solve
 
 	// ladderSlot is a single-slot pool of probe ladders (warm SPFA state,
 	// see graph.ProbeLadder). A solve takes the slot's ladder — or a fresh one
@@ -82,11 +82,10 @@ func (p *Prepared) putLadder(lad *graph.ProbeLadder) { p.ladderSlot.Store(lad) }
 // opts is the option set every subsequent solve inherits (SolveAtPeriod
 // overrides the objective and target period per call).
 func Prepare(ctx context.Context, c *netlist.Circuit, opts Options) (*Prepared, error) {
-	pc := startFlow(ctx, c, opts)
-	if err := preparePasses().Run(pc); err != nil {
+	st := &flowState{in: c, opts: opts, rep: &Report{}, pool: &graph.CutPool{}}
+	if err := st.prepare(traced(ctx, opts.Trace)); err != nil {
 		return nil, err
 	}
-	st := pc.State
 	return &Prepared{
 		in:      c,
 		opts:    opts,
@@ -95,15 +94,16 @@ func Prepare(ctx context.Context, c *netlist.Circuit, opts Options) (*Prepared, 
 	}, nil
 }
 
-// solveState builds a private flow state for one solve over the prepared
-// model: shared immutable artifacts (mc-graph, bounds info, solver graph),
-// private mutable ones (bounds clone, pool, probe ladder, report). The caller
-// returns lad to the slot when the solve is done.
-func (p *Prepared) solveState(opts Options, pool *graph.CutPool) *flowState {
+// solve runs the solve half (steps 4-6 under the §5.2 retry loop) for opts
+// on a private flow state over the prepared model: shared immutable
+// artifacts (mc-graph, bounds info, solver graph), private mutable ones
+// (bounds clone, pool, probe ladder, report). It returns that state, whose
+// out and rep hold the result when err is nil.
+func (p *Prepared) solve(ctx context.Context, sink trace.Sink, opts Options, pool *graph.CutPool) (*flowState, error) {
 	rep := p.baseRep
 	rep.PassTimes = append([]PassTime(nil), p.baseRep.PassTimes...)
 	rep.Degraded = append([]string(nil), p.baseRep.Degraded...)
-	return &flowState{
+	st := &flowState{
 		in:     p.in,
 		opts:   opts,
 		rep:    &rep,
@@ -114,61 +114,40 @@ func (p *Prepared) solveState(opts Options, pool *graph.CutPool) *flowState {
 		pool:   pool,
 		lad:    p.takeLadder(),
 	}
+	err := st.solve(traced(ctx, sink), runMinPeriod, runMinArea)
+	p.putLadder(st.lad)
+	return st, err
 }
 
-// runSolve executes the solve half (steps 4-6 under the §5.2 retry loop) on
-// st and returns the retimed circuit with its report.
-func runSolve(ctx context.Context, sink trace.Sink, st *flowState) (*netlist.Circuit, *Report, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if sink == nil {
-		sink = trace.Nop()
-	}
-	pc := pass.NewContext(trace.With(ctx, sink), sink, st)
-	pc.Observe = st.observe
-	if err := solvePasses(st.opts).Run(pc); err != nil {
-		return nil, nil, err
-	}
-	return st.out, st.rep, nil
-}
-
-// Anchor runs (once) the MinAreaAtMinPeriod solve on the prepared state and
-// returns its circuit and report; later calls return the memoized result.
-// This is the sweep's φ* endpoint, and its inputs — the pristine post-share
-// bounds and an empty cut pool — are exactly what Retime's solve
-// half would see, so the output is bit-for-bit the single-point
-// Retime(MinAreaAtMinPeriod) result.
+// Anchor runs the MinAreaAtMinPeriod solve on the prepared state and returns
+// its circuit and report; once a call succeeds, later calls return its
+// memoized result. This is the sweep's φ* endpoint, and its inputs — the
+// pristine post-share bounds and an empty cut pool — are exactly what
+// Retime's solve half would see, so the output is bit-for-bit the
+// single-point Retime(MinAreaAtMinPeriod) result.
 //
-// The first caller's ctx and sink drive the solve. The returned report is
-// shared: callers must not mutate it.
+// The ctx and sink of the first successful call drive the solve. A failed
+// solve (cancelled, past its deadline, or failing) is not memoized: its
+// error goes to its caller and the next call solves again. Concurrent calls
+// wait for the one solving. The returned report is shared: callers must not
+// mutate it.
 func (p *Prepared) Anchor(ctx context.Context, sink trace.Sink) (*netlist.Circuit, *Report, error) {
-	p.anchorOnce.Do(func() {
+	p.anchorMu.Lock()
+	defer p.anchorMu.Unlock()
+	if p.anchorOut == nil {
 		opts := p.opts
 		opts.Objective = MinAreaAtMinPeriod
-		st := p.solveState(opts, &graph.CutPool{})
-		out, rep, err := runSolve(ctx, sink, st)
-		p.putLadder(st.lad)
+		st, err := p.solve(ctx, sink, opts, &graph.CutPool{})
 		if err != nil {
-			p.anchorErr = err
-			return
+			return nil, nil, err
 		}
-		p.anchorOut, p.anchorRep = out, rep
+		p.anchorOut, p.anchorRep = st.out, st.rep
 		// The anchor's cuts seed every per-period solve: a period cut is a
 		// property of a graph path, so it stays valid under any bounds and any
 		// target period (ForPeriod filters by path delay).
 		p.seed = st.pool.Snapshot()
-	})
-	return p.anchorOut, p.anchorRep, p.anchorErr
-}
-
-// MinPeriod returns the minimum feasible clock period found by the anchor
-// solve (0 before Anchor has run).
-func (p *Prepared) MinPeriod() int64 {
-	if p.anchorRep == nil {
-		return 0
 	}
-	return p.anchorRep.PeriodAfter
+	return p.anchorOut, p.anchorRep, nil
 }
 
 // BaselinePeriod returns the circuit's clock period before retiming.
@@ -194,8 +173,8 @@ func (p *Prepared) Candidates(ctx context.Context) ([]int64, error) {
 // state and returns the retimed circuit and report. Safe to call from many
 // goroutines at once: each call clones the pristine bounds and seeds a
 // private cut pool from the anchor snapshot (the sweep parallelizes across
-// points). The first call triggers the anchor solve if it has not run yet, so
-// every point benefits from the seed cuts.
+// points). A call triggers the anchor solve if no Anchor call has succeeded
+// yet, so every point benefits from the seed cuts.
 //
 // The result is deterministic per phi — independent of sweep parallelism and
 // of which other periods are being solved — because no mutable state is
@@ -207,9 +186,11 @@ func (p *Prepared) SolveAtPeriod(ctx context.Context, phi int64, sink trace.Sink
 	opts := p.opts
 	opts.Objective = MinAreaAtPeriod
 	opts.TargetPeriod = phi
-	pool := graph.NewCutPool(append([]graph.Cut(nil), p.seed...))
-	st := p.solveState(opts, pool)
-	out, rep, err := runSolve(ctx, sink, st)
-	p.putLadder(st.lad)
-	return out, rep, err
+	// A successful Anchor set p.seed under anchorMu before returning, and it
+	// is never written again.
+	st, err := p.solve(ctx, sink, opts, graph.NewCutPool(append([]graph.Cut(nil), p.seed...)))
+	if err != nil {
+		return nil, nil, err
+	}
+	return st.out, st.rep, nil
 }

@@ -2,10 +2,13 @@ package core
 
 import (
 	"context"
+	"errors"
+	"sync"
 	"testing"
 
 	"mcretiming/internal/gen"
 	"mcretiming/internal/netlist"
+	"mcretiming/internal/rterr"
 	"mcretiming/internal/xc4000"
 )
 
@@ -54,9 +57,6 @@ func TestPreparedAnchorMatchesRetime(t *testing.T) {
 				rep.NumClasses != refRep.NumClasses {
 				t.Fatalf("anchor report diverged: %+v vs %+v", rep, refRep)
 			}
-			if prep.MinPeriod() != refRep.PeriodAfter {
-				t.Fatalf("MinPeriod = %d, want %d", prep.MinPeriod(), refRep.PeriodAfter)
-			}
 			if prep.BaselinePeriod() != refRep.PeriodBefore || prep.RegsBefore() != refRep.RegsBefore {
 				t.Fatalf("baseline (%d, %d) disagrees with report %+v",
 					prep.BaselinePeriod(), prep.RegsBefore(), refRep)
@@ -86,12 +86,13 @@ func TestPreparedMinPeriodMatchesRetime(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := prep.Anchor(context.Background(), nil); err != nil {
+		_, rep, err := prep.Anchor(context.Background(), nil)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if prep.MinPeriod() != mpRep.PeriodAfter {
+		if rep.PeriodAfter != mpRep.PeriodAfter {
 			t.Fatalf("%s: anchor min period %d, MinPeriod objective found %d",
-				c.Name, prep.MinPeriod(), mpRep.PeriodAfter)
+				c.Name, rep.PeriodAfter, mpRep.PeriodAfter)
 		}
 	}
 }
@@ -113,18 +114,19 @@ func TestPreparedSolveAtPeriodDeterministic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, _, err := prep.Anchor(ctx, nil); err != nil {
+			_, anchorRep, err := prep.Anchor(ctx, nil)
+			if err != nil {
 				t.Fatal(err)
 			}
 			var phi int64
 			for _, cand := range cands {
-				if cand > prep.MinPeriod() {
+				if cand > anchorRep.PeriodAfter {
 					phi = cand
 					break
 				}
 			}
 			if phi == 0 {
-				t.Skipf("no candidate period above the minimum (%d)", prep.MinPeriod())
+				t.Skipf("no candidate period above the minimum (%d)", anchorRep.PeriodAfter)
 			}
 			out, rep, err := prep.SolveAtPeriod(ctx, phi, nil)
 			if err != nil {
@@ -166,10 +168,113 @@ func TestPreparedInfeasiblePeriod(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := prep.Anchor(ctx, nil); err != nil {
+	_, rep, err := prep.Anchor(ctx, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := prep.SolveAtPeriod(ctx, prep.MinPeriod()-1, nil); err == nil {
+	if _, _, err := prep.SolveAtPeriod(ctx, rep.PeriodAfter-1, nil); err == nil {
 		t.Fatal("SolveAtPeriod below the minimum period succeeded")
+	}
+}
+
+// TestPreparedAnchorRetriesAfterFailure: an anchor solve that fails —
+// cancelled, or hit by a per-job failpoint — is not memoized. The next
+// Anchor solves again and matches a fresh Prepare's anchor byte for byte.
+func TestPreparedAnchorRetriesAfterFailure(t *testing.T) {
+	c := preparedTestCircuits(t)[0]
+	ctx := context.Background()
+	fresh, err := Prepare(ctx, c, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, refRep, err := fresh.Anchor(ctx, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	for _, tc := range []struct {
+		name string
+		ctx  context.Context
+		want error
+	}{
+		{"cancelled", cancelled, context.Canceled},
+		{"failpoint", withFailpoints(t, ctx, "pass.minperiod=1*error(internal)"), rterr.ErrInternal},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			prep, err := Prepare(ctx, c, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := prep.SolveAtPeriod(tc.ctx, refRep.PeriodAfter, nil); !errors.Is(err, tc.want) {
+				t.Fatalf("first solve: err = %v, want %v", err, tc.want)
+			}
+			out, _, err := prep.Anchor(ctx, nil)
+			if err != nil {
+				t.Fatalf("Anchor after a failed anchor solve: %v", err)
+			}
+			if circuitText(t, out) != circuitText(t, ref) {
+				t.Fatal("re-run anchor differs from a fresh Prepare's anchor")
+			}
+		})
+	}
+}
+
+// TestPreparedConcurrentSolveAfterFailedAnchor: concurrent SolveAtPeriod
+// callers, half of them already cancelled, share one Prepared whose anchor
+// nobody has solved yet. Every live caller gets the fresh-Prepare answer,
+// whichever caller reached the anchor first.
+func TestPreparedConcurrentSolveAfterFailedAnchor(t *testing.T) {
+	c := preparedTestCircuits(t)[0]
+	ctx := context.Background()
+	fresh, err := Prepare(ctx, c, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, anchorRep, err := fresh.Anchor(ctx, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	phi := anchorRep.PeriodAfter
+	ref, _, err := fresh.SolveAtPeriod(ctx, phi, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	prep, err := Prepare(ctx, c, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	const callers = 6
+	outs := make([]*netlist.Circuit, callers)
+	errs := make([]error, callers)
+	var wg sync.WaitGroup
+	for i := range callers {
+		callCtx := ctx
+		if i%2 == 0 {
+			callCtx = cancelled
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			outs[i], _, errs[i] = prep.SolveAtPeriod(callCtx, phi, nil)
+		}()
+	}
+	wg.Wait()
+	want := circuitText(t, ref)
+	for i := range callers {
+		if i%2 == 0 {
+			if !errors.Is(errs[i], context.Canceled) {
+				t.Errorf("cancelled caller %d: err = %v, want context.Canceled", i, errs[i])
+			}
+			continue
+		}
+		if errs[i] != nil {
+			t.Errorf("live caller %d: %v", i, errs[i])
+		} else if circuitText(t, outs[i]) != want {
+			t.Errorf("live caller %d: result differs from a fresh Prepare's", i)
+		}
 	}
 }

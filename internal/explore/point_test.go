@@ -4,11 +4,15 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"reflect"
 	"sync/atomic"
 	"testing"
 
 	"mcretiming/internal/blif"
+	"mcretiming/internal/core"
+	"mcretiming/internal/failpoint"
 	"mcretiming/internal/netlist"
+	"mcretiming/internal/rterr"
 )
 
 // TestRemoteSweepBitIdentical: a sweep whose points are "forwarded" to a
@@ -93,5 +97,50 @@ func TestPointSolverPreparedReuse(t *testing.T) {
 	solve(b) // evicts a (MaxPrepared=1)
 	if len(ps.cache) != 1 || len(ps.order) != 1 {
 		t.Fatalf("cache size = %d/%d, want 1 after eviction", len(ps.cache), len(ps.order))
+	}
+}
+
+// TestPointSolverRecoversFromFailedAnchor: a forwarded run that fails inside
+// the anchor solve of a freshly cached Prepared (here a per-job failpoint)
+// must not poison that Prepared — the next run of the circuit on the same
+// PointSolver answers exactly as a fresh PointSolver does.
+func TestPointSolverRecoversFromFailedAnchor(t *testing.T) {
+	c := mappedProfile(t, 2)
+	o := Options{}.Core
+	ctx := context.Background()
+	prep, err := core.Prepare(ctx, c, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rep, err := prep.Anchor(ctx, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	phi := rep.PeriodAfter
+	var fresh PointSolver
+	want, err := fresh.Solve(ctx, c, o, phi, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	set, err := failpoint.ParseSet("pass.minperiod=1*error(internal)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fctx, release := failpoint.With(ctx, set)
+	defer release()
+	var ps PointSolver
+	if _, err := ps.Solve(fctx, c, o, phi, nil); !errors.Is(err, rterr.ErrInternal) {
+		t.Fatalf("faulted run: err = %v, want the injected ErrInternal", err)
+	}
+	if len(ps.cache) != 1 {
+		t.Fatalf("faulted run cached %d Prepared, want 1", len(ps.cache))
+	}
+	got, err := ps.Solve(ctx, c, o, phi, nil)
+	if err != nil {
+		t.Fatalf("run after a failed anchor: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("run after a failed anchor = %+v, want %+v", got, want)
 	}
 }

@@ -10,8 +10,8 @@
 //
 //   - the engine: "graph.feasible" (one lazy feasibility round),
 //     "graph.minperiod" (a minimum-period search), "justify.backward" (a
-//     backward justification), "pass.<name>" (each pipeline pass, e.g.
-//     "pass.minarea") and "server.job" (one service job);
+//     backward justification), "pass.<name>" (each pass of the retiming
+//     flow, e.g. "pass.minarea") and "server.job" (one service job);
 //   - the result store: "store.load", "store.save" and "store.remote" (a
 //     shared-store round trip);
 //   - the cluster: "cluster.heartbeat" (a worker lease beat),

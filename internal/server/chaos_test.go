@@ -56,7 +56,7 @@ func waitStatus(t *testing.T, base, id string, want JobStatus) (int, map[string]
 }
 
 // TestChaosPanicIsolation is acceptance (a): one job crashes inside a
-// pipeline pass, a concurrent job on the second worker succeeds, and the
+// flow pass, a concurrent job on the second worker succeeds, and the
 // daemon keeps serving afterwards.
 func TestChaosPanicIsolation(t *testing.T) {
 	_, hs := newTestServer(t, Config{Workers: 2, EnableFailpoints: true})
@@ -96,7 +96,7 @@ func TestChaosPanicIsolation(t *testing.T) {
 }
 
 // TestChaosWorkerPanicIsolation is the server-side variant of (a): the panic
-// fires outside the pass pipeline, in the worker's own job path, and is
+// fires outside the engine's flow, in the worker's own job path, and is
 // recovered by the worker-level recover.
 func TestChaosWorkerPanicIsolation(t *testing.T) {
 	s, hs := newTestServer(t, Config{EnableFailpoints: true})

@@ -14,8 +14,8 @@
 //     so malformed input fails fast with 400 and never occupies a worker.
 //   - Per-job deadlines: every job runs under a context deadline wired into
 //     the engine's cooperative cancellation (core.RetimeCtx).
-//   - Panic isolation: a crashing job — whether inside a pipeline pass
-//     (recovered as pass.PanicError) or anywhere else in the job path
+//   - Panic isolation: a crashing job — whether inside a flow pass
+//     (recovered as core.PanicError) or anywhere else in the job path
 //     (recovered here) — fails that one job with 500; the daemon keeps
 //     serving.
 //   - Budget retry: a job failing with rterr.ErrBudgetExceeded is re-run
@@ -680,7 +680,7 @@ func (s *Server) worker() {
 }
 
 // runJob executes one job to a terminal state. Any panic escaping the engine
-// (whose pass pipeline already converts pass crashes into pass.PanicError)
+// (whose flow already converts pass crashes into core.PanicError)
 // or thrown by the server-side job path itself is recovered here: the job
 // fails with 500/"internal", the worker survives.
 func (s *Server) runJob(job *Job, tenantID string) {
@@ -747,7 +747,7 @@ func (s *Server) execute(job *Job) error {
 	}
 	defer cancel()
 	// Worker-level chaos hook: a panic here is recovered by runJob, not by
-	// the engine's pass pipeline.
+	// the engine's flow.
 	if err := failpoint.Inject(ctx, "server.job"); err != nil {
 		return err
 	}

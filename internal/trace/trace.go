@@ -1,7 +1,7 @@
 // Package trace is the structured observability layer of the retiming flow:
 // hierarchical spans with per-span wall time and named counters, fed through
-// the Sink interface by the pass pipeline (internal/pass) and by the solver
-// inner loops (lazy period cuts, min-cost-flow augmentations, justification).
+// the Sink interface by the passes of the flow (internal/core) and by the
+// solver inner loops (lazy period cuts, min-cost-flow augmentations, justification).
 //
 // The default sink is a no-op, so uninstrumented runs pay nothing beyond an
 // interface call per event. NewRecorder collects the span tree in memory and
