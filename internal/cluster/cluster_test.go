@@ -269,6 +269,48 @@ func TestDispatchQueueFullReroutes(t *testing.T) {
 	}
 }
 
+// TestDispatchQueueFullSkipsBackoff: a shed is an immediate answer from a
+// healthy worker, so the re-route to the idle worker does not wait out the
+// backoff (an hour here); a lost worker still does.
+func TestDispatchQueueFullSkipsBackoff(t *testing.T) {
+	clk := &fakeClock{t: time.Unix(1000, 0)}
+	reg := newTestRegistry(clk)
+	busy := testWorker(t, func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusTooManyRequests)
+		_, _ = w.Write([]byte(`{"error":{"code":"queue_full","detail":"full"}}`))
+	})
+	idle := testWorker(t, okHandler("idle", nil))
+	reg.Join("busy", busy.URL)
+	reg.Join("idle", idle.URL)
+
+	hour := retry.Schedule{Base: time.Hour, Cap: time.Hour, Jitter: -1}
+	d := &Dispatcher{Registry: reg, MaxAttempts: 4, Backoff: hour}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for i := 0; i < 8; i++ {
+		_, workerID, err := d.Do(ctx, fmt.Sprintf("key-%d", i), RunRequest{Kind: KindRetime})
+		if err != nil || workerID != "idle" {
+			t.Fatalf("Do(key-%d) = worker %q, err %v", i, workerID, err)
+		}
+	}
+
+	gone := testWorker(t, okHandler("gone", nil))
+	gone.Close()
+	lossReg := newTestRegistry(clk)
+	lossReg.Join("gone", gone.URL)
+	lossReg.Join("idle", idle.URL)
+	d = &Dispatcher{Registry: lossReg, MaxAttempts: 4, Backoff: hour}
+	for i := 0; i < 8; i++ {
+		sctx, scancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+		_, _, err := d.Do(sctx, fmt.Sprintf("key-%d", i), RunRequest{Kind: KindRetime})
+		scancel()
+		if errors.Is(err, context.DeadlineExceeded) {
+			return // the re-route after the loss waited for the backoff
+		}
+	}
+	t.Fatal("no key re-routed after a lost worker (ring distribution collapsed?)")
+}
+
 // TestDispatchDefinitiveErrorPropagates: a deterministic job failure
 // (infeasible input) is surfaced, not retried elsewhere.
 func TestDispatchDefinitiveErrorPropagates(t *testing.T) {

@@ -91,8 +91,10 @@ type Dispatcher struct {
 	AttemptTimeout time.Duration
 	// MaxAttempts bounds forwards per job across workers (default 3).
 	MaxAttempts int
-	// Backoff paces re-routing attempts (default: 50ms base, 2s cap,
-	// factor 2, jitter 0.2).
+	// Backoff paces re-routing after a worker is lost, draining or crashed
+	// (default: 50ms base, 2s cap, factor 2, jitter 0.2). A worker that
+	// sheds the run because its slots are full answered at once and is
+	// healthy, so the next ring node is tried without a pause.
 	Backoff retry.Schedule
 
 	// Logf, when set, receives re-routing decisions.
@@ -128,8 +130,8 @@ func (d *Dispatcher) backoff() retry.Schedule {
 
 // Do places req on the cluster: route by key, forward, and on worker loss
 // demote the worker and re-route to the next ring node after a jittered
-// backoff. It returns the worker's response and the ID of the worker that
-// produced it.
+// backoff; a load-shedding worker (queue_full) is skipped without one. It
+// returns the worker's response and the ID of the worker that produced it.
 //
 // Errors split three ways:
 //   - ErrUnavailable: nothing healthy could take the job (or the
@@ -151,6 +153,7 @@ func (d *Dispatcher) Do(ctx context.Context, key string, req RunRequest) (*RunRe
 	// eventual ErrUnavailable explains the whole demote+re-route path rather
 	// than just the final straw.
 	var causes []string
+	pause := false // the last failure calls for a backoff before re-routing
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return nil, "", err
@@ -159,7 +162,7 @@ func (d *Dispatcher) Do(ctx context.Context, key string, req RunRequest) (*RunRe
 		if !ok {
 			break // every routable worker tried (or none exist)
 		}
-		if attempt > 0 {
+		if pause {
 			if err := backoff.Wait(ctx, attempt-1); err != nil {
 				return nil, "", err
 			}
@@ -170,6 +173,7 @@ func (d *Dispatcher) Do(ctx context.Context, key string, req RunRequest) (*RunRe
 			// Demote it and re-route to the next ring node.
 			d.Registry.Demote(w.ID)
 			skip[w.ID] = true
+			pause = true
 			causes = append(causes, fmt.Sprintf("%s: %v", w.ID, err))
 			d.logf("cluster: forward to %s failed (%v); re-routing", w.ID, err)
 			continue
@@ -177,6 +181,7 @@ func (d *Dispatcher) Do(ctx context.Context, key string, req RunRequest) (*RunRe
 		if rerr != nil {
 			if rerr.Retryable() {
 				skip[w.ID] = true
+				pause = rerr.Code != "queue_full"
 				causes = append(causes, fmt.Sprintf("%s: %v", w.ID, rerr))
 				d.logf("cluster: worker %s rejected job (%s); re-routing", w.ID, rerr.Code)
 				continue

@@ -174,9 +174,15 @@ type Report struct {
 	PeriodBefore, PeriodAfter int64 // graph clock period, ps
 	RegsBefore, RegsAfter     int
 
-	BackwardSteps, ForwardSteps                   int
+	BackwardSteps, ForwardSteps int
+	// JustifyLocal, JustifyGlobal and JustifyConflicts count the final
+	// attempt's justifications; Attempts has every attempt's.
 	JustifyLocal, JustifyGlobal, JustifyConflicts int
 	Retries                                       int
+	// Attempts records each pass of steps 4-6 that reached relocation, in
+	// order: Retries+1 entries on success, the last being the attempt the
+	// result comes from.
+	Attempts []Attempt
 	// JustifyEscalations counts global justifications whose BDD blew its
 	// node budget and were re-solved with the SAT backend.
 	JustifyEscalations int
@@ -194,6 +200,13 @@ type Report struct {
 	TimeModel  time.Duration // steps 1-3: mc-graph, classes, bounds, sharing
 	TimeSolve  time.Duration // steps 4-5: minperiod + minarea
 	TimeVerify time.Duration // step 6: relocation + reset states
+}
+
+// Attempt is one pass of steps 4-6 through the §5.2 re-retiming loop: the
+// period its retiming reached and what its relocation's justification did.
+type Attempt struct {
+	PeriodAfter                                   int64 // ps
+	JustifyLocal, JustifyGlobal, JustifyConflicts int
 }
 
 // Retime applies multiple-class retiming to c and returns the retimed

@@ -45,6 +45,9 @@ type flowState struct {
 	pool   *graph.CutPool
 
 	lad *graph.ProbeLadder // warm SPFA state of the solve session (set in runShare)
+	// area is the minarea flow of the solve session: a §5.2 retry resumes
+	// it instead of solving cold (see retime.Session).
+	area retime.Session
 
 	r   []int32 // candidate retiming over all solver vertices
 	phi int64   // achieved/target period of r
@@ -268,11 +271,12 @@ func runShare(ctx context.Context, s *flowState) error {
 		s.g, s.bounds = g, bounds
 	}
 	// The solver graph is final from here on. One probe ladder serves the
-	// whole solve session: minperiod's binary-search probes, the minarea
-	// feasibility solves, and the §5.2 retry reruns all warm-start from the
-	// last feasible labeling instead of re-seeding SPFA, and they share
-	// s.pool's cuts. The flow runs its passes sequentially, so the single
-	// ladder is safe.
+	// whole solve session: every minperiod probe after the first warm-starts
+	// from the last feasible labeling instead of re-seeding SPFA, and the
+	// probes share s.pool's cuts. A §5.2 retry tightens s.bounds in place,
+	// so boundsMatch rejects the checkpoint and the retry's first probe
+	// seeds cold: one cold start per attempt. The flow runs its passes
+	// sequentially, so the single ladder is safe.
 	s.lad = graph.NewProbeLadder()
 	if s.opts.ForwardOnly {
 		for v := range s.bounds.Max {
@@ -340,7 +344,7 @@ func runMinArea(ctx context.Context, s *flowState) error {
 		MaxRounds:         s.opts.Budgets.MinAreaRounds,
 		FlowAugmentations: s.opts.Budgets.FlowAugmentations,
 	}
-	r, err := retime.MinAreaLazy(ctx, s.g, s.phi, s.bounds, s.pool, lim)
+	r, err := s.area.MinArea(ctx, s.g, s.phi, s.bounds, s.pool, lim)
 	if err != nil {
 		if ctx.Err() != nil {
 			return err
@@ -373,9 +377,10 @@ func runRelocate(ctx context.Context, s *flowState) error {
 		hooks = j
 	}
 	stats, err := work.Relocate(s.r, hooks)
+	att := Attempt{PeriodAfter: s.phi}
 	if j != nil {
-		// Counters accumulate across retries; the Report keeps the final
-		// attempt's totals.
+		// Counters accumulate across retries; the Report's Justify fields
+		// keep the final attempt's totals, its Attempts every attempt's.
 		sink := trace.From(ctx)
 		sink.Add("justify-local", int64(j.Stats.LocalSteps))
 		sink.Add("justify-global", int64(j.Stats.GlobalSteps))
@@ -385,7 +390,9 @@ func runRelocate(ctx context.Context, s *flowState) error {
 		s.rep.JustifyGlobal = j.Stats.GlobalSteps
 		s.rep.JustifyConflicts = j.Stats.Conflicts
 		s.rep.JustifyEscalations += j.Stats.Escalations
+		att.JustifyLocal, att.JustifyGlobal, att.JustifyConflicts = j.Stats.LocalSteps, j.Stats.GlobalSteps, j.Stats.Conflicts
 	}
+	s.rep.Attempts = append(s.rep.Attempts, att)
 	if err != nil {
 		return err
 	}

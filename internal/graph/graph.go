@@ -11,6 +11,13 @@
 //     (paper §4.1 and §5.1),
 //   - minimum-period search, warm-started across probes.
 //
+// Every feasible probe returns the canonical labeling at its period — the
+// pointwise-largest retiming meeting every period constraint — whichever
+// cuts, checkpoints and critical-path tie-breaks led there, so the probe
+// ladder (warm.go) and the incremental period-cut sweep (CutSweep, which
+// re-sweeps only the vertices a round's r moved and the zero-weight cone
+// whose arrivals they change) are free to cut work without moving a result.
+//
 // The dense references — the W/D matrices themselves, FEAS, and feasibility
 // over every period constraint — live in the test-only internal/oracle
 // package.

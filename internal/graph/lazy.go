@@ -49,13 +49,11 @@ type Cut struct {
 // higher cost at infinite capacity are never on a shortest augmenting path).
 type CutPool struct {
 	cuts []Cut
-	// byPair maps an endpoint pair to the indices of its live cuts in cuts.
-	// Built lazily on the first Add.
-	byPair map[cutPair][]int32
-	dead   int // tombstoned entries in cuts (see tombstonePD)
+	// byY lists, per cut head Y, the indices of its live cuts in cuts, in
+	// insertion order; a pair's staircase is the entries with its X.
+	byY  [][]int32
+	dead int // tombstoned entries in cuts (see tombstonePD)
 }
-
-type cutPair struct{ y, x VertexID }
 
 // tombstonePD marks a cuts slot whose entry was replaced by a dominating
 // cut elsewhere in the staircase. ForPeriod, Snapshot, and Len skip it.
@@ -81,25 +79,23 @@ func (p *CutPool) Add(cuts []Cut) {
 }
 
 func (p *CutPool) addOne(c Cut) {
-	if p.byPair == nil {
-		p.byPair = make(map[cutPair][]int32)
-		for i, ex := range p.cuts {
-			if ex.PathDelay != tombstonePD {
-				k := cutPair{ex.Y, ex.X}
-				p.byPair[k] = append(p.byPair[k], int32(i))
-			}
-		}
+	if int(c.Y) >= len(p.byY) {
+		p.byY = append(p.byY, make([][]int32, int(c.Y)+1-len(p.byY))...)
 	}
-	key := cutPair{c.Y, c.X}
-	idxs := p.byPair[key]
+	idxs := p.byY[c.Y]
 	replaced := int32(-1)
 	kept := idxs[:0]
 	for _, i := range idxs {
 		ex := p.cuts[i]
+		if ex.X != c.X {
+			kept = append(kept, i)
+			continue
+		}
 		if ex.B <= c.B && ex.PathDelay >= c.PathDelay {
 			// An existing cut dominates the new one: nothing to do. No
 			// earlier survivor can have been dominated by c (that would make
-			// it dominated by ex too, contradicting the staircase invariant).
+			// it dominated by ex too, contradicting the staircase invariant),
+			// so kept still equals the scanned prefix of the list.
 			return
 		}
 		if c.B <= ex.B && c.PathDelay >= ex.PathDelay {
@@ -118,12 +114,11 @@ func (p *CutPool) addOne(c Cut) {
 		}
 		kept = append(kept, i)
 	}
-	if replaced != -1 {
-		p.byPair[key] = kept
-		return
+	if replaced == -1 {
+		p.cuts = append(p.cuts, c)
+		kept = append(kept, int32(len(p.cuts)-1))
 	}
-	p.cuts = append(p.cuts, c)
-	p.byPair[key] = append(kept, int32(len(p.cuts)-1))
+	p.byY[c.Y] = kept
 }
 
 // Len returns the number of pooled (live) cuts.
@@ -132,9 +127,18 @@ func (p *CutPool) Len() int { return len(p.cuts) - p.dead }
 // Snapshot returns a copy of the pooled cuts. A pool is not safe for
 // concurrent use; a sweep over many periods snapshots the shared pool once
 // and seeds a private pool per concurrent solve instead.
-func (p *CutPool) Snapshot() []Cut {
-	out := make([]Cut, 0, p.Len())
-	for _, c := range p.cuts {
+func (p *CutPool) Snapshot() []Cut { return p.Since(0) }
+
+// Mark returns the pool's current end in insertion order, for Since.
+func (p *CutPool) Mark() int { return len(p.cuts) }
+
+// Since returns a copy of the live cuts inserted at or after mark (a Mark
+// result), in insertion order. A cut that replaced a dominated one in place
+// took that one's older slot, so Since(mark) misses it when the slot lies
+// before mark; its looser predecessor stays a valid period constraint.
+func (p *CutPool) Since(mark int) []Cut {
+	var out []Cut
+	for _, c := range p.cuts[min(mark, len(p.cuts)):] {
 		if c.PathDelay != tombstonePD {
 			out = append(out, c)
 		}
@@ -178,106 +182,6 @@ func (g *Graph) appendBaseConstraints(cons []Constraint, bounds *Bounds) []Const
 		}
 	}
 	return cons
-}
-
-// PeriodCuts computes the period cuts violated by retiming r at period phi:
-// one per vertex whose zero-weight arrival exceeds phi, traced back along
-// the critical parent chain. Cut i belongs to the i-th violating vertex in
-// vertex order. An empty result means r achieves phi.
-func (g *Graph) PeriodCuts(r []int32, phi int64) ([]Cut, error) {
-	cs := newCutScratch(g.NumVertices())
-	cuts, _, err := g.periodCutsBuf(r, phi, &cs)
-	return cuts, err
-}
-
-// cutScratch holds the per-sweep buffers of periodCutsBuf so a probe ladder
-// can run every cutting-plane round allocation-free.
-type cutScratch struct {
-	indeg  []int32
-	delta  []int64
-	parent []VertexID
-	queue  []VertexID
-}
-
-func newCutScratch(n int) cutScratch {
-	return cutScratch{
-		indeg:  make([]int32, n),
-		delta:  make([]int64, n),
-		parent: make([]VertexID, n),
-		queue:  make([]VertexID, 0, n),
-	}
-}
-
-// periodCutsBuf is PeriodCuts inside cs's buffers, additionally returning the
-// maximum zero-weight arrival time of the sweep — the period r actually
-// achieves — so a feasible probe's caller can tighten its search without a
-// second arrival pass.
-func (g *Graph) periodCutsBuf(r []int32, phi int64, cs *cutScratch) ([]Cut, int64, error) {
-	n := g.NumVertices()
-	indeg := cs.indeg
-	for v := 0; v < n; v++ {
-		indeg[v] = 0
-	}
-	for _, e := range g.Edges {
-		if g.weight(e, r) == 0 {
-			indeg[e.To]++
-		}
-	}
-	queue := cs.queue[:0]
-	for v := 0; v < n; v++ {
-		if indeg[v] == 0 {
-			queue = append(queue, VertexID(v))
-		}
-	}
-	delta, parent := cs.delta, cs.parent
-	for v := 0; v < n; v++ {
-		delta[v] = g.Delay[v]
-		parent[v] = -1
-	}
-	done := 0
-	for len(queue) > 0 {
-		u := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		done++
-		for _, ei := range g.out[u] {
-			e := g.Edges[ei]
-			if g.weight(e, r) != 0 {
-				continue
-			}
-			if a := delta[u] + g.Delay[e.To]; a > delta[e.To] {
-				delta[e.To] = a
-				parent[e.To] = u
-			}
-			indeg[e.To]--
-			if indeg[e.To] == 0 {
-				queue = append(queue, e.To)
-			}
-		}
-	}
-	cs.queue = queue[:0] // keep grown backing for the next sweep
-	if done != n {
-		return nil, 0, fmt.Errorf("graph: zero-weight cycle under candidate retiming")
-	}
-	var maxDelta int64
-	var cuts []Cut
-	for v := 0; v < n; v++ {
-		if delta[v] > maxDelta {
-			maxDelta = delta[v]
-		}
-		if delta[v] <= phi {
-			continue
-		}
-		u := VertexID(v)
-		for parent[u] != -1 {
-			u = parent[u]
-		}
-		// Path weight w(p) = r(u) − r(v) because every edge is tight.
-		cuts = append(cuts, Cut{
-			Constraint: Constraint{Y: VertexID(v), X: u, B: r[u] - r[v] - 1},
-			PathDelay:  delta[v],
-		})
-	}
-	return cuts, maxDelta, nil
 }
 
 // FeasibleLazy decides period feasibility with lazily generated cuts,
@@ -341,11 +245,9 @@ func (g *Graph) feasibleLazyLad(ctx context.Context, phi int64, bounds *Bounds, 
 		sc = newSPFAScratch(n)
 	}
 	noteWarm(warm)
-	cut := &cutScratch{}
+	cut := &CutSweep{}
 	if lad != nil {
 		cut = &lad.cut
-	} else {
-		*cut = newCutScratch(n)
 	}
 	// abort records, for a warm probe, the constraint slice whose adjacency
 	// entries the failed probe leaves behind in the scratch, so the next
@@ -385,7 +287,7 @@ func (g *Graph) feasibleLazyLad(ctx context.Context, phi int64, bounds *Bounds, 
 		for i := range r {
 			r[i] -= h
 		}
-		cuts, maxDelta, err := g.periodCutsBuf(r, phi, cut)
+		cuts, maxDelta, err := cut.Cuts(g, r, phi)
 		if err != nil {
 			abort()
 			return nil, 0, 0, false, nil

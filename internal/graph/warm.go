@@ -49,9 +49,9 @@ type ProbeLadder struct {
 	// buffers): a clean warm probe skips the dist/parent copies and the adj
 	// rebuild — it just activates the delta cuts and keeps relaxing.
 	scClean bool
-	// cut-sweep buffers reused across periodCutsBuf rounds (allocation-free
-	// probes at scale).
-	cut cutScratch
+	// cut carries the period-cut sweep state across every cutting-plane
+	// round of every probe, so a round re-sweeps only what its r changed.
+	cut CutSweep
 
 	// Checkpoint of the last feasible probe: the canonical labeling and
 	// parent forest at quiescence, the exact constraint system it satisfies,
@@ -118,7 +118,6 @@ func (l *ProbeLadder) bind(g *Graph) {
 		l.ckDist = make([]int64, n)
 		l.ckParent = make([]int32, n)
 		l.ckParentCons = make([]int32, n)
-		l.cut = newCutScratch(n)
 		l.ckValid = false
 		l.scClean = false
 		l.dirty = nil

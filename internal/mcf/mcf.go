@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"mcretiming/internal/rterr"
 	"mcretiming/internal/trace"
@@ -56,9 +57,23 @@ type Solver struct {
 	// pi holds the node potentials of the last successful Solve (every
 	// residual arc has nonnegative reduced cost under them); nextNew is the
 	// arcRef watermark of that solve. Together they let Reoptimize absorb
-	// later-added arcs incrementally.
+	// later-added arcs incrementally. A failed Solve, Resume or Reoptimize
+	// clears pi: the flow it left behind is not optimal.
 	pi      []int64
 	nextNew int
+	// excess is the net imbalance the flow leaves at each node: all zero
+	// after a successful solve, nonzero where RemoveArc returned an arc's
+	// flow to its ends. nil reads as all zero.
+	excess []int64
+
+	// Scratch reused by every phase, repair and potential read.
+	work     flowState
+	prevNode []int32
+	prevArc  []int32
+	saved    []int64 // Reoptimize: capacities of the arcs hidden for repair
+	inQ      []bool  // residualDistances
+	queued   []int32
+	spfaQ    []int32
 }
 
 // New returns a solver over n nodes.
@@ -119,7 +134,6 @@ func (s *Solver) Solve() (int64, error) {
 // pushes. A push only creates zero-reduced-cost reverse arcs, so the
 // potentials stay valid for the next phase and for Reoptimize.
 func (s *Solver) SolveCtx(ctx context.Context) (int64, error) {
-	sink := trace.From(ctx)
 	var total int64
 	for _, b := range s.supply {
 		total += b
@@ -129,16 +143,75 @@ func (s *Solver) SolveCtx(ctx context.Context) (int64, error) {
 	}
 	pi, ok := s.residualDistances()
 	if !ok {
+		s.pi = nil
 		return 0, errors.New("mcf: negative cycle in residual network")
 	}
-	f := &flowState{
-		s:      s,
-		excess: append([]int64(nil), s.supply...),
-		pi:     pi,
-		dist:   make([]int64, s.n),
-		level:  make([]int32, s.n),
-		cur:    make([]int32, s.n),
+	s.excess = append(s.excess[:0], s.supply...)
+	return s.phases(ctx, pi)
+}
+
+// Resume re-routes the imbalance RemoveArc left behind, running the phases
+// of SolveCtx from the maintained potentials instead of a fresh
+// Bellman–Ford: removing arcs only removes residual arcs, so every reduced
+// cost stays nonnegative. The flow is then optimal for the remaining arcs, as
+// if they had been solved cold. Call only after a successful solve, with no
+// arcs added since (those go through Reoptimize afterwards). Counters,
+// cancellation and MaxAugmentations behave as in SolveCtx.
+func (s *Solver) Resume(ctx context.Context) error {
+	if s.pi == nil {
+		return errors.New("mcf: Resume before a successful Solve")
 	}
+	if s.nextNew != len(s.arcRef) {
+		return errors.New("mcf: Resume with arcs pending Reoptimize")
+	}
+	if s.excess == nil {
+		return nil
+	}
+	_, err := s.phases(ctx, s.pi)
+	return err
+}
+
+// RemoveArc deletes the arc with the given handle. The flow it carried
+// returns to its ends as imbalance — excess at the tail, deficit at the
+// head — for Resume to re-route; its handle reads zero flow from now on.
+func (s *Solver) RemoveArc(handle int) {
+	ref := s.arcRef[handle]
+	if ref[0] < 0 {
+		return
+	}
+	a := &s.adj[ref[0]][ref[1]]
+	back := &s.adj[a.to][a.rev]
+	if f := back.cap; f != 0 {
+		if s.excess == nil {
+			s.excess = make([]int64, s.n)
+		}
+		s.excess[ref[0]] += f
+		s.excess[a.to] -= f
+	}
+	a.cap, back.cap = 0, 0
+	s.arcRef[handle] = [2]int32{-1, -1}
+}
+
+// Potentials returns the node potentials of the last successful solve,
+// under which every residual arc has nonnegative reduced cost: for the
+// retiming dual, a feasible and optimal (not canonical) solution. The slice
+// is the solver's own and changes with the next solve.
+func (s *Solver) Potentials() []int64 { return s.pi }
+
+// phases routes s.excess to zero from potentials pi (valid for every
+// residual arc), one Dijkstra and one blocking flow per phase, and returns
+// the cost of the flow it pushed. On success pi becomes the solver's
+// potentials; on failure the solver has none.
+func (s *Solver) phases(ctx context.Context, pi []int64) (int64, error) {
+	sink := trace.From(ctx)
+	f := &s.work
+	f.s, f.excess, f.pi = s, s.excess, pi
+	if len(f.dist) != s.n {
+		f.dist = make([]int64, s.n)
+		f.level = make([]int32, s.n)
+		f.cur = make([]int32, s.n)
+	}
+	s.pi = nil
 	var cost int64
 	augmentations := 0
 	for {
@@ -177,8 +250,8 @@ func (s *Solver) SolveCtx(ctx context.Context) (int64, error) {
 	}
 }
 
-// flowState is the working state of one SolveCtx: node excesses and
-// potentials, plus the scratch arrays its phases reuse.
+// flowState is the working state of SolveCtx and Resume: node excesses and
+// potentials, plus the scratch arrays their phases reuse.
 type flowState struct {
 	s      *Solver
 	excess []int64
@@ -367,15 +440,21 @@ func (s *Solver) Reoptimize(ctx context.Context) error {
 		return errors.New("mcf: Reoptimize before a successful Solve")
 	}
 	sink := trace.From(ctx)
-	dist := make([]int64, s.n)
-	prevNode := make([]int32, s.n)
-	prevArc := make([]int32, s.n)
+	if len(s.prevNode) != s.n {
+		s.prevNode = make([]int32, s.n)
+		s.prevArc = make([]int32, s.n)
+	}
+	if len(s.work.dist) != s.n {
+		s.work.dist = make([]int64, s.n)
+	}
+	dist, prevNode, prevArc := s.work.dist, s.prevNode, s.prevArc
 	// Arcs are absorbed one at a time: the repair Dijkstra requires every
 	// visible residual arc to respect the potentials, so the still-pending
 	// arcs (zero flow by construction) are hidden behind cap 0 until their
 	// turn comes.
 	start := s.nextNew
-	saved := make([]int64, len(s.arcRef)-start)
+	s.saved = slices.Grow(s.saved[:0], len(s.arcRef)-start)[:len(s.arcRef)-start]
+	saved := s.saved
 	for i := start; i < len(s.arcRef); i++ {
 		ref := s.arcRef[i]
 		if ref[0] < 0 {
@@ -408,6 +487,7 @@ func (s *Solver) Reoptimize(ctx context.Context) error {
 		restore := func() {
 			a.cap = saved[s.nextNew-start] - s.adj[head][a.rev].cap
 			unhide(s.nextNew + 1)
+			s.pi = nil
 		}
 		for {
 			if err := ctx.Err(); err != nil {
@@ -483,7 +563,8 @@ func (s *Solver) repairDijkstra(src, dst int, limit int64, dist []int64, prevNod
 		prevNode[i] = -1
 	}
 	dist[src] = 0
-	h := pqMCF{{int32(src), 0}}
+	h := append(s.work.heap[:0], pqItem{int32(src), 0})
+	defer func() { s.work.heap = h[:0] }()
 	for len(h) > 0 {
 		it := h[0]
 		if it.dist >= limit {
@@ -523,16 +604,25 @@ func (s *Solver) repairDijkstra(src, dst int, limit int64, dist []int64, prevNod
 // times within one pass.
 func (s *Solver) residualDistances() ([]int64, bool) {
 	dist := make([]int64, s.n)
-	inQ := make([]bool, s.n)
-	queued := make([]int32, s.n)
-	queue := make([]int32, 0, s.n)
+	if len(s.inQ) != s.n {
+		s.inQ = make([]bool, s.n)
+		s.queued = make([]int32, s.n)
+	}
+	inQ, queued := s.inQ, s.queued
+	clear(queued)
+	queue := s.spfaQ[:0]
+	defer func() { s.spfaQ = queue[:0] }()
 	for v := 0; v < s.n; v++ {
 		queue = append(queue, int32(v))
 		inQ[v] = true
 	}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
+	for head := 0; head < len(queue); head++ {
+		if head >= s.n {
+			// Reclaim the consumed prefix so the buffer stays O(n).
+			queue = queue[:copy(queue, queue[head:])]
+			head = 0
+		}
+		u := queue[head]
 		inQ[u] = false
 		for ai := range s.adj[u] {
 			a := &s.adj[u][ai]

@@ -3,6 +3,7 @@ package mcf
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -168,6 +169,66 @@ func TestReoptimizeStaged(t *testing.T) {
 				t.Fatalf("trial %d: potentials diverge at node %d: warm %d, cold %d",
 					trial, v, warmPi[v], coldPi[v])
 			}
+		}
+	}
+}
+
+// TestResumeMatchesColdSolve removes arcs from a solved instance, re-routes
+// the flow they carried with Resume, then adds fresh arcs and reoptimizes:
+// the result must match a cold Solve over the arcs that remain, in cost and
+// bit for bit in the residual potentials.
+func TestResumeMatchesColdSolve(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for trial := 0; trial < 60; trial++ {
+		n := 6 + rng.Intn(16)
+		base, extra, supply := randReoptInstance(rng, n)
+		half := len(extra) / 2
+		all := append(append([]reoptArc(nil), base...), extra[:half]...)
+
+		warm := buildReopt(all, supply)
+		if _, err := warm.Solve(); err != nil {
+			t.Fatalf("trial %d: solve: %v", trial, err)
+		}
+		// Drop a random share of the extra arcs (the flow they carry
+		// included), keep the rest.
+		kept := append([]reoptArc(nil), base...)
+		for i, a := range extra[:half] {
+			if rng.Intn(2) == 0 {
+				warm.RemoveArc(len(base) + i)
+			} else {
+				kept = append(kept, a)
+			}
+		}
+		if err := warm.Resume(context.Background()); err != nil {
+			t.Fatalf("trial %d: resume: %v", trial, err)
+		}
+		for _, a := range extra[half:] {
+			warm.AddArc(a.y, a.x, Inf, a.cost)
+			kept = append(kept, a)
+		}
+		if err := warm.Reoptimize(context.Background()); err != nil {
+			t.Fatalf("trial %d: reoptimize: %v", trial, err)
+		}
+
+		cold := buildReopt(kept, supply)
+		coldCost, err := cold.Solve()
+		if err != nil {
+			t.Fatalf("trial %d: cold solve: %v", trial, err)
+		}
+		// Removed arcs read zero flow, so the cost sums over every handle.
+		if warmCost := arcsCost(warm, append(all, extra[half:]...)); warmCost != coldCost {
+			t.Fatalf("trial %d: resumed cost %d, cold cost %d", trial, warmCost, coldCost)
+		}
+		warmPi, err := warm.ResidualPotentials()
+		if err != nil {
+			t.Fatalf("trial %d: resumed potentials: %v", trial, err)
+		}
+		coldPi, err := cold.ResidualPotentials()
+		if err != nil {
+			t.Fatalf("trial %d: cold potentials: %v", trial, err)
+		}
+		if !slices.Equal(warmPi, coldPi) {
+			t.Fatalf("trial %d: potentials differ:\nresumed %v\ncold    %v", trial, warmPi, coldPi)
 		}
 	}
 }

@@ -20,4 +20,14 @@
 //
 // MinAreaLazy generates the period constraints lazily, as cuts; the dense
 // program that writes all of them out is the test-only oracle.MinAreaDense.
+//
+// The retiming returned is the canonical one: the largest element of the
+// optimal face of the full program, read as the shortest-path potentials of
+// the optimal residual network once they meet every period constraint. It
+// does not depend on which cuts were held or which optimal flow was found,
+// so a solve may take any route there. Intermediate cutting-plane rounds read
+// r from the flow's maintained potentials, which are optimal for the cuts
+// held but not canonical, and a Session carries the flow from one solve to
+// the next (the §5.2 retry): it drops the cuts that no longer apply,
+// re-routes their flow, and adds tightened bounds and new cuts.
 package retime

@@ -52,31 +52,93 @@ func capOf(v, def int) int {
 // min-cost-flow augmentation loop, and its error returned; rounds and
 // generated cuts bump the "minarea-rounds"/"cuts-generated" counters of any
 // trace sink it carries.
+//
+// It is one solve of a fresh Session; a flow that may solve again on the
+// same graph (the §5.2 retry) keeps a Session instead.
 func MinAreaLazy(ctx context.Context, g *graph.Graph, phi int64, bounds *graph.Bounds, pool *graph.CutPool, lim Limits) ([]int32, error) {
+	return new(Session).MinArea(ctx, g, phi, bounds, pool, lim)
+}
+
+// Session is the minarea solve state of one flow: the min-cost-flow solver
+// of its last solve, the period-cut arcs it holds with their path delays,
+// the bounds its bound arcs encode, and the cut sweep of its rounds.
+//
+// Every solve returns the same retiming whatever state it starts from: the
+// loop ends only on the canonical potentials of an optimal flow (the
+// pointwise-largest optimum of the cuts held, normalised at the host), and
+// only once they meet every period constraint at phi — which makes them the
+// largest optimum of the full problem. So a later solve on the same graph at
+// an equal or larger period, under equal lower and equal or tighter upper
+// bounds, resumes the flow: it removes the cut arcs whose path delay no
+// longer exceeds phi, re-routes the flow they carried from the kept
+// potentials (mcf.Resume), adds the tightened bound arcs and the pool cuts
+// it has not seen, and reoptimizes. Any other solve, and a resume that fails
+// short of cancellation (a blown flow budget included), starts cold.
+//
+// The zero value is ready to use. A Session is not safe for concurrent use.
+type Session struct {
+	g    *graph.Graph
+	prob *areaProblem
+	s    *mcf.Solver // nil: nothing to resume
+	phi  int64
+	// bounds is a copy of the bounds the solver's bound arcs encode.
+	bounds *graph.Bounds
+	// cuts are the solver's period-cut arcs; poolMark is the pool position
+	// up to which pool cuts have been offered to the solver.
+	cuts     []sessionCut
+	poolMark int
+	sweep    graph.CutSweep
+}
+
+type sessionCut struct {
+	handle int
+	pd     int64
+}
+
+// MinArea is MinAreaLazy on the session's state (see Session).
+func (ss *Session) MinArea(ctx context.Context, g *graph.Graph, phi int64, bounds *graph.Bounds, pool *graph.CutPool, lim Limits) ([]int32, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if pool == nil {
 		pool = &graph.CutPool{}
 	}
+	r, err := ss.minArea(ctx, g, phi, bounds, pool, lim)
+	if err != nil {
+		ss.s = nil
+	}
+	return r, err
+}
+
+func (ss *Session) minArea(ctx context.Context, g *graph.Graph, phi int64, bounds *graph.Bounds, pool *graph.CutPool, lim Limits) ([]int32, error) {
 	maxRounds := capOf(lim.MaxRounds, DefaultMaxRounds)
+	maxAug := capOf(lim.FlowAugmentations, DefaultFlowAugmentations)
 	sink := trace.From(ctx)
-	prob := buildAreaProblem(g, bounds)
-	prob.maxAug = capOf(lim.FlowAugmentations, DefaultFlowAugmentations)
-	cuts := pool.ForPeriod(phi)
-	// One flow solver lives across all cutting-plane rounds: round 0 routes
-	// the supplies cold, and every later round only grafts its fresh cut arcs
-	// onto the already optimal flow and cancels the negative residual cycles
-	// they open (mcf.Reoptimize). The canonical potentials read back are
-	// identical to a cold re-solve's — see Reoptimize — so rounds after the
-	// first cost incremental work instead of re-routing every supply unit.
-	s := prob.newSolver(cuts)
-	if _, err := s.SolveCtx(ctx); err != nil {
-		if ctx.Err() != nil {
+	// One flow solver lives across all cutting-plane rounds: the first round
+	// resumes the session's flow or routes the supplies cold, and every later
+	// round only grafts its fresh cut arcs onto the already optimal flow and
+	// cancels the negative residual cycles they open (mcf.Reoptimize).
+	resumed := false
+	if ss.resumable(g, phi, bounds) {
+		ss.s.MaxAugmentations = maxAug
+		err := ss.resume(ctx, phi, bounds, pool)
+		if err != nil && ctx.Err() != nil {
 			return nil, ctx.Err()
 		}
-		return nil, fmt.Errorf("retime: minarea (lazy, round 0) at period %d: %w", phi, err)
+		resumed = err == nil
 	}
+	if !resumed {
+		if err := ss.cold(ctx, g, phi, bounds, pool, maxAug); err != nil {
+			if ctx.Err() != nil {
+				return nil, ctx.Err()
+			}
+			return nil, fmt.Errorf("retime: minarea (lazy, round 0) at period %d: %w", phi, err)
+		}
+	}
+	// Intermediate rounds read r off the flow's maintained potentials, which
+	// satisfy every constraint held (legal, within bounds) and are optimal
+	// for them; the canonical potentials — one Bellman–Ford — are read only
+	// when a round finds no cut, and are the only r the loop returns.
 	for round := 0; ; round++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -86,13 +148,21 @@ func MinAreaLazy(ctx context.Context, g *graph.Graph, phi int64, bounds *graph.B
 				maxRounds, phi, rterr.ErrBudgetExceeded)
 		}
 		sink.Add("minarea-rounds", 1)
-		r, err := prob.retiming(g, s)
-		if err != nil {
-			return nil, fmt.Errorf("retime: minarea (lazy, round %d) at period %d: %w", round, phi, err)
+		var newCuts []graph.Cut
+		var err error
+		r, ok := potentialRetiming(g, ss.s.Potentials())
+		if ok {
+			if newCuts, _, err = ss.sweep.Cuts(g, r, phi); err != nil {
+				return nil, err
+			}
 		}
-		newCuts, err := g.PeriodCuts(r, phi)
-		if err != nil {
-			return nil, err
+		if len(newCuts) == 0 {
+			if r, err = ss.prob.retiming(g, ss.s); err != nil {
+				return nil, fmt.Errorf("retime: minarea (lazy, round %d) at period %d: %w", round, phi, err)
+			}
+			if newCuts, _, err = ss.sweep.Cuts(g, r, phi); err != nil {
+				return nil, err
+			}
 		}
 		if len(newCuts) == 0 {
 			if err := g.CheckLegal(r); err != nil {
@@ -105,11 +175,9 @@ func MinAreaLazy(ctx context.Context, g *graph.Graph, phi int64, bounds *graph.B
 		}
 		sink.Add("cuts-generated", int64(len(newCuts)))
 		pool.Add(newCuts)
-		for _, c := range newCuts {
-			cuts = append(cuts, c.Constraint)
-			s.AddArc(int(c.Y), int(c.X), mcf.Inf, int64(c.B))
-		}
-		if err := s.Reoptimize(ctx); err != nil {
+		ss.poolMark = pool.Mark()
+		ss.addCuts(newCuts)
+		if err := ss.s.Reoptimize(ctx); err != nil {
 			if ctx.Err() != nil {
 				return nil, ctx.Err()
 			}
@@ -117,9 +185,8 @@ func MinAreaLazy(ctx context.Context, g *graph.Graph, phi int64, bounds *graph.B
 				return nil, fmt.Errorf("retime: minarea (lazy, round %d) at period %d: %w", round+1, phi, err)
 			}
 			// Incremental repair ran out of budget: fall back to a cold solve
-			// over the full accumulated cut set (the pre-warm-start behavior).
-			s = prob.newSolver(cuts)
-			if _, err := s.SolveCtx(ctx); err != nil {
+			// over the full accumulated cut set (the pool holds every cut).
+			if err := ss.cold(ctx, g, phi, bounds, pool, maxAug); err != nil {
 				if ctx.Err() != nil {
 					return nil, ctx.Err()
 				}
@@ -129,14 +196,112 @@ func MinAreaLazy(ctx context.Context, g *graph.Graph, phi int64, bounds *graph.B
 	}
 }
 
+// cold builds the session's solver from scratch — base constraints under
+// bounds plus every pool cut applying at phi — and solves it.
+func (ss *Session) cold(ctx context.Context, g *graph.Graph, phi int64, bounds *graph.Bounds, pool *graph.CutPool, maxAug int) error {
+	ss.g, ss.phi, ss.bounds = g, phi, bounds.Clone()
+	ss.prob = buildAreaProblem(g, bounds)
+	ss.s = ss.prob.newSolver()
+	ss.s.MaxAugmentations = maxAug
+	ss.cuts = ss.cuts[:0]
+	ss.poolMark = 0
+	ss.addPoolCuts(pool, phi)
+	_, err := ss.s.SolveCtx(ctx)
+	return err
+}
+
+// resumable reports whether a solve of g at phi under bounds can resume the
+// session's flow: same graph, period not lower (the applicable cuts only
+// shrink), lower bounds unchanged, upper bounds equal or tighter (tightening
+// adds arcs; anything else would remove base arcs).
+func (ss *Session) resumable(g *graph.Graph, phi int64, bounds *graph.Bounds) bool {
+	if ss.s == nil || ss.g != g || phi < ss.phi || (bounds == nil) != (ss.bounds == nil) {
+		return false
+	}
+	if bounds == nil {
+		return true
+	}
+	for v := range bounds.Min {
+		if bounds.Min[v] != ss.bounds.Min[v] || bounds.Max[v] > ss.bounds.Max[v] {
+			return false
+		}
+	}
+	return true
+}
+
+// resume moves the session's optimal flow to period phi and bounds: it
+// drops the cut arcs that no longer apply, re-routes their flow, then adds
+// the tightened bound arcs and the unseen pool cuts and reoptimizes.
+func (ss *Session) resume(ctx context.Context, phi int64, bounds *graph.Bounds, pool *graph.CutPool) error {
+	kept := ss.cuts[:0]
+	for _, c := range ss.cuts {
+		if c.pd <= phi {
+			ss.s.RemoveArc(c.handle)
+		} else {
+			kept = append(kept, c)
+		}
+	}
+	ss.cuts = kept
+	ss.phi = phi
+	if err := ss.s.Resume(ctx); err != nil {
+		return err
+	}
+	if bounds != nil {
+		for v, hi := range bounds.Max {
+			if hi < ss.bounds.Max[v] {
+				ss.s.AddArc(int(graph.Host), v, mcf.Inf, int64(hi))
+				ss.bounds.Max[v] = hi
+			}
+		}
+	}
+	ss.addPoolCuts(pool, phi)
+	return ss.s.Reoptimize(ctx)
+}
+
+// addPoolCuts adds the pool cuts past the session's mark that apply at phi.
+func (ss *Session) addPoolCuts(pool *graph.CutPool, phi int64) {
+	for _, c := range pool.Since(ss.poolMark) {
+		if c.PathDelay > phi {
+			ss.addCut(c)
+		}
+	}
+	ss.poolMark = pool.Mark()
+}
+
+func (ss *Session) addCuts(cuts []graph.Cut) {
+	for _, c := range cuts {
+		ss.addCut(c)
+	}
+}
+
+func (ss *Session) addCut(c graph.Cut) {
+	h := ss.s.AddArc(int(c.Y), int(c.X), mcf.Inf, int64(c.B))
+	ss.cuts = append(ss.cuts, sessionCut{handle: h, pd: c.PathDelay})
+}
+
+// potentialRetiming reads a retiming off flow potentials pi, normalised at
+// the host; ok is false when a value leaves the int32 range.
+func potentialRetiming(g *graph.Graph, pi []int64) ([]int32, bool) {
+	n := g.NumVertices()
+	r := make([]int32, n)
+	h := pi[graph.Host]
+	for v := 0; v < n; v++ {
+		d := pi[v] - h
+		if d != int64(int32(d)) {
+			return nil, false
+		}
+		r[v] = int32(d)
+	}
+	return r, true
+}
+
 // areaProblem is the sharing-aware minarea ILP skeleton: variables (graph
 // vertices plus fanout mirrors), cost coefficients, and the constraints that
 // do not depend on the period.
 type areaProblem struct {
-	nvars  int
-	cost   []int64
-	base   []dcon
-	maxAug int // augmentation cap per flow solve; 0 = unlimited
+	nvars int
+	cost  []int64
+	base  []dcon
 }
 
 type dcon struct {
@@ -199,16 +364,12 @@ func buildAreaProblem(g *graph.Graph, bounds *graph.Bounds) *areaProblem {
 	return p
 }
 
-// newSolver assembles the min-cost-flow dual over the base constraints plus
-// the given period constraints, ready for SolveCtx.
-func (p *areaProblem) newSolver(period []graph.Constraint) *mcf.Solver {
+// newSolver assembles the min-cost-flow dual over the base constraints; the
+// caller adds the period constraints before SolveCtx.
+func (p *areaProblem) newSolver() *mcf.Solver {
 	s := mcf.New(p.nvars)
-	s.MaxAugmentations = p.maxAug
 	for _, c := range p.base {
 		s.AddArc(c.y, c.x, mcf.Inf, c.b)
-	}
-	for _, c := range period {
-		s.AddArc(int(c.Y), int(c.X), mcf.Inf, int64(c.B))
 	}
 	for v := 0; v < p.nvars; v++ {
 		s.AddSupply(v, p.cost[v])

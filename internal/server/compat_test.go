@@ -16,7 +16,12 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"mcretiming/internal/blif"
+	"mcretiming/internal/gen"
+	"mcretiming/internal/xc4000"
 )
 
 // legacyJob is one job of a pre-removal spec: its kind and its options.
@@ -214,5 +219,67 @@ func assertRequestMatches(t *testing.T, base string, j legacyJob, want map[strin
 	}
 	if got := resultJSON(t, view); !bytes.Equal(got, want[j.kind]) {
 		t.Fatalf("%s options %v: result differs from a request without them:\n%s\nvs\n%s", path, j.options, got, want[j.kind])
+	}
+}
+
+// TestReportAttemptsOptional pins the report's "attempts" field. A retime
+// result lists one attempt per pass through the §5.2 re-retiming loop, the
+// last one at the reported period. The field is optional: a result recorded
+// before it existed decodes without it and re-encodes byte for byte.
+func TestReportAttemptsOptional(t *testing.T) {
+	// Mapped C9 relocates, conflicts and re-solves at a higher period.
+	var c9 *gen.Profile
+	for i := range gen.Profiles {
+		if gen.Profiles[i].Name == "C9" {
+			c9 = &gen.Profiles[i]
+		}
+	}
+	c, err := c9.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapped, err := xc4000.Map(xc4000.DecomposeSyncResets(c))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var in strings.Builder
+	if err := blif.Write(&in, mapped); err != nil {
+		t.Fatal(err)
+	}
+	_, hs := newTestServer(t, Config{})
+	status, body := post(t, hs.URL+"/v1/retime?wait=1", retimeRequest{BLIF: in.String()})
+	if status != http.StatusOK {
+		t.Fatalf("retime: %d %v", status, body)
+	}
+	var res struct {
+		Report ReportSummary `json:"report"`
+	}
+	if err := json.Unmarshal(resultJSON(t, body), &res); err != nil {
+		t.Fatal(err)
+	}
+	rep := res.Report
+	if rep.Retries < 1 || len(rep.Attempts) != rep.Retries+1 {
+		t.Fatalf("%d retries, %d attempts; want at least one retry and one attempt more", rep.Retries, len(rep.Attempts))
+	}
+	if last := rep.Attempts[len(rep.Attempts)-1]; last.PeriodAfterPS != rep.PeriodAfterPS {
+		t.Errorf("last attempt at %d ps, report at %d ps", last.PeriodAfterPS, rep.PeriodAfterPS)
+	}
+	for i, a := range rep.Attempts[:len(rep.Attempts)-1] {
+		if a.JustifyConflicts == 0 {
+			t.Errorf("attempt %d was retried without a conflict: %+v", i, a)
+		}
+	}
+
+	old := []byte(`{"classes":2,"period_before_ps":5000,"period_after_ps":4000,"regs_before":2,"regs_after":1,"steps_moved":1,"steps_possible":3,"retries":0}`)
+	var rs ReportSummary
+	if err := json.Unmarshal(old, &rs); err != nil {
+		t.Fatal(err)
+	}
+	again, err := json.Marshal(rs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs.Attempts != nil || !bytes.Equal(again, old) {
+		t.Fatalf("report without attempts re-encodes as %s", again)
 	}
 }

@@ -140,9 +140,29 @@ type ReportSummary struct {
 	Retries            int      `json:"retries"`
 	JustifyEscalations int      `json:"justify_escalations,omitempty"`
 	Degraded           []string `json:"degraded,omitempty"`
+	// Attempts has one entry per pass through the §5.2 re-retiming loop.
+	// Optional: results recorded before the field existed lack it.
+	Attempts []AttemptSummary `json:"attempts,omitempty"`
+}
+
+// AttemptSummary is the serializable projection of core.Attempt.
+type AttemptSummary struct {
+	PeriodAfterPS    int64 `json:"period_after_ps"`
+	JustifyLocal     int   `json:"justify_local"`
+	JustifyGlobal    int   `json:"justify_global"`
+	JustifyConflicts int   `json:"justify_conflicts"`
 }
 
 func summarize(rep *core.Report) *ReportSummary {
+	var attempts []AttemptSummary
+	for _, a := range rep.Attempts {
+		attempts = append(attempts, AttemptSummary{
+			PeriodAfterPS:    a.PeriodAfter,
+			JustifyLocal:     a.JustifyLocal,
+			JustifyGlobal:    a.JustifyGlobal,
+			JustifyConflicts: a.JustifyConflicts,
+		})
+	}
 	return &ReportSummary{
 		Classes:            rep.NumClasses,
 		PeriodBeforePS:     rep.PeriodBefore,
@@ -154,6 +174,7 @@ func summarize(rep *core.Report) *ReportSummary {
 		Retries:            rep.Retries,
 		JustifyEscalations: rep.JustifyEscalations,
 		Degraded:           rep.Degraded,
+		Attempts:           attempts,
 	}
 }
 
