@@ -282,3 +282,21 @@ func BenchmarkBoundsComputation(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkDeepPipeRetime measures the full flow on the 32×300 plain/enable
+// pipeline — the benchmark's deep_pipe profile, without the BLIF read and
+// write — and reports its allocations, which on this profile cost more than
+// any single algorithm (DESIGN.md §6).
+func BenchmarkDeepPipeRetime(b *testing.B) {
+	c, err := gen.ScalePipeline(1, 32, 300, gen.ClassMix{Plain: 1, EN: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := core.Retime(c, core.Options{Objective: core.MinAreaAtMinPeriod}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -121,6 +121,20 @@ func TestSuiteHeadlineClaims(t *testing.T) {
 	if frac := float64(global) / float64(local+global); frac >= 0.05 {
 		t.Errorf("global justification fraction %.3f, want < 0.05 (paper: <0.01)", frac)
 	}
+	// Over every §5.2 attempt, the failed first attempts of the retried
+	// circuits included, the global share is higher (EXPERIMENTS.md: 11.08%).
+	var allLocal, allGlobal int
+	for _, r := range rows {
+		if r.AttemptsLocal < r.JustifyLocal || r.AttemptsGlobal < r.JustifyGlobal {
+			t.Errorf("%s: every-attempt justifications %d local / %d global below the final attempt's %d / %d",
+				r.Name, r.AttemptsLocal, r.AttemptsGlobal, r.JustifyLocal, r.JustifyGlobal)
+		}
+		allLocal += r.AttemptsLocal
+		allGlobal += r.AttemptsGlobal
+	}
+	if frac := float64(allGlobal) / float64(allLocal+allGlobal); frac > 0.12 {
+		t.Errorf("global justification fraction over every attempt %.4f, want at most 0.12", frac)
+	}
 	// Table 3 vs Table 2 (the paper's totals: Rlut2 = 1.13, Rdelay2 = 1.01).
 	if rl2 := ratio(tot.LUT3, tot.LUT2); rl2 <= 1.0 {
 		t.Errorf("decomposed flow LUT ratio vs mc = %.2f, want > 1.0", rl2)

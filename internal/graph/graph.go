@@ -59,6 +59,42 @@ func New() *Graph {
 	return g
 }
 
+// FromEdges returns the graph over the vertices with the given delays and
+// names, the host first, and the given edges. It keeps the three slices and
+// lays the adjacency out once, every vertex's edge lists being windows into
+// one array per direction; AddVertex and AddEdge keep working on the result.
+func FromEdges(delay []int64, name []string, edges []Edge) *Graph {
+	return &Graph{
+		Delay: delay, Name: name, Edges: edges,
+		out: Adjacency(len(delay), len(edges), func(i int) VertexID { return edges[i].From }),
+		in:  Adjacency(len(delay), len(edges), func(i int) VertexID { return edges[i].To }),
+	}
+}
+
+// Adjacency returns, for every vertex v < n, the indices i < m with
+// end(i) == v in increasing order. The lists are windows into one array,
+// their capacities clipped so that appending to one never spills into the
+// next.
+func Adjacency(n, m int, end func(i int) VertexID) [][]int32 {
+	start := make([]int32, n+1)
+	for i := 0; i < m; i++ {
+		start[end(i)+1]++
+	}
+	for v := 0; v < n; v++ {
+		start[v+1] += start[v]
+	}
+	flat := make([]int32, m)
+	adj := make([][]int32, n)
+	for v := range adj {
+		adj[v] = flat[start[v]:start[v]:start[v+1]]
+	}
+	for i := 0; i < m; i++ {
+		v := end(i)
+		adj[v] = append(adj[v], int32(i))
+	}
+	return adj
+}
+
 // AddVertex adds a vertex with the given name and delay (ps).
 func (g *Graph) AddVertex(name string, delay int64) VertexID {
 	v := VertexID(len(g.Delay))

@@ -127,23 +127,26 @@ func (p *CutPool) Len() int { return len(p.cuts) - p.dead }
 // Snapshot returns a copy of the pooled cuts. A pool is not safe for
 // concurrent use; a sweep over many periods snapshots the shared pool once
 // and seeds a private pool per concurrent solve instead.
-func (p *CutPool) Snapshot() []Cut { return p.Since(0) }
+func (p *CutPool) Snapshot() []Cut {
+	out := make([]Cut, 0, p.Len())
+	p.EachSince(0, func(c Cut) { out = append(out, c) })
+	return out
+}
 
-// Mark returns the pool's current end in insertion order, for Since.
+// Mark returns the pool's current end in insertion order, for EachSince.
 func (p *CutPool) Mark() int { return len(p.cuts) }
 
-// Since returns a copy of the live cuts inserted at or after mark (a Mark
-// result), in insertion order. A cut that replaced a dominated one in place
-// took that one's older slot, so Since(mark) misses it when the slot lies
-// before mark; its looser predecessor stays a valid period constraint.
-func (p *CutPool) Since(mark int) []Cut {
-	var out []Cut
+// EachSince calls f on every live cut inserted at or after mark (a Mark
+// result), in insertion order, without copying the pool. A cut that replaced
+// a dominated one in place took that one's older slot, so EachSince(mark)
+// misses it when the slot lies before mark; its looser predecessor stays a
+// valid period constraint. f must not add to the pool.
+func (p *CutPool) EachSince(mark int, f func(Cut)) {
 	for _, c := range p.cuts[min(mark, len(p.cuts)):] {
 		if c.PathDelay != tombstonePD {
-			out = append(out, c)
+			f(c)
 		}
 	}
-	return out
 }
 
 // NewCutPool returns a pool pre-seeded with cuts, deduplicated on the way
@@ -165,14 +168,25 @@ func (g *Graph) BaseConstraints(bounds *Bounds) []Constraint {
 // r(u) − r(v) ≤ w(e) per edge — and then the §5.1 class-bound constraints of
 // bounds (nil = none), and returns the result.
 func (g *Graph) appendBaseConstraints(cons []Constraint, bounds *Bounds) []Constraint {
-	cons = slices.Grow(cons, len(g.Edges))
+	n := g.NumVertices()
+	room := len(g.Edges)
+	if bounds != nil {
+		for v := 0; v < n; v++ {
+			if bounds.Min[v] != NoLower {
+				room++
+			}
+			if bounds.Max[v] != NoUpper {
+				room++
+			}
+		}
+	}
+	cons = slices.Grow(cons, room)
 	for _, e := range g.Edges {
 		cons = append(cons, Constraint{Y: e.To, X: e.From, B: e.W})
 	}
 	if bounds == nil {
 		return cons
 	}
-	n := g.NumVertices()
 	for v := 0; v < n; v++ {
 		if lo := bounds.Min[v]; lo != NoLower {
 			cons = append(cons, Constraint{Y: VertexID(v), X: Host, B: -lo})

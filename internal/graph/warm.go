@@ -230,7 +230,14 @@ func (l *ProbeLadder) seed(g *Graph, bounds *Bounds, phi int64, pool *CutPool) (
 	l.ckLen = 0
 	l.dirty = nil
 	cons := g.appendBaseConstraints(l.buf[:0], bounds)
-	pd := l.pdBuf[:0]
+	cuts := 0
+	for _, c := range pool.cuts {
+		if c.PathDelay != tombstonePD && c.PathDelay > phi {
+			cuts++
+		}
+	}
+	cons = slices.Grow(cons, cuts)
+	pd := slices.Grow(l.pdBuf[:0], len(cons)+cuts)
 	for range cons {
 		pd = append(pd, alwaysActivePD)
 	}

@@ -155,9 +155,16 @@ func (st *serialState) hold(v [2]logic.Bit) {
 }
 
 // New returns a Justifier for a relocation on m. It snapshots the values of
-// every register instance currently on the graph as original values.
+// every register instance currently on the graph as original values. The
+// serial table starts with room for every serial on the graph.
 func New(m *mcgraph.MC) *Justifier {
-	j := &Justifier{M: m, bdd: bdd.New()}
+	var top int64
+	for i := range m.Edges {
+		for _, inst := range m.Edges[i].Regs {
+			top = max(top, inst.Serial)
+		}
+	}
+	j := &Justifier{M: m, bdd: bdd.New(), ser: make([]serialState, 0, top+1)}
 	for i := range m.Edges {
 		for _, inst := range m.Edges[i].Regs {
 			st := j.state(inst.Serial)

@@ -81,6 +81,27 @@ func New(n int) *Solver {
 	return &Solver{n: n, adj: make([][]arc, n), supply: make([]int64, n)}
 }
 
+// NewSized returns a solver over len(deg) nodes whose arc lists are carved
+// out of one backing array: node v has room for deg[v] arc ends (an arc u→v
+// is one end at u and one at v), and the handle table for arcs handles,
+// before AddArc grows either. A node that outgrows its room moves its list
+// to a fresh array of its own; nothing else changes.
+func NewSized(deg []int32, arcs int) *Solver {
+	s := New(len(deg))
+	total := 0
+	for _, d := range deg {
+		total += int(d)
+	}
+	all := make([]arc, total)
+	off := 0
+	for v, d := range deg {
+		s.adj[v] = all[off : off : off+int(d)]
+		off += int(d)
+	}
+	s.arcRef = make([][2]int32, 0, arcs)
+	return s
+}
+
 // AddArc adds a directed arc u→v with the given capacity and per-unit cost,
 // returning its handle for Flow.
 func (s *Solver) AddArc(u, v int, capacity, cost int64) int {

@@ -2,6 +2,7 @@ package mcgraph
 
 import (
 	"context"
+	"math/bits"
 
 	"mcretiming/internal/graph"
 	"mcretiming/internal/trace"
@@ -57,6 +58,7 @@ func (m *MC) ComputeBoundsCtx(ctx context.Context) (*BoundsInfo, error) {
 		return nil, err
 	}
 	fw := newSweep(m, false)
+	fw.free = bw.free // the forward sweep reuses what the backward one drained
 	rmin, ubMin, err := fw.run(ctx, cap32)
 	if err != nil {
 		return nil, err
@@ -87,17 +89,75 @@ type classFIFO struct {
 
 func (q *classFIFO) live() []ClassID { return q.buf[q.head:] }
 
-// pop drops the k classes at the head. Once the dropped prefix outweighs
-// the live part the live part moves to a right-sized buffer, so a sequence
-// never pins more than about twice its live length.
-func (q *classFIFO) pop(k int) {
+// pop drops the k classes at the head. A drained buffer goes back to free;
+// once the dropped prefix outweighs the live part, the live part moves to a
+// buffer from free sized for it, so a sequence never pins more than about
+// twice its live length.
+func (q *classFIFO) pop(k int, free *bufFree) {
 	q.head += k
 	switch live := len(q.buf) - q.head; {
 	case live == 0:
+		free.put(q.buf)
 		q.buf, q.head = nil, 0
 	case q.head >= live:
-		q.buf, q.head = append([]ClassID(nil), q.buf[q.head:]...), 0
+		old := q.buf
+		q.buf, q.head = append(free.get(live), old[q.head:]...), 0
+		free.put(old)
 	}
+}
+
+// push appends classes at the tail. When they do not fit, the live part and
+// the classes move to a buffer from free with room for them, and the old
+// buffer goes back to free. Capacities are powers of two, so a sequence that
+// grows by one class at a time still doubles its buffer.
+func (q *classFIFO) push(classes []ClassID, free *bufFree) {
+	if len(q.buf)+len(classes) <= cap(q.buf) {
+		q.buf = append(q.buf, classes...)
+		return
+	}
+	old := q.buf
+	q.buf = append(append(free.get(len(old)-q.head+len(classes)), old[q.head:]...), classes...)
+	q.head = 0
+	free.put(old)
+}
+
+// bufFree is the free list of the class buffers one bounds computation's
+// sweeps drain, bucketed by capacity: f[k] holds buffers of capacity in
+// [2^k, 2^(k+1)). A layer stream travelling down a pipeline fills each edge's
+// buffer and drains it again one move later, so the same few buffers carry
+// it the whole way instead of a fresh one per edge. The list dies with the
+// computation; no buffer outlives it except the live ones BackwardClasses
+// keeps.
+type bufFree [][][]ClassID
+
+// minBufLog is the log₂ of the smallest capacity get returns and put keeps.
+// Smaller buffers, the one-register initial sequences of most edges above
+// all, would only pile up in the list unused.
+const minBufLog = 3
+
+// get returns an empty buffer of capacity at least n ≥ 1: a recycled one if
+// bucket ⌈log₂ n⌉ has one, else a new one of capacity 2^⌈log₂ n⌉.
+func (f *bufFree) get(n int) []ClassID {
+	k := max(bits.Len(uint(n-1)), minBufLog)
+	if k < len(*f) {
+		if b := (*f)[k]; len(b) > 0 {
+			(*f)[k] = b[:len(b)-1]
+			return b[len(b)-1][:0]
+		}
+	}
+	return make([]ClassID, 0, 1<<k)
+}
+
+// put recycles b, which no sequence may reference any longer.
+func (f *bufFree) put(b []ClassID) {
+	k := bits.Len(uint(cap(b))) - 1
+	if k < minBufLog {
+		return
+	}
+	for len(*f) <= k {
+		*f = append(*f, nil)
+	}
+	(*f)[k] = append((*f)[k], b)
 }
 
 // sweep is one direction of maximal retiming phrased as a backward sweep:
@@ -111,6 +171,7 @@ type sweep struct {
 	backward           bool
 	consumed, produced [][]int32 // edge indices per vertex
 	seq                []classFIFO
+	free               bufFree
 	moves              int64
 }
 
@@ -272,10 +333,10 @@ func (s *sweep) run(ctx context.Context, cap32 int32) (counts []int32, unbounded
 		// and produced edge are the same sequence.
 		prefix = append(prefix[:0], s.seq[s.consumed[v][0]].live()[:k]...)
 		for _, ei := range s.consumed[v] {
-			s.seq[ei].pop(k)
+			s.seq[ei].pop(k, &s.free)
 		}
 		for _, ei := range s.produced[v] {
-			s.seq[ei].buf = append(s.seq[ei].buf, prefix...)
+			s.seq[ei].push(prefix, &s.free)
 			if u := s.consumer(ei); movable[u] && !inQ[u] && !unbounded[u] {
 				inQ[u] = true
 				stack = append(stack, u)

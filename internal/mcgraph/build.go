@@ -68,10 +68,16 @@ type MC struct {
 	Edges   []Edge
 	Classes []Class
 
-	out, in      [][]int32 // edge indices per vertex
-	vertexOfGate map[netlist.GateID]graph.VertexID
-	vertexOfPI   map[netlist.SignalID]graph.VertexID
-	classOfReg   map[netlist.RegID]ClassID
+	// out[v] and in[v] are the indices of the edges leaving and entering v,
+	// in edge order: windows into one array each, laid out once Build has
+	// every edge. They never change afterwards, so clones share them.
+	out, in [][]int32
+	// vertexOfGate and vertexOfPI map gate and signal IDs to vertices (0,
+	// the host, where none); classOfReg maps register IDs to classes. Clones
+	// share them too.
+	vertexOfGate []graph.VertexID
+	vertexOfPI   []graph.VertexID
+	classOfReg   []ClassID
 	nextSerial   int64
 }
 
@@ -83,11 +89,10 @@ func Build(c *netlist.Circuit) (*MC, error) {
 	}
 	m := &MC{
 		Ckt:          c,
-		vertexOfGate: make(map[netlist.GateID]graph.VertexID),
-		vertexOfPI:   make(map[netlist.SignalID]graph.VertexID),
-		classOfReg:   make(map[netlist.RegID]ClassID),
+		vertexOfGate: make([]graph.VertexID, len(c.Gates)),
+		vertexOfPI:   make([]graph.VertexID, len(c.Signals)),
+		classOfReg:   make([]ClassID, len(c.Regs)),
 	}
-	m.addVertex(Vertex{Kind: KHost, Name: "host", Pinned: true})
 	m.nextSerial = int64(len(c.Regs)) + 1
 
 	// Classify registers (Definition 1).
@@ -96,6 +101,18 @@ func Build(c *netlist.Circuit) (*MC, error) {
 		m.classOfReg[r.ID] = cl.intern(classKeyOf(c, r))
 	})
 	m.Classes = cl.classes
+
+	// Size the vertex and edge tables once: the host, one vertex per live
+	// gate, port and control net (at most three per class), and one edge
+	// per gate input pin, input port, and output port or control net side.
+	nv, ne := 1+len(c.PIs)+len(c.POs)+3*len(m.Classes), len(c.PIs)+2*len(c.POs)+6*len(m.Classes)
+	c.LiveGates(func(g *netlist.Gate) {
+		nv++
+		ne += len(g.In)
+	})
+	m.Verts = make([]Vertex, 0, nv)
+	m.Edges = make([]Edge, 0, ne)
+	m.addVertex(Vertex{Kind: KHost, Name: "host", Pinned: true})
 
 	// Vertices for gates and ports.
 	c.LiveGates(func(g *netlist.Gate) {
@@ -106,7 +123,7 @@ func Build(c *netlist.Circuit) (*MC, error) {
 	for _, pi := range c.PIs {
 		v := m.addVertex(Vertex{Kind: KPI, Name: c.SignalName(pi), Pinned: true})
 		m.vertexOfPI[pi] = v
-		m.addEdge(Edge{From: graph.Host, To: v, NoMove: true, SrcSignal: netlist.NoSignal})
+		m.Edges = append(m.Edges, Edge{From: graph.Host, To: v, NoMove: true, SrcSignal: netlist.NoSignal})
 	}
 
 	// Data edges: one per gate input pin.
@@ -122,7 +139,7 @@ func Build(c *netlist.Circuit) (*MC, error) {
 				err = werr
 				return
 			}
-			m.addEdge(Edge{
+			m.Edges = append(m.Edges, Edge{
 				From: src, To: gv, Regs: regs, SrcSignal: m.srcSignal(in, regs),
 				SinkKind: SinkGateIn, SinkGate: g.ID, SinkPin: int32(pin),
 			})
@@ -139,11 +156,11 @@ func Build(c *netlist.Circuit) (*MC, error) {
 		if werr != nil {
 			return nil, werr
 		}
-		m.addEdge(Edge{
+		m.Edges = append(m.Edges, Edge{
 			From: src, To: pov, Regs: regs, SrcSignal: m.srcSignal(po, regs),
 			SinkKind: SinkPO, SinkPO: int32(i),
 		})
-		m.addEdge(Edge{From: pov, To: graph.Host, NoMove: true, SrcSignal: netlist.NoSignal})
+		m.Edges = append(m.Edges, Edge{From: pov, To: graph.Host, NoMove: true, SrcSignal: netlist.NoSignal})
 	}
 
 	// Control-signal output vertices (§3.2): one per distinct control net
@@ -163,29 +180,21 @@ func Build(c *netlist.Circuit) (*MC, error) {
 			if werr != nil {
 				return nil, werr
 			}
-			m.addEdge(Edge{
+			m.Edges = append(m.Edges, Edge{
 				From: src, To: cv, Regs: regs, NoMove: true,
 				SrcSignal: m.srcSignal(sig, regs), SinkKind: SinkCtrl,
 			})
-			m.addEdge(Edge{From: cv, To: graph.Host, NoMove: true, SrcSignal: netlist.NoSignal})
+			m.Edges = append(m.Edges, Edge{From: cv, To: graph.Host, NoMove: true, SrcSignal: netlist.NoSignal})
 		}
 	}
+	m.out = graph.Adjacency(len(m.Verts), len(m.Edges), func(i int) graph.VertexID { return m.Edges[i].From })
+	m.in = graph.Adjacency(len(m.Verts), len(m.Edges), func(i int) graph.VertexID { return m.Edges[i].To })
 	return m, nil
 }
 
 func (m *MC) addVertex(v Vertex) graph.VertexID {
 	id := graph.VertexID(len(m.Verts))
 	m.Verts = append(m.Verts, v)
-	m.out = append(m.out, nil)
-	m.in = append(m.in, nil)
-	return id
-}
-
-func (m *MC) addEdge(e Edge) int32 {
-	id := int32(len(m.Edges))
-	m.Edges = append(m.Edges, e)
-	m.out[e.From] = append(m.out[e.From], id)
-	m.in[e.To] = append(m.in[e.To], id)
 	return id
 }
 
@@ -252,16 +261,17 @@ func (m *MC) NumRegInstances() int {
 	return n
 }
 
-// Clone deep-copies the mc-graph (sharing the underlying netlist, which the
-// clone never mutates).
+// Clone deep-copies the mc-graph's vertices, edges and register sequences,
+// sharing the underlying netlist, which the clone never mutates, and the
+// adjacency and ID maps, which never change after Build.
 func (m *MC) Clone() *MC {
 	cp := &MC{
 		Ckt:          m.Ckt,
 		Verts:        append([]Vertex(nil), m.Verts...),
 		Edges:        make([]Edge, len(m.Edges)),
 		Classes:      append([]Class(nil), m.Classes...),
-		out:          make([][]int32, len(m.out)),
-		in:           make([][]int32, len(m.in)),
+		out:          m.out,
+		in:           m.in,
 		vertexOfGate: m.vertexOfGate,
 		vertexOfPI:   m.vertexOfPI,
 		classOfReg:   m.classOfReg,
@@ -270,10 +280,6 @@ func (m *MC) Clone() *MC {
 	for i := range m.Edges {
 		cp.Edges[i] = m.Edges[i]
 		cp.Edges[i].Regs = append([]RegInst(nil), m.Edges[i].Regs...)
-	}
-	for i := range m.out {
-		cp.out[i] = append([]int32(nil), m.out[i]...)
-		cp.in[i] = append([]int32(nil), m.in[i]...)
 	}
 	return cp
 }
@@ -286,18 +292,27 @@ func (m *MC) Clone() *MC {
 // cycles through the host for any combinational input-to-output path (the
 // environment is not combinational).
 func (m *MC) ToGraph() *graph.Graph {
-	g := graph.New()
-	for i := 1; i < len(m.Verts); i++ {
-		g.AddVertex(m.Verts[i].Name, m.Verts[i].Delay)
-	}
+	delay, name := m.vertexTables()
+	var edges []graph.Edge
 	for i := range m.Edges {
 		e := &m.Edges[i]
 		if e.From == graph.Host || e.To == graph.Host {
 			continue
 		}
-		g.AddEdge(e.From, e.To, int32(len(e.Regs)))
+		edges = append(edges, graph.Edge{From: e.From, To: e.To, W: int32(len(e.Regs))})
 	}
-	return g
+	return graph.FromEdges(delay, name, edges)
+}
+
+// vertexTables returns the delays and names of the projected graph's
+// vertices, which are m's own.
+func (m *MC) vertexTables() ([]int64, []string) {
+	delay := make([]int64, len(m.Verts))
+	name := make([]string, len(m.Verts))
+	for i := range m.Verts {
+		delay[i], name[i] = m.Verts[i].Delay, m.Verts[i].Name
+	}
+	return delay, name
 }
 
 // ClassOfReg returns the class of netlist register id.
@@ -306,6 +321,8 @@ func (m *MC) ClassOfReg(id netlist.RegID) ClassID { return m.classOfReg[id] }
 // VertexOfGate returns the mc-graph vertex modeling gate id. The ECO delta
 // flow uses it to patch a single vertex delay in place of a full rebuild.
 func (m *MC) VertexOfGate(id netlist.GateID) (graph.VertexID, bool) {
-	v, ok := m.vertexOfGate[id]
-	return v, ok
+	if int(id) < 0 || int(id) >= len(m.vertexOfGate) || m.vertexOfGate[id] == graph.Host {
+		return 0, false
+	}
+	return m.vertexOfGate[id], true
 }

@@ -21,7 +21,11 @@ import (
 // Registers whose output drives nothing do not appear on any mc-graph edge
 // and are therefore dropped — rebuilding doubles as dead-register removal.
 func (m *MC) Rebuild(name string) (*netlist.Circuit, error) {
-	c := m.Ckt.Clone()
+	// Room for as many new registers as the circuit has: a retiming moves
+	// registers more than it adds or removes them. Counting the instances on
+	// the edges instead would overshoot wherever fanout shares registers,
+	// and the returned circuit would carry that room for its lifetime.
+	c := m.Ckt.CloneGrow(m.Ckt.NumRegs())
 	c.Name = name
 
 	// Registers on frozen edges survive in place.

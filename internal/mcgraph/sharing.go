@@ -33,14 +33,17 @@ import (
 // ctx is polled between multi-fanout vertices; on cancellation the context's
 // error is returned.
 func (m *MC) AreaGraph(ctx context.Context, info *BoundsInfo) (*graph.Graph, *graph.Bounds, error) {
-	g := graph.New()
-	for i := 1; i < len(m.Verts); i++ {
-		g.AddVertex(m.Verts[i].Name, m.Verts[i].Delay)
+	delay, name := m.vertexTables()
+	var edges []graph.Edge
+	addEdge := func(u, v graph.VertexID, w int32) {
+		edges = append(edges, graph.Edge{From: u, To: v, W: w})
 	}
 	gb := info.GraphBounds(m)
 	// Bounds slices grow as separation vertices are added.
 	addVertexBound := func(min, max int32) graph.VertexID {
-		v := g.AddVertex("sep", 0)
+		v := graph.VertexID(len(delay))
+		delay = append(delay, 0)
+		name = append(name, "sep")
 		gb.Min = append(gb.Min, min)
 		gb.Max = append(gb.Max, max)
 		return v
@@ -73,7 +76,7 @@ func (m *MC) AreaGraph(ctx context.Context, info *BoundsInfo) (*graph.Graph, *gr
 		w := int32(len(e.Regs))
 		t := tau[i]
 		if t == 0 || e.NoMove {
-			g.AddEdge(e.From, e.To, w)
+			addEdge(e.From, e.To, w)
 			continue
 		}
 		vi := e.To
@@ -96,10 +99,10 @@ func (m *MC) AreaGraph(ctx context.Context, info *BoundsInfo) (*graph.Graph, *gr
 			sepMax = 0
 		}
 		s := addVertexBound(graph.NoLower, sepMax)
-		g.AddEdge(e.From, s, w-stub)
-		g.AddEdge(s, vi, stub)
+		addEdge(e.From, s, w-stub)
+		addEdge(s, vi, stub)
 	}
-	return g, gb, nil
+	return graph.FromEdges(delay, name, edges), gb, nil
 }
 
 // cutFanout runs the §4.2 layer-cut analysis for one multi-fanout vertex v

@@ -212,20 +212,33 @@ func (c *Circuit) SignalName(sig SignalID) string {
 }
 
 // Clone returns a deep copy of the circuit.
-func (c *Circuit) Clone() *Circuit {
+func (c *Circuit) Clone() *Circuit { return c.CloneGrow(0) }
+
+// CloneGrow is Clone with room for regs more registers, and their output
+// signals, before AddReg grows the copy's tables.
+func (c *Circuit) CloneGrow(regs int) *Circuit {
 	cp := &Circuit{
 		Name:    c.Name,
-		Signals: append([]Signal(nil), c.Signals...),
+		Signals: append(make([]Signal, 0, len(c.Signals)+regs), c.Signals...),
 		Gates:   make([]Gate, len(c.Gates)),
-		Regs:    append([]Reg(nil), c.Regs...),
+		Regs:    append(make([]Reg, 0, len(c.Regs)+regs), c.Regs...),
 		PIs:     append([]SignalID(nil), c.PIs...),
 		POs:     append([]SignalID(nil), c.POs...),
 		const0:  c.const0,
 		const1:  c.const1,
 	}
+	// Every gate's inputs get a window of one array, capacity clipped so
+	// that growing one gate's inputs never spills into the next gate's.
+	pins := 0
+	for i := range c.Gates {
+		pins += len(c.Gates[i].In)
+	}
+	in := make([]SignalID, 0, pins)
 	for i := range c.Gates {
 		cp.Gates[i] = c.Gates[i]
-		cp.Gates[i].In = append([]SignalID(nil), c.Gates[i].In...)
+		start := len(in)
+		in = append(in, c.Gates[i].In...)
+		cp.Gates[i].In = in[start:len(in):len(in)]
 	}
 	return cp
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"mcretiming/internal/graph"
 	"mcretiming/internal/mcf"
@@ -77,10 +78,9 @@ func MinAreaLazy(ctx context.Context, g *graph.Graph, phi int64, bounds *graph.B
 //
 // The zero value is ready to use. A Session is not safe for concurrent use.
 type Session struct {
-	g    *graph.Graph
-	prob *areaProblem
-	s    *mcf.Solver // nil: nothing to resume
-	phi  int64
+	g   *graph.Graph
+	s   *mcf.Solver // nil: nothing to resume
+	phi int64
 	// bounds is a copy of the bounds the solver's bound arcs encode.
 	bounds *graph.Bounds
 	// cuts are the solver's period-cut arcs; poolMark is the pool position
@@ -157,7 +157,7 @@ func (ss *Session) minArea(ctx context.Context, g *graph.Graph, phi int64, bound
 			}
 		}
 		if len(newCuts) == 0 {
-			if r, err = ss.prob.retiming(g, ss.s); err != nil {
+			if r, err = canonicalRetiming(g, ss.s); err != nil {
 				return nil, fmt.Errorf("retime: minarea (lazy, round %d) at period %d: %w", round, phi, err)
 			}
 			if newCuts, _, err = ss.sweep.Cuts(g, r, phi); err != nil {
@@ -200,12 +200,8 @@ func (ss *Session) minArea(ctx context.Context, g *graph.Graph, phi int64, bound
 // bounds plus every pool cut applying at phi — and solves it.
 func (ss *Session) cold(ctx context.Context, g *graph.Graph, phi int64, bounds *graph.Bounds, pool *graph.CutPool, maxAug int) error {
 	ss.g, ss.phi, ss.bounds = g, phi, bounds.Clone()
-	ss.prob = buildAreaProblem(g, bounds)
-	ss.s = ss.prob.newSolver()
+	ss.newAreaSolver(g, bounds, pool, phi)
 	ss.s.MaxAugmentations = maxAug
-	ss.cuts = ss.cuts[:0]
-	ss.poolMark = 0
-	ss.addPoolCuts(pool, phi)
 	_, err := ss.s.SolveCtx(ctx)
 	return err
 }
@@ -260,11 +256,11 @@ func (ss *Session) resume(ctx context.Context, phi int64, bounds *graph.Bounds, 
 
 // addPoolCuts adds the pool cuts past the session's mark that apply at phi.
 func (ss *Session) addPoolCuts(pool *graph.CutPool, phi int64) {
-	for _, c := range pool.Since(ss.poolMark) {
+	pool.EachSince(ss.poolMark, func(c graph.Cut) {
 		if c.PathDelay > phi {
 			ss.addCut(c)
 		}
-	}
+	})
 	ss.poolMark = pool.Mark()
 }
 
@@ -295,91 +291,106 @@ func potentialRetiming(g *graph.Graph, pi []int64) ([]int32, bool) {
 	return r, true
 }
 
-// areaProblem is the sharing-aware minarea ILP skeleton: variables (graph
-// vertices plus fanout mirrors), cost coefficients, and the constraints that
-// do not depend on the period.
-type areaProblem struct {
-	nvars int
-	cost  []int64
-	base  []dcon
-}
-
-type dcon struct {
-	x, y int // r(x) − r(y) ≤ b
-	b    int64
-}
-
-// buildAreaProblem assembles the Leiserson–Saxe sharing model over g: every
-// multi-fanout vertex u gets a mirror variable m_u billed max_i w_r(e_i).
-func buildAreaProblem(g *graph.Graph, bounds *graph.Bounds) *areaProblem {
+// newAreaSolver assembles the min-cost-flow dual of the Leiserson–Saxe
+// sharing model over g at period phi: one node per vertex plus a mirror
+// variable m_u, billed max_i w_r(e_i), for every multi-fanout vertex u; one
+// arc per base constraint under bounds; and one arc per pool cut that
+// applies at phi, added by addCut so the session can remove it later.
+//
+// The arcs are counted before the solver is made, so every node's arc list,
+// the cuts' included, is carved out of one backing array sized once, and
+// the base arcs go straight into it. Cut arcs of later rounds may still
+// outgrow a node's room.
+func (ss *Session) newAreaSolver(g *graph.Graph, bounds *graph.Bounds, pool *graph.CutPool, phi int64) {
 	n := g.NumVertices()
-	mirror := make([]int, n)
+	mirror := make([]int32, n)
 	nvars := n
 	for v := 0; v < n; v++ {
+		mirror[v] = -1
 		if len(g.Out(graph.VertexID(v))) >= 2 {
-			mirror[v] = nvars
+			mirror[v] = int32(nvars)
 			nvars++
-		} else {
-			mirror[v] = -1
 		}
 	}
-	p := &areaProblem{nvars: nvars, cost: make([]int64, nvars)}
+	deg := make([]int32, nvars)
+	arcs := 0
+	count := func(y, x int, _ int64) {
+		if y != x {
+			deg[y]++
+			deg[x]++
+		}
+		arcs++
+	}
+	forEachBaseArc(g, bounds, mirror, count)
+	cuts := 0
+	pool.EachSince(0, func(c graph.Cut) {
+		if c.PathDelay > phi {
+			count(int(c.Y), int(c.X), 0)
+			cuts++
+		}
+	})
+	s := mcf.NewSized(deg, arcs)
+	forEachBaseArc(g, bounds, mirror, func(y, x int, b int64) {
+		s.AddArc(y, x, mcf.Inf, b)
+	})
 	for v := 0; v < n; v++ {
 		outs := g.Out(graph.VertexID(v))
-		if len(outs) == 0 {
-			continue
-		}
-		if mirror[v] == -1 {
+		switch {
+		case len(outs) == 0:
+		case mirror[v] < 0:
 			e := g.Edges[outs[0]]
-			p.cost[e.To]++
-			p.cost[e.From]--
+			s.AddSupply(int(e.To), 1)
+			s.AddSupply(int(e.From), -1)
+		default:
+			s.AddSupply(int(mirror[v]), 1)
+			s.AddSupply(v, -1)
+		}
+	}
+	ss.s = s
+	ss.cuts = slices.Grow(ss.cuts[:0], cuts)
+	ss.poolMark = 0
+	ss.addPoolCuts(pool, phi)
+}
+
+// forEachBaseArc calls f(y, x, b) for every period-independent constraint
+// r(x) − r(y) ≤ b of the sharing model — each the flow arc y→x of cost b:
+// the mirror constraints of the multi-fanout vertices (mirror[v] ≥ 0), the
+// circuit constraints, and the class bounds (bounds may be nil).
+func forEachBaseArc(g *graph.Graph, bounds *graph.Bounds, mirror []int32, f func(y, x int, b int64)) {
+	n := g.NumVertices()
+	for v := 0; v < n; v++ {
+		if mirror[v] < 0 {
 			continue
 		}
+		outs := g.Out(graph.VertexID(v))
 		var wmax int32
 		for _, ei := range outs {
-			if w := g.Edges[ei].W; w > wmax {
-				wmax = w
-			}
+			wmax = max(wmax, g.Edges[ei].W)
 		}
-		p.cost[mirror[v]]++
-		p.cost[v]--
 		for _, ei := range outs {
 			e := g.Edges[ei]
-			p.base = append(p.base, dcon{x: int(e.To), y: mirror[v], b: int64(wmax - e.W)})
+			f(int(mirror[v]), int(e.To), int64(wmax-e.W))
 		}
 	}
 	for _, e := range g.Edges {
-		p.base = append(p.base, dcon{x: int(e.From), y: int(e.To), b: int64(e.W)})
+		f(int(e.To), int(e.From), int64(e.W))
 	}
-	if bounds != nil {
-		for v := 0; v < n; v++ {
-			if lo := bounds.Min[v]; lo != graph.NoLower {
-				p.base = append(p.base, dcon{x: int(graph.Host), y: v, b: int64(-lo)})
-			}
-			if hi := bounds.Max[v]; hi != graph.NoUpper {
-				p.base = append(p.base, dcon{x: v, y: int(graph.Host), b: int64(hi)})
-			}
+	if bounds == nil {
+		return
+	}
+	for v := 0; v < n; v++ {
+		if lo := bounds.Min[v]; lo != graph.NoLower {
+			f(v, int(graph.Host), int64(-lo))
+		}
+		if hi := bounds.Max[v]; hi != graph.NoUpper {
+			f(int(graph.Host), v, int64(hi))
 		}
 	}
-	return p
 }
 
-// newSolver assembles the min-cost-flow dual over the base constraints; the
-// caller adds the period constraints before SolveCtx.
-func (p *areaProblem) newSolver() *mcf.Solver {
-	s := mcf.New(p.nvars)
-	for _, c := range p.base {
-		s.AddArc(c.y, c.x, mcf.Inf, c.b)
-	}
-	for v := 0; v < p.nvars; v++ {
-		s.AddSupply(v, p.cost[v])
-	}
-	return s
-}
-
-// retiming recovers the canonical retiming from the residual potentials of a
-// solved (or reoptimized) flow.
-func (p *areaProblem) retiming(g *graph.Graph, s *mcf.Solver) ([]int32, error) {
+// canonicalRetiming recovers the canonical retiming from the residual
+// potentials of a solved (or reoptimized) flow.
+func canonicalRetiming(g *graph.Graph, s *mcf.Solver) ([]int32, error) {
 	pi, err := s.ResidualPotentials()
 	if err != nil {
 		return nil, err
