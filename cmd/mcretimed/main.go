@@ -1,12 +1,13 @@
 // Command mcretimed is the long-running retiming service: an HTTP JSON API
 // over the mc-retiming engine with admission control, per-job deadlines,
-// panic isolation, budget-relaxing retries, and graceful shutdown with
-// checkpoint/resume (see internal/server).
+// panic isolation, and graceful shutdown with checkpoint/resume (see
+// internal/server). Each job runs once: solver budgets degrade inside the
+// engine, so a job's first error is its answer.
 //
 // Usage:
 //
 //	mcretimed [-addr :8472] [-queue 64] [-workers 2] [-deadline 60s]
-//	          [-checkpoint DIR] [-store DIR] [-retries 2] [-failpoints]
+//	          [-checkpoint DIR] [-store DIR] [-failpoints]
 //	          [-coordinator] [-join URL -advertise URL] [-remote-store URL]
 //	          [-peer URL] [-election-timeout 18s] [-tenants FILE]
 //
@@ -91,7 +92,6 @@ func main() {
 	checkpoint := flag.String("checkpoint", "", "directory for queued-job checkpoints on shutdown (empty = disabled)")
 	storeDir := flag.String("store", os.Getenv("MCRETIMING_STORE"),
 		"persistent result store for exploration jobs (default: $MCRETIMING_STORE; empty = disabled)")
-	retries := flag.Int("retries", 2, "budget-relaxing retries per job on ErrBudgetExceeded")
 	allowFP := flag.Bool("failpoints", false, "accept per-job failpoint specs over the API (chaos testing only)")
 	drainTimeout := flag.Duration("drain", 30*time.Second, "how long shutdown waits for in-flight jobs")
 	coordinator := flag.Bool("coordinator", false, "enable the cluster control plane and dispatch jobs to joined workers")
@@ -136,7 +136,6 @@ func main() {
 		DefaultTimeout:    *deadline,
 		CheckpointDir:     *checkpoint,
 		StoreDir:          *storeDir,
-		RetryMax:          *retries,
 		EnableFailpoints:  *allowFP,
 		Coordinator:       *coordinator,
 		JoinURL:           *joinURL,

@@ -188,7 +188,7 @@ func okHandler(id string, calls *atomic.Int64) http.HandlerFunc {
 		if calls != nil {
 			calls.Add(1)
 		}
-		_ = json.NewEncoder(w).Encode(RunResponse{Attempts: 1, Result: json.RawMessage(`{"from":"` + id + `"}`)})
+		_ = json.NewEncoder(w).Encode(RunResponse{Result: json.RawMessage(`{"from":"` + id + `"}`)})
 	}
 }
 

@@ -28,8 +28,8 @@ var ErrUnavailable = errors.New("cluster: no worker available")
 // result, which is what makes re-routing safe: any worker, or the
 // coordinator itself, computes byte-identical output.
 type RunRequest struct {
-	// Kind selects the flow: "retime" (full single-point job, budget ladder
-	// included) or "explore-point" (one design-space point at PeriodPS).
+	// Kind selects the flow: "retime" (full single-point job) or
+	// "explore-point" (one design-space point at PeriodPS).
 	Kind     string          `json:"kind"`
 	BLIF     string          `json:"blif"`
 	Options  json.RawMessage `json:"options,omitempty"`
@@ -49,8 +49,7 @@ const (
 // kind-specific payload (the server's Result for retime, the explore
 // package's Solution for explore-point).
 type RunResponse struct {
-	Attempts int             `json:"attempts,omitempty"`
-	Result   json.RawMessage `json:"result"`
+	Result json.RawMessage `json:"result"`
 }
 
 // RemoteError is a structured job failure reported by a worker: the HTTP
@@ -70,9 +69,8 @@ func (e *RemoteError) Error() string {
 // Retryable reports whether the failure is worth re-routing to another
 // worker: load shedding, draining, or an internal crash on that worker. All
 // other codes are deterministic properties of the job input (malformed,
-// infeasible, budget-exhausted after the worker's own ladder, ...) that
-// every node — including the local fallback — would reproduce, so the first
-// answer stands.
+// infeasible, budget-exhausted, ...) that every node — including the local
+// fallback — would reproduce, so the first answer stands.
 func (e *RemoteError) Retryable() bool {
 	switch e.Code {
 	case "queue_full", "shutting_down", "internal":

@@ -23,10 +23,8 @@ import (
 	"context"
 	"time"
 
-	"mcretiming/internal/justify"
 	"mcretiming/internal/mcgraph"
 	"mcretiming/internal/netlist"
-	"mcretiming/internal/retime"
 	"mcretiming/internal/trace"
 )
 
@@ -89,8 +87,8 @@ type Options struct {
 	// dense W/D oracle.
 	CheckInvariants bool
 
-	// Budgets bounds the flow's solvers; exhaustion triggers the degradation
-	// ladder (see Budgets) instead of unbounded work.
+	// Budgets bounds the flow's solvers; exhaustion degrades the result
+	// (see Budgets) instead of failing the run or working without bound.
 	Budgets Budgets
 
 	// Trace receives the structured spans and counters of the run: one span
@@ -109,35 +107,15 @@ type Options struct {
 // blown SAT conflict budget counts as an unresolved conflict, which sends
 // the flow down the paper's §5.2 add-bound-and-re-solve path; a blown
 // min-cost-flow or round budget in minarea keeps the feasible minperiod
-// retiming and records the downgrade in Report.Degraded.
+// retiming and records the downgrade in Report.Degraded. No exhaustion
+// escapes the flow as rterr.ErrBudgetExceeded (only an armed failpoint
+// injects that error), so a caller never needs to retry a run with larger
+// budgets; the retiming service runs each job once.
 type Budgets struct {
 	BDDNodes          int // nodes per global-justification BDD (justify.DefaultBDDNodes)
 	SATConflicts      int // conflicts per SAT solve (justify.DefaultSATConflicts)
 	FlowAugmentations int // augmentations per min-cost-flow solve (retime.DefaultFlowAugmentations)
 	MinAreaRounds     int // cutting-plane rounds per minarea solve (retime.DefaultMaxRounds)
-}
-
-// Relaxed returns the next rung of the budget ladder for a retry after
-// ErrBudgetExceeded: every budget doubles (a zero field is resolved to its
-// solver default first), and an already-unlimited (negative) budget stays
-// unlimited. The retiming service's backoff retry climbs this ladder until
-// the job succeeds or its retry budget runs out.
-func (b Budgets) Relaxed() Budgets {
-	relax := func(v, def int) int {
-		switch {
-		case v < 0:
-			return v
-		case v == 0:
-			return 2 * def
-		}
-		return 2 * v
-	}
-	return Budgets{
-		BDDNodes:          relax(b.BDDNodes, justify.DefaultBDDNodes),
-		SATConflicts:      relax(b.SATConflicts, justify.DefaultSATConflicts),
-		FlowAugmentations: relax(b.FlowAugmentations, retime.DefaultFlowAugmentations),
-		MinAreaRounds:     relax(b.MinAreaRounds, retime.DefaultMaxRounds),
-	}
 }
 
 // checkInvariantsDefault force-enables the invariant checker regardless of

@@ -4,10 +4,12 @@ import (
 	"errors"
 	"testing"
 
+	"mcretiming/internal/gen"
 	"mcretiming/internal/logic"
 	"mcretiming/internal/netlist"
 	"mcretiming/internal/rterr"
 	"mcretiming/internal/verify"
+	"mcretiming/internal/xc4000"
 )
 
 // checkInvariantsDefault is forced on for the whole core test binary: every
@@ -141,6 +143,36 @@ func TestBudgetDegradationLadder(t *testing.T) {
 			tc.verify(t, rep)
 		})
 	}
+
+	// Every budget at once, on the paper's own traffic: the flow must still
+	// succeed and say it degraded. This is the invariant that lets the
+	// retiming service run each job once: no budget exhaustion escapes the
+	// flow as ErrBudgetExceeded. (Equivalence under starved budgets is
+	// FuzzRetimeVerify's mode 4.)
+	t.Run("every-budget-starved-table2", func(t *testing.T) {
+		starved := Options{Objective: MinAreaAtMinPeriod, Budgets: Budgets{1, 1, 1, 1}}
+		for _, p := range gen.Profiles {
+			c, err := p.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			in, err := xc4000.Map(xc4000.DecomposeSyncResets(c))
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, rep, err := Retime(in, starved)
+			if errors.Is(err, rterr.ErrBudgetExceeded) {
+				t.Fatalf("%s: budget exhaustion escaped the flow: %v", p.Name, err)
+			}
+			if err != nil {
+				t.Fatalf("%s: flow failed instead of degrading: %v", p.Name, err)
+			}
+			if len(rep.Degraded) == 0 {
+				t.Errorf("%s: every budget starved but Report.Degraded is empty", p.Name)
+			}
+			t.Logf("%s: %d §5.2 retries, %d degradation notes", p.Name, rep.Retries, len(rep.Degraded))
+		}
+	})
 }
 
 // Infeasible targets must be detectable with errors.Is across the public

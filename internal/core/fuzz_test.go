@@ -77,23 +77,26 @@ func FuzzRetimeVerify(f *testing.F) {
 	f.Add(int64(2026), uint8(60), uint8(1))
 	f.Add(int64(-7), uint8(12), uint8(2))
 	f.Add(int64(424242), uint8(90), uint8(3))
+	f.Add(int64(77), uint8(45), uint8(4))
 	f.Fuzz(func(t *testing.T, seed int64, size, mode uint8) {
 		c := gen.Random(seed, 10+int(size)%80)
 		if c.NumRegs() == 0 {
 			t.Skip("no registers to move")
 		}
 		opts := Options{Objective: MinAreaAtMinPeriod}
-		switch mode % 4 {
+		switch mode % 5 {
 		case 1:
 			opts.Objective = MinPeriod
 		case 2:
 			opts.Budgets = Budgets{BDDNodes: 1} // every global justification escalates to SAT
 		case 3:
 			opts.Budgets = Budgets{BDDNodes: 64, SATConflicts: 64, FlowAugmentations: 256, MinAreaRounds: 4}
+		case 4:
+			opts.Budgets = Budgets{1, 1, 1, 1} // every budget starved at once
 		}
 		out, rep, err := Retime(c, opts)
 		if err != nil {
-			t.Fatalf("%s (mode %d): %v", c.Name, mode%4, err)
+			t.Fatalf("%s (mode %d): %v", c.Name, mode%5, err)
 		}
 		if rep.PeriodAfter > rep.PeriodBefore {
 			t.Fatalf("%s: period worsened %d -> %d", c.Name, rep.PeriodBefore, rep.PeriodAfter)
@@ -103,7 +106,7 @@ func FuzzRetimeVerify(f *testing.F) {
 			Cycles: skip + 32, Seqs: 2, Skip: skip, Seed: seed,
 			Bias: map[string]float64{"en1": 0.8, "en2": 0.7, "rst": 0.2, "arst": 0.15},
 		}); err != nil {
-			t.Fatalf("%s (mode %d): NOT EQUIVALENT: %v", c.Name, mode%4, err)
+			t.Fatalf("%s (mode %d): NOT EQUIVALENT: %v", c.Name, mode%5, err)
 		}
 	})
 }

@@ -1,7 +1,8 @@
 // Package retry is the shared backoff policy of the retiming service: a
-// capped, jittered exponential schedule with a context-aware sleep. It is
-// used by the server's budget-relaxing retry loop and by the cluster
-// dispatcher's re-routing loop, so both surfaces back off the same way.
+// capped, jittered exponential schedule with a context-aware sleep. It paces
+// the cluster dispatcher's re-routing loop, the HA lease heartbeat and the
+// result store's remote-save retries, so every surface backs off the same
+// way. Jobs themselves are never retried: each runs once.
 //
 // The schedule is a pure function of the attempt number plus an injected
 // randomness source, so tests pin Rand (and drive Wait with an already

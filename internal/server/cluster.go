@@ -9,10 +9,8 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
-	"mcretiming/internal/blif"
 	"mcretiming/internal/cluster"
 	"mcretiming/internal/explore"
 	"mcretiming/internal/failpoint"
@@ -421,7 +419,7 @@ func (s *Server) serveRun(ctx context.Context, req cluster.RunRequest, wireOpts 
 	}()
 	switch req.Kind {
 	case cluster.KindRetime:
-		res, attempts, err := s.runRetime(ctx, nil, req.BLIF, wireOpts)
+		res, err := s.runRetime(ctx, req.BLIF, wireOpts)
 		if err != nil {
 			return nil, err
 		}
@@ -429,15 +427,11 @@ func (s *Server) serveRun(ctx context.Context, req cluster.RunRequest, wireOpts 
 		if err != nil {
 			return nil, fmt.Errorf("%w: encoding result: %v", rterr.ErrInternal, err)
 		}
-		return &cluster.RunResponse{Attempts: attempts, Result: payload}, nil
+		return &cluster.RunResponse{Result: payload}, nil
 	case cluster.KindExplorePoint:
-		c, err := blif.Read(strings.NewReader(req.BLIF))
+		c, opts, err := parseJob(req.BLIF, wireOpts)
 		if err != nil {
 			return nil, err
-		}
-		opts, err := wireOpts.coreOptions()
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", rterr.ErrMalformedInput, err)
 		}
 		sol, err := s.points.Solve(ctx, c, opts, req.PeriodPS, s.store)
 		if err != nil {
@@ -447,7 +441,7 @@ func (s *Server) serveRun(ctx context.Context, req cluster.RunRequest, wireOpts 
 		if err != nil {
 			return nil, fmt.Errorf("%w: encoding solution: %v", rterr.ErrInternal, err)
 		}
-		return &cluster.RunResponse{Attempts: 1, Result: payload}, nil
+		return &cluster.RunResponse{Result: payload}, nil
 	default:
 		return nil, fmt.Errorf("%w: unknown run kind %q", rterr.ErrMalformedInput, req.Kind)
 	}
@@ -687,10 +681,10 @@ func retimeRoutingKey(spec JobSpec) (string, []byte, error) {
 // cluster.ErrUnavailable (degrade to local), a coordinator-side context
 // error, or a definitive job failure translated back into the engine's error
 // taxonomy so MapError classifies it exactly as a local failure.
-func (s *Server) dispatchRetime(ctx context.Context, spec JobSpec) (*Result, int, string, error) {
+func (s *Server) dispatchRetime(ctx context.Context, spec JobSpec) (*Result, string, error) {
 	key, optsJSON, err := retimeRoutingKey(spec)
 	if err != nil {
-		return nil, 0, "", fmt.Errorf("%w: encoding options: %v", cluster.ErrUnavailable, err)
+		return nil, "", fmt.Errorf("%w: encoding options: %v", cluster.ErrUnavailable, err)
 	}
 	resp, workerID, err := s.dispatcher.Do(ctx, key, cluster.RunRequest{
 		Kind:       cluster.KindRetime,
@@ -701,17 +695,17 @@ func (s *Server) dispatchRetime(ctx context.Context, spec JobSpec) (*Result, int
 	if err != nil {
 		var rerr *cluster.RemoteError
 		if errors.As(err, &rerr) {
-			return nil, 0, workerID, sentinelFromRemote(rerr)
+			return nil, workerID, sentinelFromRemote(rerr)
 		}
-		return nil, 0, workerID, err
+		return nil, workerID, err
 	}
 	var res Result
 	if err := json.Unmarshal(resp.Result, &res); err != nil {
 		// A worker answering garbage is a loss, not a job failure.
-		return nil, 0, workerID, fmt.Errorf("%w (undecodable result from %s: %v)", cluster.ErrUnavailable, workerID, err)
+		return nil, workerID, fmt.Errorf("%w (undecodable result from %s: %v)", cluster.ErrUnavailable, workerID, err)
 	}
 	s.dispatched.Add(1)
-	return &res, resp.Attempts, workerID, nil
+	return &res, workerID, nil
 }
 
 // remotePointFn builds the explore.Options.Remote hook for a sweep: each

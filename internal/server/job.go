@@ -199,7 +199,6 @@ type Progress struct {
 type Job struct {
 	Spec     JobSpec
 	Status   JobStatus
-	Attempts int
 	Progress *Progress
 	Result   *Result
 	Err      *ErrorBody
@@ -222,7 +221,6 @@ type jobView struct {
 	Status     JobStatus `json:"status"`
 	Tenant     string    `json:"tenant,omitempty"`
 	Batch      string    `json:"batch,omitempty"`
-	Attempts   int       `json:"attempts,omitempty"`
 	Worker     string    `json:"worker,omitempty"`
 	QueuedAt   string    `json:"queued_at,omitempty"`
 	StartedAt  string    `json:"started_at,omitempty"`

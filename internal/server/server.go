@@ -18,10 +18,9 @@
 //     (recovered as core.PanicError) or anywhere else in the job path
 //     (recovered here) — fails that one job with 500; the daemon keeps
 //     serving.
-//   - Budget retry: a job failing with rterr.ErrBudgetExceeded is re-run
-//     after exponential backoff with budgets relaxed one ladder rung
-//     (core.Budgets.Relaxed), and the eventual success is annotated in
-//     Report.Degraded.
+//   - One attempt per job: solver budgets (JobOptions.Budgets) cap work and
+//     degrade inside the engine (see core.Budgets), so a job runs exactly
+//     once and its first error is its answer.
 //   - Graceful shutdown: draining rejects new work (503), lets in-flight
 //     jobs finish, and checkpoints still-queued job specs to disk; a
 //     restarted server resumes them in order, producing bit-identical
@@ -31,7 +30,7 @@
 // behind its own lock; the server's own mutex guards only its lifecycle
 // (started, draining, parked jobs). Checkpoint resume and HA takeover are one
 // restore path (resume), and local and forwarded runs build their context
-// (runContext) and retry ladder (withBudgetRetry) the same way.
+// (runContext) and parse their input (parseJob) the same way.
 //
 // Failure classification is shared with the CLIs: every engine sentinel of
 // internal/rterr maps to a stable {code, detail} error body and HTTP status
@@ -63,7 +62,6 @@ import (
 	"mcretiming/internal/failpoint"
 	"mcretiming/internal/graph"
 	"mcretiming/internal/netlist"
-	"mcretiming/internal/retry"
 	"mcretiming/internal/rterr"
 	"mcretiming/internal/store"
 	"mcretiming/internal/tenant"
@@ -83,11 +81,6 @@ type Config struct {
 	// CheckpointDir, when non-empty, is where graceful shutdown persists
 	// queued job specs and where Start resumes them from.
 	CheckpointDir string
-	// RetryMax is how many budget-relaxing retries a job failing with
-	// ErrBudgetExceeded gets (default 2). Negative disables retries.
-	RetryMax int
-	// RetryBase is the exponential backoff base delay (default 100ms).
-	RetryBase time.Duration
 	// EnableFailpoints accepts the "failpoints" field on submissions,
 	// arming the named sites for that job only. Chaos testing only —
 	// leave off in production.
@@ -163,12 +156,6 @@ func (c Config) withDefaults() Config {
 	if c.DefaultTimeout == 0 {
 		c.DefaultTimeout = 60 * time.Second
 	}
-	if c.RetryMax == 0 {
-		c.RetryMax = 2
-	}
-	if c.RetryBase <= 0 {
-		c.RetryBase = 100 * time.Millisecond
-	}
 	if c.LeaseTTL <= 0 {
 		c.LeaseTTL = 6 * time.Second
 	}
@@ -226,11 +213,11 @@ type Server struct {
 	leaderKnown string // base URL this worker heartbeats (learned leader)
 	leaderPeer  string // the leader's peer, tried next on failover
 
-	submitted, completed, failed, rejected, retried, panics, resumed atomic.Int64
-	dispatched, clusterFallback, clusterRuns, remotePoints           atomic.Int64
-	checkpointErrs                                                   atomic.Int64
-	haReplJobs, haReplStore, haNotLeader, haTakeoverJobs             atomic.Int64
-	quotaRejected, batchesSubmitted, batchJobs, idemReplays          atomic.Int64
+	submitted, completed, failed, rejected, panics, resumed atomic.Int64
+	dispatched, clusterFallback, clusterRuns, remotePoints  atomic.Int64
+	checkpointErrs                                          atomic.Int64
+	haReplJobs, haReplStore, haNotLeader, haTakeoverJobs    atomic.Int64
+	quotaRejected, batchesSubmitted, batchJobs, idemReplays atomic.Int64
 
 	cntMu    sync.Mutex
 	counters map[string]int64 // aggregated engine trace counters
@@ -739,7 +726,7 @@ func (s *Server) runContext(parent context.Context, failpoints string, timeoutMS
 
 // execute runs the retiming flow for job: dispatch to a cluster worker when
 // one is healthy, otherwise (or for sweeps, which fan out per point instead)
-// run locally under the budget-relaxing retry ladder.
+// run locally.
 func (s *Server) execute(job *Job) error {
 	ctx, cancel, err := s.runContext(context.Background(), job.Spec.Failpoints, job.Spec.Options.TimeoutMS)
 	if err != nil {
@@ -757,10 +744,10 @@ func (s *Server) execute(job *Job) error {
 	}
 
 	if s.dispatcher != nil {
-		res, attempts, workerID, err := s.dispatchRetime(ctx, job.Spec)
+		res, workerID, err := s.dispatchRetime(ctx, job.Spec)
 		switch {
 		case err == nil:
-			s.table.set(job, func(j *Job) { j.Result, j.Attempts, j.Worker = res, attempts, workerID })
+			s.table.set(job, func(j *Job) { j.Result, j.Worker = res, workerID })
 			return nil
 		case errors.Is(err, cluster.ErrUnavailable):
 			// The whole cluster degrading never fails a job: run it here,
@@ -775,77 +762,41 @@ func (s *Server) execute(job *Job) error {
 		}
 	}
 
-	res, attempts, err := s.runRetime(ctx, job, job.Spec.BLIF, job.Spec.Options)
+	res, err := s.runRetime(ctx, job.Spec.BLIF, job.Spec.Options)
 	if err != nil {
 		return err
 	}
-	s.table.set(job, func(j *Job) { j.Result, j.Attempts = res, attempts })
+	s.table.set(job, func(j *Job) { j.Result = res })
 	return nil
 }
 
-// runRetime runs the single-point retime flow for (blifText, wireOpts) under
-// the budget-relaxing retry ladder. It is the shared core of local job
-// execution and the worker's forwarded-run handler (job nil), which is what
-// makes a forwarded job bit-identical to a local one.
-func (s *Server) runRetime(ctx context.Context, job *Job, blifText string, wireOpts JobOptions) (*Result, int, error) {
-	var res *Result
-	attempts, err := s.withBudgetRetry(ctx, job, blifText, wireOpts, func(c *netlist.Circuit, opts core.Options) (err error) {
-		res, err = retimeOnce(ctx, c, opts)
-		return err
-	})
-	if err != nil {
-		return nil, attempts, err
-	}
-	if attempts > 1 {
-		res.Report.Degraded = append(res.Report.Degraded, fmt.Sprintf(
-			"budget exceeded; succeeded on attempt %d with budgets relaxed %d rung(s)",
-			attempts, attempts-1))
-	}
-	return res, attempts, nil
-}
-
-// withBudgetRetry runs solve under the budget-relaxing retry ladder shared by
-// retime and explore jobs. Attempt n (from 1) is recorded on job (when not
-// nil), parses blifText afresh, and runs solve with budgets relaxed n-1 rungs
-// (core.Budgets.Relaxed) and a fresh trace recorder whose counters are folded
-// into the service totals. Only ErrBudgetExceeded is retried, after a
-// deterministic exponential backoff from RetryBase, and at most RetryMax
-// times. It returns the number of attempts made and the last attempt's error.
-func (s *Server) withBudgetRetry(ctx context.Context, job *Job, blifText string, wireOpts JobOptions, solve func(*netlist.Circuit, core.Options) error) (int, error) {
+// parseJob parses a job's BLIF text and translates its wire options into
+// engine options. Every failure is malformed input: an options error is
+// wrapped here, and blif.Read already classifies its own. Local retime jobs,
+// forwarded runs and explore jobs all start here.
+func parseJob(blifText string, wireOpts JobOptions) (*netlist.Circuit, core.Options, error) {
 	opts, err := wireOpts.coreOptions()
 	if err != nil {
-		return 0, fmt.Errorf("%w: %v", rterr.ErrMalformedInput, err)
+		return nil, opts, fmt.Errorf("%w: %v", rterr.ErrMalformedInput, err)
 	}
-	maxRetries := max(s.cfg.RetryMax, 0)
-	backoff := retry.Schedule{Base: s.cfg.RetryBase}
-	for n := 1; ; n++ {
-		if job != nil {
-			s.table.set(job, func(j *Job) { j.Attempts = n })
-		}
-		c, err := blif.Read(strings.NewReader(blifText))
-		if err == nil {
-			rec := trace.NewRecorder()
-			opts.Trace = rec
-			err = solve(c, opts)
-			s.foldCounters(rec)
-		}
-		if err == nil {
-			return n, nil
-		}
-		if !errors.Is(err, rterr.ErrBudgetExceeded) || n > maxRetries || ctx.Err() != nil {
-			return n, err
-		}
-		s.retried.Add(1)
-		if werr := backoff.Wait(ctx, n-1); werr != nil {
-			return n, fmt.Errorf("%w (while backing off after: %v)", werr, err)
-		}
-		opts.Budgets = opts.Budgets.Relaxed()
-	}
+	c, err := blif.Read(strings.NewReader(blifText))
+	return c, opts, err
 }
 
-// retimeOnce runs one retiming attempt.
-func retimeOnce(ctx context.Context, c *netlist.Circuit, opts core.Options) (*Result, error) {
+// runRetime runs the single-point retime flow for (blifText, wireOpts) with
+// a fresh trace recorder whose counters are folded into the service totals.
+// It is the shared core of local job execution and the worker's
+// forwarded-run handler, which is what makes a forwarded job bit-identical
+// to a local one.
+func (s *Server) runRetime(ctx context.Context, blifText string, wireOpts JobOptions) (*Result, error) {
+	c, opts, err := parseJob(blifText, wireOpts)
+	if err != nil {
+		return nil, err
+	}
+	rec := trace.NewRecorder()
+	opts.Trace = rec
 	out, rep, err := core.RetimeCtx(ctx, c, opts)
+	s.foldCounters(rec)
 	if err != nil {
 		return nil, err
 	}
@@ -856,34 +807,38 @@ func retimeOnce(ctx context.Context, c *netlist.Circuit, opts core.Options) (*Re
 	return &Result{BLIF: buf.String(), Report: summarize(rep)}, nil
 }
 
-// executeExplore runs a sweep under the same budget ladder. On a clustered
-// coordinator every store-missed point is offered to the workers (routed by
-// its point key); any dispatch failure solves that point locally, so the
-// front is identical with a full, flaky, or absent cluster.
+// executeExplore runs a sweep. On a clustered coordinator every store-missed
+// point is offered to the workers (routed by its point key); any dispatch
+// failure solves that point locally, so the front is identical with a full,
+// flaky, or absent cluster.
 func (s *Server) executeExplore(ctx context.Context, job *Job) error {
+	c, opts, err := parseJob(job.Spec.BLIF, job.Spec.Options)
+	if err != nil {
+		return err
+	}
 	var remote func(context.Context, string, int64) (*explore.Solution, error)
 	if s.dispatcher != nil {
 		remote = s.remotePointFn(job.Spec)
 	}
-	_, err := s.withBudgetRetry(ctx, job, job.Spec.BLIF, job.Spec.Options, func(c *netlist.Circuit, opts core.Options) error {
-		front, err := explore.Sweep(ctx, c, explore.Options{
-			Core:        opts,
-			Parallelism: job.Spec.Options.Parallelism,
-			MaxPoints:   job.Spec.Options.MaxPoints,
-			Store:       s.store,
-			Trace:       opts.Trace,
-			Remote:      remote,
-			Progress: func(done, total int) {
-				s.table.set(job, func(j *Job) { j.Progress = &Progress{Done: done, Total: total} })
-			},
-		})
-		if err != nil {
-			return err
-		}
-		s.table.set(job, func(j *Job) { j.Result = &Result{Front: front} })
-		return nil
+	rec := trace.NewRecorder()
+	opts.Trace = rec
+	front, err := explore.Sweep(ctx, c, explore.Options{
+		Core:        opts,
+		Parallelism: job.Spec.Options.Parallelism,
+		MaxPoints:   job.Spec.Options.MaxPoints,
+		Store:       s.store,
+		Trace:       rec,
+		Remote:      remote,
+		Progress: func(done, total int) {
+			s.table.set(job, func(j *Job) { j.Progress = &Progress{Done: done, Total: total} })
+		},
 	})
-	return err
+	s.foldCounters(rec)
+	if err != nil {
+		return err
+	}
+	s.table.set(job, func(j *Job) { j.Result = &Result{Front: front} })
+	return nil
 }
 
 // foldCounters merges one job run's trace counters into the service totals.
@@ -1298,7 +1253,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	put("jobs_completed", s.completed.Load())
 	put("jobs_failed", s.failed.Load())
 	put("jobs_rejected", s.rejected.Load())
-	put("jobs_retried", s.retried.Load())
 	put("jobs_resumed", s.resumed.Load())
 	put("job_panics", s.panics.Load())
 	put("jobs_quota_rejected", s.quotaRejected.Load())

@@ -212,7 +212,6 @@ func render(job *Job, withResult bool) jobView {
 		Status:     job.Status,
 		Tenant:     job.Spec.Tenant,
 		Batch:      job.Spec.Batch,
-		Attempts:   job.Attempts,
 		Worker:     job.Worker,
 		QueuedAt:   stamp(job.QueuedAt),
 		StartedAt:  stamp(job.StartedAt),

@@ -9,7 +9,9 @@
 // circuits with identical random input sequences and requires, from a
 // caller-chosen cycle onward, that whenever both outputs are known they are
 // equal. It reports how many known-vs-known comparisons were made so tests
-// can assert the check had teeth.
+// can assert the check had teeth, and how many samples the second circuit
+// left X where the first was known, so a test can also require that a reset
+// pulse initializes the retimed circuit wherever it initializes the original.
 package verify
 
 import (
@@ -31,7 +33,7 @@ type Stimulus struct {
 	// (e.g. drive an enable high most of the time, a reset low after the
 	// first cycles). Unlisted inputs are fair coins.
 	Bias map[string]float64
-	// AssertLow lists PI names driven 1 for the first two cycles of every
+	// ResetPulse lists PI names driven 1 for the first two cycles of every
 	// sequence and 0 afterwards — the usual shape of a reset pulse.
 	ResetPulse []string
 }
@@ -40,6 +42,7 @@ type Stimulus struct {
 type Result struct {
 	Compared int // output samples where both circuits were known
 	Total    int // output samples examined
+	NewX     int // output samples known in the first circuit but X in the second
 }
 
 // Equivalent simulates a and b under identical stimuli and returns an error
@@ -100,6 +103,9 @@ func Equivalent(a, b *netlist.Circuit, st Stimulus) (*Result, error) {
 				outA, outB := simA.Outputs(), simB.Outputs()
 				for k := range outA {
 					res.Total++
+					if outA[k].Known() && !outB[k].Known() {
+						res.NewX++
+					}
 					if outA[k].Known() && outB[k].Known() {
 						res.Compared++
 						if outA[k] != outB[k] {

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"mcretiming/internal/logic"
 	"mcretiming/internal/netlist"
 )
 
@@ -93,5 +94,41 @@ func TestResetPulseDrivesInput(t *testing.T) {
 	}
 	if res.Compared != 8 {
 		t.Errorf("compared = %d, want 8", res.Compared)
+	}
+}
+
+// TestEquivalentCountsNewX: a toggle register that a reset pulse initializes
+// in the first circuit but not in the second stays X there forever. No known
+// sample disagrees, so the run passes, and NewX counts every sample from the
+// first clock edge on.
+func TestEquivalentCountsNewX(t *testing.T) {
+	build := func(name string, reset bool) *netlist.Circuit {
+		c := netlist.New(name)
+		clk := c.AddInput("clk")
+		rst := c.AddInput("rst")
+		d := c.AddSignal("d")
+		r, q := c.AddReg("r", d, clk)
+		if reset {
+			c.Regs[r].SR = rst
+			c.Regs[r].SRVal = logic.B0
+		}
+		c.AddGateTo("inv", netlist.Not, []netlist.SignalID{q}, d, 10)
+		c.MarkOutput(q)
+		return c
+	}
+	st := Stimulus{Cycles: 10, Seqs: 3, Seed: 1, ResetPulse: []string{"rst"}}
+	res, err := Equivalent(build("reset", true), build("noreset", false), st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Compared != 0 || res.NewX != 3*9 {
+		t.Fatalf("compared %d, new X %d; want 0 and %d", res.Compared, res.NewX, 3*9)
+	}
+	res, err = Equivalent(build("reset", true), build("reset2", true), st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.NewX != 0 || res.Compared != 3*9 {
+		t.Fatalf("identical circuits: compared %d, new X %d; want %d and 0", res.Compared, res.NewX, 3*9)
 	}
 }
