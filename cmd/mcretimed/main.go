@@ -91,7 +91,7 @@ func main() {
 	deadline := flag.Duration("deadline", 60*time.Second, "default per-job deadline (negative = none)")
 	checkpoint := flag.String("checkpoint", "", "directory for queued-job checkpoints on shutdown (empty = disabled)")
 	storeDir := flag.String("store", os.Getenv("MCRETIMING_STORE"),
-		"persistent result store for exploration jobs (default: $MCRETIMING_STORE; empty = disabled)")
+		"persistent result store for retime results and explore points; no size cap (default: $MCRETIMING_STORE; empty = disabled)")
 	allowFP := flag.Bool("failpoints", false, "accept per-job failpoint specs over the API (chaos testing only)")
 	drainTimeout := flag.Duration("drain", 30*time.Second, "how long shutdown waits for in-flight jobs")
 	coordinator := flag.Bool("coordinator", false, "enable the cluster control plane and dispatch jobs to joined workers")

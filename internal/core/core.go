@@ -21,6 +21,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"time"
 
 	"mcretiming/internal/mcgraph"
@@ -116,6 +117,31 @@ type Budgets struct {
 	SATConflicts      int // conflicts per SAT solve (justify.DefaultSATConflicts)
 	FlowAugmentations int // augmentations per min-cost-flow solve (retime.DefaultFlowAugmentations)
 	MinAreaRounds     int // cutting-plane rounds per minarea solve (retime.DefaultMaxRounds)
+}
+
+// FingerprintVersion tags Options.Fingerprint, and with it every key of the
+// content-addressed result store: the sweep's points and single-point retime
+// results. Bump it whenever the flow's output for the same input and options
+// changes (TestGoldenSumsNeedVersionBump fails until you do), so stored
+// results from older binaries read as misses instead of being served. v2
+// added the engine token when the sparse solve core became primary. The
+// "explore-fp" prefix is historical: the text is part of every existing key.
+const FingerprintVersion = "explore-fp/v2"
+
+// Fingerprint renders the options that determine a solved result, other
+// than Objective and TargetPeriod (a sweep sets those per point, so callers
+// key them separately), as the canonical text the result store hashes into
+// its keys. Trace does not change a result and is left out, and so is
+// CheckInvariants: a passing check changes nothing.
+func (o Options) Fingerprint() string {
+	// "engine=sparse" names the only solve core and "sat=false" the only
+	// justification order (BDD first, SAT on escalation). Both stay in the
+	// text because v2 stores hold entries keyed with them, and those are
+	// still exactly right.
+	return fmt.Sprintf("%s engine=sparse sharing=%t justify=%t sat=false fwd=%t retries=%d budgets=%d/%d/%d/%d",
+		FingerprintVersion,
+		!o.DisableSharing, !o.DisableJustify, o.ForwardOnly, o.MaxRetries,
+		o.Budgets.BDDNodes, o.Budgets.SATConflicts, o.Budgets.FlowAugmentations, o.Budgets.MinAreaRounds)
 }
 
 // checkInvariantsDefault force-enables the invariant checker regardless of

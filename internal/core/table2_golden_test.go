@@ -3,6 +3,8 @@ package core
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
+	"sort"
 	"testing"
 
 	"mcretiming/internal/blif"
@@ -126,4 +128,37 @@ func resetPIs(c *netlist.Circuit) []string {
 		}
 	}
 	return names
+}
+
+// goldenSumsVersion records the digest of table2GoldenSums together with the
+// FingerprintVersion it was recorded under. The result store serves a stored
+// retime result or sweep point to any request with the same circuit bytes
+// and fingerprint, so an output change that keeps the version would make a
+// warm store answer with the old bytes.
+var goldenSumsVersion = struct{ version, digest string }{
+	version: "explore-fp/v2",
+	digest:  "5f7c5623b72b5232579a625e8e5a60ff18a69811618796f31615260c5928e243",
+}
+
+// TestGoldenSumsNeedVersionBump fails when table2GoldenSums changes while
+// FingerprintVersion does not.
+func TestGoldenSumsNeedVersionBump(t *testing.T) {
+	names := make([]string, 0, len(table2GoldenSums))
+	for name := range table2GoldenSums {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	h := sha256.New()
+	for _, name := range names {
+		fmt.Fprintf(h, "%s %s\n", name, table2GoldenSums[name])
+	}
+	digest := hex.EncodeToString(h.Sum(nil))
+	switch {
+	case digest != goldenSumsVersion.digest && FingerprintVersion == goldenSumsVersion.version:
+		t.Fatalf("table2GoldenSums changed but FingerprintVersion is still %q: bump FingerprintVersion "+
+			"so result stores stop serving the old outputs, then record {%q, %q} in goldenSumsVersion",
+			FingerprintVersion, "<new version>", digest)
+	case digest != goldenSumsVersion.digest || FingerprintVersion != goldenSumsVersion.version:
+		t.Fatalf("record {%q, %q} in goldenSumsVersion", FingerprintVersion, digest)
+	}
 }

@@ -41,14 +41,6 @@ import (
 	"mcretiming/internal/trace"
 )
 
-// fingerprintVersion tags the option fingerprint entering every store key.
-// Bump it when solver semantics change enough that stored solutions from
-// older binaries must not be served. v2 added the engine token when the
-// sparse solve core became primary: its candidate list prunes below the
-// largest vertex delay, so v1 entries, all dense-produced, are orphaned
-// wholesale rather than served against a sparse fingerprint.
-const fingerprintVersion = "explore-fp/v2"
-
 // Options configures a sweep.
 type Options struct {
 	// Core is the option set every per-period solve inherits. Objective and
@@ -122,15 +114,7 @@ func newKeys(c *netlist.Circuit, o core.Options) (*keys, error) {
 	if err := blif.Write(&buf, c); err != nil {
 		return nil, fmt.Errorf("explore: serialize circuit: %w", err)
 	}
-	// "engine=sparse" names the only solve core and "sat=false" the only
-	// justification order (BDD first, SAT on escalation). Both stay in the
-	// text because v2 stores hold entries keyed with them, and those are
-	// still exactly right.
-	fp := fmt.Sprintf("%s engine=sparse sharing=%t justify=%t sat=false fwd=%t retries=%d budgets=%d/%d/%d/%d",
-		fingerprintVersion,
-		!o.DisableSharing, !o.DisableJustify, o.ForwardOnly, o.MaxRetries,
-		o.Budgets.BDDNodes, o.Budgets.SATConflicts, o.Budgets.FlowAugmentations, o.Budgets.MinAreaRounds)
-	return &keys{ckt: buf.Bytes(), fp: []byte(fp)}, nil
+	return &keys{ckt: buf.Bytes(), fp: []byte(o.Fingerprint())}, nil
 }
 
 func (k *keys) anchor() string     { return store.Key(k.ckt, k.fp, []byte("anchor")) }

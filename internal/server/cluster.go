@@ -666,23 +666,14 @@ func (s *Server) doJSON(url string, body []byte) (int, []byte, error) {
 
 // --- coordinator dispatch ---
 
-// retimeRoutingKey is the consistent-hash key of a single-point retime job:
-// the content-addressed identity of (circuit bytes, wire options), so
-// identical submissions land on the same worker and hit its warm caches.
-func retimeRoutingKey(spec JobSpec) (string, []byte, error) {
-	optsJSON, err := json.Marshal(spec.Options)
-	if err != nil {
-		return "", nil, err
-	}
-	return store.Key([]byte(spec.BLIF), optsJSON, []byte("retime")), optsJSON, nil
-}
-
-// dispatchRetime places a retime job on the cluster. The error is either
+// dispatchRetime places a retime job on the cluster, routed by its
+// retimeKey, so repeats of a job the store does not hold land on the worker
+// that solved it last. The error is either
 // cluster.ErrUnavailable (degrade to local), a coordinator-side context
 // error, or a definitive job failure translated back into the engine's error
 // taxonomy so MapError classifies it exactly as a local failure.
-func (s *Server) dispatchRetime(ctx context.Context, spec JobSpec) (*Result, string, error) {
-	key, optsJSON, err := retimeRoutingKey(spec)
+func (s *Server) dispatchRetime(ctx context.Context, spec JobSpec, key string) (*Result, string, error) {
+	optsJSON, err := json.Marshal(spec.Options)
 	if err != nil {
 		return nil, "", fmt.Errorf("%w: encoding options: %v", cluster.ErrUnavailable, err)
 	}

@@ -236,7 +236,7 @@ func TestClusterWorkerKilledMidJobReroutes(t *testing.T) {
 
 	// The ring decides which worker fields this job; compute it the same way
 	// dispatch does so the test can kill exactly that one.
-	key, _, err := retimeRoutingKey(JobSpec{BLIF: blifText})
+	key, err := retimeKey(JobSpec{BLIF: blifText})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -283,3 +283,51 @@ func TestReportAttemptsOptional(t *testing.T) {
 		t.Fatalf("report without attempts re-encodes as %s", again)
 	}
 }
+
+// TestJobViewFromStoreOptional pins the job view's "from_store" field: it is
+// true on a retime job answered from the result store, and absent, not
+// false, on every solved job (with or without a store), so clients written
+// before the field existed see the views they always saw.
+func TestJobViewFromStoreOptional(t *testing.T) {
+	viewKeys := func(base, id string) map[string]json.RawMessage {
+		t.Helper()
+		resp, err := http.Get(base + "/v1/jobs/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var view map[string]json.RawMessage
+		if err := json.NewDecoder(resp.Body).Decode(&view); err != nil {
+			t.Fatal(err)
+		}
+		return view
+	}
+	submit := func(base, path string) string {
+		t.Helper()
+		status, body := post(t, base+path, retimeRequest{BLIF: testBLIF(t)})
+		if status != http.StatusOK {
+			t.Fatalf("%s: %d %v", path, status, body)
+		}
+		return body["id"].(string)
+	}
+
+	_, plain := newTestServer(t, Config{})
+	_, stored := newTestServer(t, Config{StoreDir: t.TempDir()})
+	// The miss that fills the store; its save follows the answer.
+	if v, ok := viewKeys(stored.URL, submit(stored.URL, "/v1/retime?wait=1"))["from_store"]; ok {
+		t.Fatalf("store miss's view carries from_store = %s", v)
+	}
+	waitMetric(t, stored.URL, "store_saves", 1)
+	for _, solved := range []struct{ base, path string }{
+		{plain.URL, "/v1/retime?wait=1"},
+		{stored.URL, "/v1/explore?wait=1"},
+		{stored.URL, "/v1/explore?wait=1"}, // explore points hit, but the job itself is a sweep
+	} {
+		if v, ok := viewKeys(solved.base, submit(solved.base, solved.path))["from_store"]; ok {
+			t.Fatalf("%s: solved job view carries from_store = %s", solved.path, v)
+		}
+	}
+	if v := viewKeys(stored.URL, submit(stored.URL, "/v1/retime?wait=1"))["from_store"]; string(v) != "true" {
+		t.Fatalf("store hit's from_store = %q, want true", v)
+	}
+}

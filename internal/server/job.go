@@ -204,6 +204,9 @@ type Job struct {
 	Err      *ErrorBody
 	HTTP     int    // status for failed jobs
 	Worker   string // cluster worker that produced the result, if forwarded
+	// FromStore reports that the result was read from the result store
+	// instead of solved (retime jobs only).
+	FromStore bool
 
 	QueuedAt   time.Time
 	StartedAt  time.Time
@@ -222,6 +225,7 @@ type jobView struct {
 	Tenant     string    `json:"tenant,omitempty"`
 	Batch      string    `json:"batch,omitempty"`
 	Worker     string    `json:"worker,omitempty"`
+	FromStore  bool      `json:"from_store,omitempty"` // result read from the store; omitted when solved
 	QueuedAt   string    `json:"queued_at,omitempty"`
 	StartedAt  string    `json:"started_at,omitempty"`
 	FinishedAt string    `json:"finished_at,omitempty"`

@@ -12,6 +12,9 @@
 //     429 + Retry-After instead of growing without bound.
 //   - Early validation: the BLIF body and options are parsed at submission,
 //     so malformed input fails fast with 400 and never occupies a worker.
+//   - Result store: with a store configured, a retime job is first looked
+//     up under its retimeKey; a repeat of an earlier successful job is
+//     answered from the store, byte-identical, with no solve (execute).
 //   - Per-job deadlines: every job runs under a context deadline wired into
 //     the engine's cooperative cancellation (core.RetimeCtx).
 //   - Panic isolation: a crashing job — whether inside a flow pass
@@ -86,9 +89,9 @@ type Config struct {
 	// leave off in production.
 	EnableFailpoints bool
 	// StoreDir, when non-empty, opens a persistent content-addressed result
-	// store there (internal/store): exploration jobs load solved points from
-	// it across requests and restarts, and /metrics exports its hit/miss
-	// counters.
+	// store there (internal/store): retime jobs load whole results and
+	// exploration jobs solved points from it across requests and restarts,
+	// and /metrics exports its hit/miss counters.
 	StoreDir string
 
 	// Tenants is the initial tenant table: per-tenant DRR weights and
@@ -669,13 +672,34 @@ func (s *Server) worker() {
 // runJob executes one job to a terminal state. Any panic escaping the engine
 // (whose flow already converts pass crashes into core.PanicError)
 // or thrown by the server-side job path itself is recovered here: the job
-// fails with 500/"internal", the worker survives.
+// fails with 500/"internal", the worker survives. A result-store save that
+// execute hands back runs after the job is finished, so the answer never
+// waits on the disk, and before the executor is free, so a drain waits for
+// it.
 func (s *Server) runJob(job *Job, tenantID string) {
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
 	defer s.sched.Release(tenantID)
 	s.table.start(job)
 
+	save := s.runToFinish(job)
+	if save == nil {
+		return
+	}
+	// The job has its answer already; a panic in the save is counted and
+	// logged, and the entry is simply absent.
+	defer func() {
+		if r := recover(); r != nil {
+			s.panics.Add(1)
+			s.logf("job %s: result-store save panicked: %v", job.Spec.ID, r)
+		}
+	}()
+	save()
+}
+
+// runToFinish runs execute and moves job to its terminal state, recovering a
+// panic into a 500. It returns execute's save for a job that succeeded.
+func (s *Server) runToFinish(job *Job) (save func()) {
 	var err error
 	defer func() {
 		if r := recover(); r != nil {
@@ -684,7 +708,8 @@ func (s *Server) runJob(job *Job, tenantID string) {
 		}
 		s.finish(job, err)
 	}()
-	err = s.execute(job)
+	save, err = s.execute(job)
+	return save
 }
 
 // finish counts job's outcome and moves it to its terminal state.
@@ -724,50 +749,99 @@ func (s *Server) runContext(parent context.Context, failpoints string, timeoutMS
 	return ctx, cancel, nil
 }
 
-// execute runs the retiming flow for job: dispatch to a cluster worker when
+// execute runs the retiming flow for job. A retime job is first looked up
+// in the result store under its retimeKey: a hit is the job's result, with
+// no parse, dispatch or solve. A miss is dispatched to a cluster worker when
 // one is healthy, otherwise (or for sweeps, which fan out per point instead)
-// run locally.
-func (s *Server) execute(job *Job) error {
+// run locally, and a successful result comes back with save, which stores
+// it for the next identical job once runJob has finished this one. A job
+// that arms failpoints neither reads nor writes the store, so chaos runs
+// always reach the solver.
+func (s *Server) execute(job *Job) (save func(), err error) {
 	ctx, cancel, err := s.runContext(context.Background(), job.Spec.Failpoints, job.Spec.Options.TimeoutMS)
 	if err != nil {
-		return fmt.Errorf("%w: %v", rterr.ErrMalformedInput, err)
+		return nil, fmt.Errorf("%w: %v", rterr.ErrMalformedInput, err)
 	}
 	defer cancel()
 	// Worker-level chaos hook: a panic here is recovered by runJob, not by
 	// the engine's flow.
 	if err := failpoint.Inject(ctx, "server.job"); err != nil {
-		return err
+		return nil, err
 	}
 
 	if job.Spec.Kind == KindExplore {
-		return s.executeExplore(ctx, job)
+		return nil, s.executeExplore(ctx, job)
 	}
 
+	// The key is the store's and the ring's; a single node with no store
+	// uses neither and does not pay for the hash over the circuit.
+	var key string
+	cached := s.store != nil && job.Spec.Failpoints == ""
+	if cached || s.dispatcher != nil {
+		if key, err = retimeKey(job.Spec); err != nil {
+			return nil, err
+		}
+	}
+	if cached {
+		var res Result
+		if s.store.Load(ctx, key, &res) {
+			s.table.set(job, func(j *Job) { j.Result, j.FromStore = &res, true })
+			return nil, nil
+		}
+	}
+
+	var (
+		res      *Result
+		workerID string
+	)
 	if s.dispatcher != nil {
-		res, workerID, err := s.dispatchRetime(ctx, job.Spec)
+		res, workerID, err = s.dispatchRetime(ctx, job.Spec, key)
 		switch {
 		case err == nil:
-			s.table.set(job, func(j *Job) { j.Result, j.Worker = res, workerID })
-			return nil
 		case errors.Is(err, cluster.ErrUnavailable):
 			// The whole cluster degrading never fails a job: run it here,
 			// exactly like a single-node deployment would.
 			s.clusterFallback.Add(1)
 			s.logf("cluster: %s: %v; running locally", job.Spec.ID, err)
+			workerID = ""
 		default:
 			// A definitive remote failure (re-mapped into the engine's error
 			// taxonomy) or this job's own deadline/cancellation.
 			s.table.set(job, func(j *Job) { j.Worker = workerID })
-			return err
+			return nil, err
 		}
 	}
-
-	res, err := s.runRetime(ctx, job.Spec.BLIF, job.Spec.Options)
-	if err != nil {
-		return err
+	if res == nil {
+		if res, err = s.runRetime(ctx, job.Spec.BLIF, job.Spec.Options); err != nil {
+			return nil, err
+		}
 	}
-	s.table.set(job, func(j *Job) { j.Result = res })
-	return nil
+	s.table.set(job, func(j *Job) { j.Result, j.Worker = res, workerID })
+	if !cached {
+		return nil, nil
+	}
+	// The save outlives ctx, which carries no failpoints here (cached).
+	// A failed save is counted in store_save_errors; the job has its answer
+	// either way.
+	return func() { _ = s.store.Save(context.Background(), key, res) }, nil
+}
+
+// retimeKey is the content address of a retime job's result: store.Key over
+// the raw BLIF bytes, the engine options' fingerprint (core.Options.
+// Fingerprint, the same text explore keys its points with) and a
+// discriminator holding the objective, the target period and
+// check_invariants. It is both the result-store key execute loads and saves
+// under and the consistent-hash key a coordinator dispatches by, so the two
+// cannot drift apart. check_invariants is in it so that a job asking for the
+// checks is only served a result that passed them. parallelism, timeout_ms
+// and max_points never change a retime result, so they are not part of it.
+func retimeKey(spec JobSpec) (string, error) {
+	opts, err := spec.Options.coreOptions()
+	if err != nil {
+		return "", fmt.Errorf("%w: %v", rterr.ErrMalformedInput, err)
+	}
+	disc := fmt.Sprintf("retime objective=%d target=%d check=%t", opts.Objective, opts.TargetPeriod, opts.CheckInvariants)
+	return store.Key([]byte(spec.BLIF), []byte(opts.Fingerprint()), []byte(disc)), nil
 }
 
 // parseJob parses a job's BLIF text and translates its wire options into

@@ -213,6 +213,7 @@ func render(job *Job, withResult bool) jobView {
 		Tenant:     job.Spec.Tenant,
 		Batch:      job.Spec.Batch,
 		Worker:     job.Worker,
+		FromStore:  job.FromStore,
 		QueuedAt:   stamp(job.QueuedAt),
 		StartedAt:  stamp(job.StartedAt),
 		FinishedAt: stamp(job.FinishedAt),

@@ -1,8 +1,14 @@
 // Package store is a content-addressed, on-disk result store: a mapping from
 // a caller-computed key (a hash over the inputs that determine a result —
 // circuit bytes, option fingerprint, sub-result discriminator) to a JSON
-// payload. The exploration sweep uses it so repeated sweeps, server restarts,
-// and CI runs serve solved points from disk instead of re-solving.
+// payload. Two callers use it: the exploration sweep keeps its solved points
+// and candidate periods here, and mcretimed keeps single-point retime
+// results (the retimed BLIF and its report) under a key over the job's
+// circuit bytes and result-determining options. Repeated sweeps, repeated
+// retime jobs, server restarts, and CI runs read from disk instead of
+// re-solving. Open does not scan the directory, so a large store costs
+// nothing at start-up. Nothing bounds its size yet: mcretimed adds one entry
+// per distinct successful retime job, and nothing is ever evicted.
 //
 // The design goal is that the store can NEVER make an answer wrong — only
 // absent. Every failure mode degrades to a miss and the caller re-solves:
