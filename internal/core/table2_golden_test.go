@@ -66,6 +66,60 @@ func TestTable2GoldenSums(t *testing.T) {
 	}
 }
 
+// table2RemapSums pins the SHA-256 of the BLIF of xc4000.Map applied to
+// each Retime output of table2GoldenSums: the paper's remap step, which
+// re-enters the mapper with LUT gates and merges mergeable LUT pairs. The
+// golden sums above pin the first map only through the retimed circuit;
+// these pin the remap itself.
+var table2RemapSums = map[string]string{
+	"C1":    "22c599faf563a079174b427b4d7c06223e161d6edd5a9e7c89f5be585f2b9a11",
+	"C2":    "1f4f785c90e38c1346ccf051407b8f635352602e33f819e4fb8f0e11437b5a40",
+	"C3":    "7477439021f26f276bc232e50a5231b2745cd6c52703bb0a132658eaada10581",
+	"C4":    "175007c60ef84a97c758abe2b78be19f29daec7a7e3d9ea1b3a14e731988c560",
+	"C5":    "fc01986e6b9b5732f2b465ec6bb3531062d2f830aebb750e66dc01bc0b2eddda",
+	"C6":    "141b03c773bef665aef8b79938a07af960909f4a8a2c82894d279afdc44b4f4a",
+	"C7":    "d2f5adffc2de10c4b5404a6c63561b7821f528cada9cba40a7dd456379c3aa2a",
+	"C8":    "b29c360af88e6ba2db3875151da34a881f25e60eb3323225bc66a2ca9596c67a",
+	"C9":    "c407969708ddf7f37b2c293ba1ece13dae35743b0e2cd9df7dc5931cfa87f776",
+	"C10":   "62bd0adffb0a87df0e0e4f7273c5983b809e768ed65cce85e2afbe91c26c33fb",
+	"rand1": "f18193d8cc68b7120c87cdea2309df21dcf807c82b64cc21823ee08e16643e26",
+}
+
+func TestTable2RemapSums(t *testing.T) {
+	inputs := map[string]*netlist.Circuit{"rand1": gen.Random(1, 2600)}
+	for _, p := range gen.Profiles {
+		c, err := p.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		inputs[p.Name] = c
+	}
+	for name, c := range inputs {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			mapped, err := xc4000.Map(xc4000.DecomposeSyncResets(c.Clone()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			retimed, _, err := Retime(mapped, Options{Objective: MinAreaAtMinPeriod})
+			if err != nil {
+				t.Fatal(err)
+			}
+			remapped, err := xc4000.Map(retimed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := sha256.New()
+			if err := blif.Write(h, remapped); err != nil {
+				t.Fatal(err)
+			}
+			if got := hex.EncodeToString(h.Sum(nil)); got != table2RemapSums[name] {
+				t.Errorf("%s: remapped BLIF sha256 %s, want %s", name, got, table2RemapSums[name])
+			}
+		})
+	}
+}
+
 // TestTable2ResetContract checks the §5.2 reset-state contract on the
 // paper's circuits: after a reset pulse, every retimed output is known
 // wherever the original's is, and equal to it. The comparison starts at
