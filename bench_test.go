@@ -119,6 +119,41 @@ func BenchmarkTable2MCRetime(b *testing.B) {
 	}
 }
 
+// BenchmarkTable2Map measures the mapper alone on the Table-2 traffic: per
+// op, the first map and the remap of the ten profiles and the seed-1
+// 2600-gate random circuit, 22 Map calls. The retimed inputs are built once.
+func BenchmarkTable2Map(b *testing.B) {
+	circuits := []*netlist.Circuit{gen.Random(1, 2600)}
+	for _, p := range gen.Profiles {
+		c, err := p.Build()
+		if err != nil {
+			b.Fatal(err)
+		}
+		circuits = append(circuits, c)
+	}
+	var inputs []*netlist.Circuit
+	for _, c := range circuits {
+		first := xc4000.DecomposeSyncResets(c.Clone())
+		mapped, err := xc4000.Map(first)
+		if err != nil {
+			b.Fatal(err)
+		}
+		retimed, _, err := core.Retime(mapped, core.Options{Objective: core.MinAreaAtMinPeriod})
+		if err != nil {
+			b.Fatal(err)
+		}
+		inputs = append(inputs, first, retimed)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		for _, c := range inputs {
+			if _, err := xc4000.Map(c); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // BenchmarkTable3NoEnable measures the conventional baseline: decompose the
 // load enables first, then retime and remap.
 func BenchmarkTable3NoEnable(b *testing.B) {

@@ -41,6 +41,8 @@ func TestValidateCatchesDoubleDriver(t *testing.T) {
 	}
 }
 
+// TestValidateCatchesCombCycle covers a two-gate loop and a gate reading
+// its own output, which a gate-ID order check must not take for sorted.
 func TestValidateCatchesCombCycle(t *testing.T) {
 	c := New("t")
 	s1 := c.AddSignal("s1")
@@ -49,6 +51,18 @@ func TestValidateCatchesCombCycle(t *testing.T) {
 	c.AddGateTo("g2", Not, []SignalID{s1}, s2, 0)
 	if err := c.Validate(); err == nil {
 		t.Fatal("Validate accepted a combinational cycle")
+	}
+
+	c = New("self")
+	a := c.AddInput("a")
+	s := c.AddSignal("s")
+	c.AddGateTo("g", And, []SignalID{a, s}, s, 0)
+	c.MarkOutput(s)
+	if c.GatesInTopoOrder() {
+		t.Error("GatesInTopoOrder holds for a gate reading its own output")
+	}
+	if err := c.Validate(); err == nil {
+		t.Fatal("Validate accepted a gate reading its own output")
 	}
 }
 
@@ -269,35 +283,6 @@ func TestTruthTableOfNamedGates(t *testing.T) {
 	if tt, err := nor2.TruthTable(); err != nil || tt != 0b0001 {
 		t.Errorf("nor2 TT = %04b (err %v), want 0001", tt, err)
 	}
-}
-
-func TestBuildFanouts(t *testing.T) {
-	c := New("t")
-	a := c.AddInput("a")
-	clk := c.AddInput("clk")
-	en := c.AddInput("en")
-	g1, x := c.AddGate("g1", Not, []SignalID{a}, 0)
-	g2, y := c.AddGate("g2", And, []SignalID{a, x}, 0)
-	r, q := c.AddReg("ff", y, clk)
-	c.Regs[r].EN = en
-	c.MarkOutput(q)
-	f := c.BuildFanouts()
-	if len(f.GateReaders[a]) != 2 {
-		t.Errorf("a read by %d gates, want 2", len(f.GateReaders[a]))
-	}
-	if len(f.GateReaders[x]) != 1 || f.GateReaders[x][0] != g2 {
-		t.Errorf("x readers = %v, want [g2]", f.GateReaders[x])
-	}
-	if len(f.RegD[y]) != 1 || f.RegD[y][0] != r {
-		t.Errorf("y regD = %v", f.RegD[y])
-	}
-	if len(f.RegCtrl[en]) != 1 || len(f.RegCtrl[clk]) != 1 {
-		t.Errorf("control fanout wrong: en=%v clk=%v", f.RegCtrl[en], f.RegCtrl[clk])
-	}
-	if !f.IsPO[q] {
-		t.Error("q not marked PO")
-	}
-	_ = g1
 }
 
 // Generated names read as the fmt verbs that used to build them.

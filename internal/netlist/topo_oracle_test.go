@@ -120,7 +120,8 @@ func fuzzCircuit(data []byte) *Circuit {
 }
 
 // FuzzTopoGates holds TopoGates to the map-based oracle: the same order, or
-// the same cycle error, on random circuits with tombstones and cycles.
+// the same cycle error, on random circuits with tombstones and cycles. It
+// also requires GatesInTopoOrder to hold only on acyclic circuits.
 func FuzzTopoGates(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 2, 12, 3, 7, 1, 200, 3, 4, 5, 9, 2, 7, 8, 1, 0, 3, 1})
@@ -134,6 +135,9 @@ func FuzzTopoGates(f *testing.F) {
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("order %v, oracle says %v", got, want)
+		}
+		if c.GatesInTopoOrder() && werr != nil {
+			t.Fatalf("GatesInTopoOrder holds on a circuit the oracle finds cyclic: %v", werr)
 		}
 	})
 }

@@ -10,7 +10,7 @@
 //   - Reg:    a generic register.
 //
 // The package provides structural editing, validation, topological ordering
-// of the combinational logic, fanout indexing, deep cloning, and gate
+// of the combinational logic, deep cloning, and gate
 // evaluation in two- and three-valued logic. Everything downstream — the
 // retiming graphs, the simulator, the technology mapper — is built on it.
 package netlist

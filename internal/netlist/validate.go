@@ -137,8 +137,10 @@ func (c *Circuit) Validate() error {
 			}
 		}
 	})
-	if _, err := c.TopoGates(); err != nil {
-		errs = append(errs, err)
+	if !c.GatesInTopoOrder() {
+		if _, err := c.TopoGates(); err != nil {
+			errs = append(errs, err)
+		}
 	}
 	return errors.Join(errs...)
 }
