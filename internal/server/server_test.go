@@ -40,7 +40,10 @@ func testBLIF(t testing.TB) string {
 	return buf.String()
 }
 
-// newTestServer starts a server over httptest and registers cleanup.
+// newTestServer starts a server over httptest and registers cleanup. The
+// cleanup drains the server before closing the listener: a job's store save
+// runs after its answer, and must land before the test's temporary
+// directories are removed (their cleanups, registered earlier, run later).
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	s := New(cfg)
@@ -48,7 +51,14 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 		t.Fatal(err)
 	}
 	hs := httptest.NewServer(s.Handler())
-	t.Cleanup(hs.Close)
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := s.Shutdown(ctx); err != nil {
+			t.Logf("cleanup: %v", err)
+		}
+		hs.Close()
+	})
 	return s, hs
 }
 
