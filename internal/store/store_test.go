@@ -1,7 +1,11 @@
 package store
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -226,5 +230,59 @@ func TestFailpoints(t *testing.T) {
 	st := s.Stats()
 	if st.SaveErrors != 1 {
 		t.Fatalf("save errors = %d, want 1 (stats %+v)", st.SaveErrors, st)
+	}
+}
+
+// TestEncodeEnvelopeMatchesMarshal holds encodeEnvelope to the bytes
+// json.Marshal writes for the whole envelope, with the payload marshaled a
+// second time as a json.RawMessage, on payloads and keys that need escaping.
+func TestEncodeEnvelopeMatchesMarshal(t *testing.T) {
+	type inner struct {
+		Text string         `json:"text"`
+		List []any          `json:"list"`
+		Map  map[string]any `json:"map"`
+	}
+	payloads := []any{
+		nil,
+		"",
+		`<script>alert("x & y")</script>`,
+		"line\u2028separator\u2029paragraph",
+		"Grüße, 日本語, emoji \U0001F600, tab\t, nul\x00, invalid \xff",
+		payload{Name: "a<b>&c", N: -7},
+		inner{
+			Text: "nested <&>",
+			List: []any{1.5, "two\u2028", []any{nil, true, map[string]any{"k<": "v>"}}},
+			Map:  map[string]any{"z": 1, "a": []int{3, 2, 1}, "é": inner{Text: "&"}},
+		},
+		json.RawMessage(`{ "spaced" : [ 1 , 2 ] , "html" : "<>" }`),
+	}
+	keys := []string{"abc", "0123456789abcdef", `k"<&>` + "\u2028é"}
+	for _, key := range keys {
+		for i, v := range payloads {
+			got, err := encodeEnvelope(key, v)
+			if err != nil {
+				t.Fatalf("payload %d: %v", i, err)
+			}
+			raw, err := json.Marshal(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(raw)
+			want, err := json.Marshal(struct {
+				Schema        string          `json:"schema"`
+				Key           string          `json:"key"`
+				PayloadSHA256 string          `json:"payload_sha256"`
+				Payload       json.RawMessage `json:"payload"`
+			}{Schema, key, hex.EncodeToString(sum[:]), raw})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("key %q payload %d:\n got %s\nwant %s", key, i, got, want)
+			}
+			if _, err := decodeEnvelope(key, got); err != nil {
+				t.Errorf("key %q payload %d: decoding: %v", key, i, err)
+			}
+		}
 	}
 }
